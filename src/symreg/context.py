@@ -27,21 +27,22 @@ the valid-row count instead of a score.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, json_safe
+from .expr import BINARY, UNARY
 
 MAX_DIRECTIVES = 64
 MIN_VALID_ROWS = 8
 
+# transforms and combiners evaluate through the expression operator table
 TRANSFORMS = ("log", "exp", "sin", "cos", "sqrt", "square", "inv", "abs")
-COMBINERS = ("product", "ratio", "sum", "difference")
-SORT_KEYS = ("target_asc", "target_desc", "none")
+_COMBINER_OPS = {"product": "mul", "ratio": "div", "sum": "add", "difference": "sub"}
+COMBINERS = tuple(_COMBINER_OPS)
 
 _SORT_TOKEN = {"y_asc": "target_asc", "y_desc": "target_desc", "none": "none"}
 _SORT_SUFFIX = {
@@ -341,42 +342,17 @@ def default_hint_spec(arity: int) -> AnalysisSpec:
 # Execution
 
 
-def _apply_transform(name: str, values: np.ndarray) -> np.ndarray:
-    if name == "log":
-        return np.log(values)
-    if name == "exp":
-        return np.exp(values)
-    if name == "sin":
-        return np.sin(values)
-    if name == "cos":
-        return np.cos(values)
-    if name == "sqrt":
-        return np.sqrt(values)
-    if name == "square":
-        return values * values
-    if name == "inv":
-        return 1.0 / values  # 0 -> inf, masked downstream
-    return np.abs(values)  # abs
-
-
 def _term_values(term: FeatureTerm, data: Dataset) -> np.ndarray:
     X = data.features
     with np.errstate(all="ignore"):
         if isinstance(term.base, FeatureRef):
             values = X[:, term.base.index].astype(float)
         else:
-            a = X[:, term.base.left]
-            b = X[:, term.base.right]
-            if term.base.combiner == "product":
-                values = a * b
-            elif term.base.combiner == "ratio":
-                values = a / b  # b = 0 -> non-finite, masked downstream
-            elif term.base.combiner == "sum":
-                values = a + b
-            else:
-                values = a - b  # difference
+            # ratio by 0 and inv of 0 give non-finite rows, masked downstream
+            combine = BINARY[_COMBINER_OPS[term.base.combiner]]
+            values = combine(X[:, term.base.left], X[:, term.base.right])
         for t in reversed(term.chain):
-            values = _apply_transform(t, values)
+            values = UNARY[t](values)
     return values
 
 
@@ -521,19 +497,13 @@ def render(report: AnalysisReport) -> str:
 
 def report_to_json(report: AnalysisReport) -> dict:
     """Trace-friendly form; non-finite scalars map to null."""
-
-    def safe(v):
-        if isinstance(v, float) and not math.isfinite(v):
-            return None
-        return v
-
     entries = []
     for e in report.entries:
         item: dict = {"key": e.key}
         if e.value is not None:
-            item["value"] = safe(e.value)
+            item["value"] = json_safe(e.value)
         if e.detail is not None:
-            item["detail"] = {k: safe(v) for k, v in e.detail.items()}
+            item["detail"] = json_safe(e.detail)
         if e.header:
             item["header"] = e.header
             item["lines"] = list(e.lines)

@@ -5,13 +5,16 @@ length-``n`` target vector, all entries finite.  Problems add metadata (name,
 task instructions, per-variable descriptions) plus paths to a training CSV
 and an optional held-out test CSV.  The training data is further partitioned
 into a fitting half (tr-tr) and a scoring half (tr-val) by a seeded shuffle.
+``json_safe`` is the one sanitizer traces, summaries and reports pass through
+before they are serialized.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -189,47 +192,6 @@ def split(
 
 
 # ---------------------------------------------------------------------------
-# Summaries
-
-
-@dataclass(frozen=True)
-class ColumnStats:
-    name: str
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-
-
-@dataclass(frozen=True)
-class DatasetSummary:
-    features: tuple[ColumnStats, ...]
-    target: ColumnStats
-
-
-def _column_stats(name: str, values: np.ndarray) -> ColumnStats:
-    return ColumnStats(
-        name=name,
-        count=int(values.size),
-        mean=float(np.mean(values)),
-        std=float(np.std(values)),  # population convention (ddof=0)
-        minimum=float(np.min(values)),
-        maximum=float(np.max(values)),
-    )
-
-
-def describe(dataset: Dataset) -> DatasetSummary:
-    return DatasetSummary(
-        features=tuple(
-            _column_stats(nm, dataset.features[:, i])
-            for i, nm in enumerate(dataset.feature_names)
-        ),
-        target=_column_stats(dataset.target_name, dataset.target),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Problems
 
 
@@ -321,3 +283,25 @@ def load_problem_data(spec: ProblemSpec) -> Problem:
         ground_truth=spec.ground_truth,
     )
     return Problem(spec=hydrated, train=train, test=test)
+
+
+# ---------------------------------------------------------------------------
+# JSON
+
+
+def json_safe(value):
+    """JSON-ready form of a value: non-finite floats become None, dataclass
+    instances become dicts of their fields, tuples become lists, recursively.
+
+    Walks ``fields()`` rather than using ``dataclasses.asdict``, which deep-
+    copies every leaf and costs about twice as much on a trace record.
+    """
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: json_safe(getattr(value, f.name)) for f in fields(value)}
+    return value

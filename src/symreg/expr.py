@@ -24,6 +24,7 @@ Functions: ``log exp sin cos sqrt abs square inv neg`` (one argument) and
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from dataclasses import dataclass, field
@@ -34,8 +35,29 @@ import numpy as np
 MAX_PARAMS = 10
 MAX_MUTATION_DEPTH = 12
 
-UNARY_OPS = ("neg", "log", "exp", "sin", "cos", "sqrt", "abs", "square", "inv")
-BINARY_OPS = ("add", "sub", "mul", "div", "pow")
+# The operator table: every evaluator dispatches through it.  Dict order is
+# the order of UNARY_OPS/BINARY_OPS, which the seeded mutator draws from, so
+# reordering an entry changes every mutation trace.
+UNARY = {
+    "neg": operator.neg,
+    "log": np.log,
+    "exp": np.exp,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "square": lambda c: c * c,
+    "inv": lambda c: np.float64(1.0) / c,
+}
+BINARY = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+    "pow": np.power,  # complex-valued cases yield nan
+}
+UNARY_OPS = tuple(UNARY)
+BINARY_OPS = tuple(BINARY)
 
 _BIN_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
 _SYMBOL_ADD = {"+": "add", "-": "sub"}
@@ -116,10 +138,6 @@ def depth(node: Node) -> int:
     if isinstance(node, Binary):
         return 1 + max(depth(node.left), depth(node.right))
     return 1
-
-
-def count_nodes(node: Node) -> int:
-    return sum(1 for _ in iter_nodes(node))
 
 
 def param_indices(node: Node) -> list[int]:
@@ -409,37 +427,8 @@ def _eval_node(node: Node, X: np.ndarray, params: np.ndarray):
     if isinstance(node, Param):
         return np.float64(params[node.index])
     if isinstance(node, Unary):
-        c = _eval_node(node.child, X, params)
-        op = node.op
-        if op == "neg":
-            return -c
-        if op == "log":
-            return np.log(c)
-        if op == "exp":
-            return np.exp(c)
-        if op == "sin":
-            return np.sin(c)
-        if op == "cos":
-            return np.cos(c)
-        if op == "sqrt":
-            return np.sqrt(c)
-        if op == "abs":
-            return np.abs(c)
-        if op == "square":
-            return c * c
-        return np.float64(1.0) / c  # inv
-    left = _eval_node(node.left, X, params)
-    right = _eval_node(node.right, X, params)
-    op = node.op
-    if op == "add":
-        return left + right
-    if op == "sub":
-        return left - right
-    if op == "mul":
-        return left * right
-    if op == "div":
-        return left / right
-    return np.power(left, right)  # pow; complex-valued cases yield nan
+        return UNARY[node.op](_eval_node(node.child, X, params))
+    return BINARY[node.op](_eval_node(node.left, X, params), _eval_node(node.right, X, params))
 
 
 def evaluate(skeleton: Skeleton, features, params=()) -> np.ndarray:

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .data import Problem, load_problem, load_problem_data
+from .data import Problem, json_safe, load_problem, load_problem_data
 from .fit import OptimizerConfig
 from .generate import (
     DecodingConfig,
@@ -24,7 +24,7 @@ from .generate import (
     RemoteChatGenerator,
     ScriptedGenerator,
 )
-from .search import MODES, RunTrace, SearchConfig, run, trace_summary, write_trace
+from .search import MODES, RunTrace, SearchConfig, run, write_trace
 
 INF = float("inf")
 LOG10_FLOOR = 1e-300
@@ -82,26 +82,25 @@ def suite_config_from_json(path: str | Path) -> SuiteConfig:
         candidate = Path(p)
         return candidate if candidate.is_absolute() else base / candidate
 
+    def generator_settings(settings: dict) -> dict:
+        settings = dict(settings)
+        if settings.get("type") == "scripted" and "path" in settings:
+            settings["path"] = str(resolve(settings["path"]))
+        return settings
+
     for key in ("problems", "modes", "out_dir", "generator"):
         if key not in raw:
             raise HarnessError(f"{path}: missing required key {key!r}")
     search_raw = dict(raw.get("search", {}))
     search_raw.setdefault("mode", raw["modes"][0])
-    generator = dict(raw["generator"])
-    if generator.get("type") == "scripted" and "path" in generator:
-        generator["path"] = str(resolve(generator["path"]))
     analysis = raw.get("analysis_generator")
-    if analysis is not None:
-        analysis = dict(analysis)
-        if analysis.get("type") == "scripted" and "path" in analysis:
-            analysis["path"] = str(resolve(analysis["path"]))
     return SuiteConfig(
         problems=tuple(resolve(p) for p in raw["problems"]),
         modes=tuple(raw["modes"]),
         out_dir=resolve(raw["out_dir"]),
         search=search_config_from_json(search_raw),
-        generator=generator,
-        analysis_generator=analysis,
+        generator=generator_settings(raw["generator"]),
+        analysis_generator=None if analysis is None else generator_settings(analysis),
         repeats=int(raw.get("repeats", 3)),
         workers=int(raw.get("workers", 1)),
     )
@@ -273,29 +272,57 @@ def load_trajectory(trace_path: str | Path) -> list[float]:
     return values
 
 
-def _run_one(config: SuiteConfig, problem: Problem, mode: str, repeat: int) -> RunOutcome:
-    seed = config.search.seed + repeat
-    run_dir = config.out_dir / problem.name / mode
-    trace_path = run_dir / f"{repeat}.trace.jsonl"
-    summary_path = run_dir / f"{repeat}.summary.json"
+def _run_paths(config: SuiteConfig, problem: str, mode: str, repeat: int) -> tuple[Path, Path]:
+    run_dir = config.out_dir / problem / mode
+    return run_dir / f"{repeat}.trace.jsonl", run_dir / f"{repeat}.summary.json"
 
+
+def _outcome(
+    config: SuiteConfig,
+    problem: str,
+    mode: str,
+    repeat: int,
+    *,
+    trajectory=(),
+    final_val_nmse: float | None = None,
+    test_nmse: float | None = None,
+    reused: bool = False,
+    error: Exception | None = None,
+) -> RunOutcome:
+    """The outcome of one run; a missing final NMSE (no valid candidate, or
+    null in a summary file) reads as inf."""
+    trace_path, summary_path = _run_paths(config, problem, mode, repeat)
+    return RunOutcome(
+        problem=problem,
+        mode=mode,
+        repeat=repeat,
+        seed=config.search.seed + repeat,
+        trace_path=trace_path,
+        summary_path=summary_path,
+        trajectory=tuple(trajectory),
+        final_val_nmse=INF if final_val_nmse is None else float(final_val_nmse),
+        test_nmse=test_nmse,
+        reused=reused,
+        error=None if error is None else f"{type(error).__name__}: {error}",
+    )
+
+
+def _run_one(config: SuiteConfig, problem: Problem, mode: str, repeat: int) -> RunOutcome:
+    trace_path, summary_path = _run_paths(config, problem.name, mode, repeat)
     if trace_path.exists() and summary_path.exists():
         summary = json.loads(summary_path.read_text())
-        trajectory = tuple(load_trajectory(trace_path))
-        final = summary.get("best_val_nmse")
-        return RunOutcome(
-            problem=problem.name,
-            mode=mode,
-            repeat=repeat,
-            seed=seed,
-            trace_path=trace_path,
-            summary_path=summary_path,
-            trajectory=trajectory,
-            final_val_nmse=INF if final is None else float(final),
+        return _outcome(
+            config,
+            problem.name,
+            mode,
+            repeat,
+            trajectory=load_trajectory(trace_path),
+            final_val_nmse=summary.get("best_val_nmse"),
             test_nmse=summary.get("test_nmse"),
             reused=True,
         )
 
+    seed = config.search.seed + repeat
     search_config = replace(config.search, mode=mode, seed=seed)
     generator = make_generator(config.generator, problem.arity, seed)
     analysis_settings = config.analysis_generator
@@ -307,33 +334,16 @@ def _run_one(config: SuiteConfig, problem: Problem, mode: str, repeat: int) -> R
     try:
         trace: RunTrace = run(search_config, problem, generator, analysis_generator)
     except Exception as exc:
-        return RunOutcome(
-            problem=problem.name,
-            mode=mode,
-            repeat=repeat,
-            seed=seed,
-            trace_path=trace_path,
-            summary_path=summary_path,
-            trajectory=(),
-            final_val_nmse=INF,
-            test_nmse=None,
-            reused=False,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _outcome(config, problem.name, mode, repeat, error=exc)
     write_trace(trace, trace_path, summary_path)
-    summary = trace_summary(trace)
-    final = summary["best_val_nmse"]
-    return RunOutcome(
-        problem=problem.name,
-        mode=mode,
-        repeat=repeat,
-        seed=seed,
-        trace_path=trace_path,
-        summary_path=summary_path,
-        trajectory=tuple(INF if r.best_nmse == INF else r.best_nmse for r in trace.records),
-        final_val_nmse=INF if final is None else float(final),
-        test_nmse=summary["test_nmse"],
-        reused=False,
+    return _outcome(
+        config,
+        problem.name,
+        mode,
+        repeat,
+        trajectory=(r.best_nmse for r in trace.records),
+        final_val_nmse=None if trace.best is None else -trace.best.fitness,
+        test_nmse=trace.test_nmse,
     )
 
 
@@ -351,24 +361,11 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             problems.append(load_problem_data(load_problem(path)))
         except Exception as exc:
             # every run of an unloadable problem is recorded as failed
-            for mode in config.modes:
-                for repeat in range(config.repeats):
-                    run_dir = config.out_dir / path.stem / mode
-                    outcomes.append(
-                        RunOutcome(
-                            problem=path.stem,
-                            mode=mode,
-                            repeat=repeat,
-                            seed=config.search.seed + repeat,
-                            trace_path=run_dir / f"{repeat}.trace.jsonl",
-                            summary_path=run_dir / f"{repeat}.summary.json",
-                            trajectory=(),
-                            final_val_nmse=INF,
-                            test_nmse=None,
-                            reused=False,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
+            outcomes += [
+                _outcome(config, path.stem, mode, repeat, error=exc)
+                for mode in config.modes
+                for repeat in range(config.repeats)
+            ]
 
     jobs = [
         (problem, mode, repeat)
@@ -438,12 +435,10 @@ def build_report(outcomes, modes) -> SuiteReport:
             shared = set(ta) & set(tb)
             if not shared:
                 continue
-            ta = {k: ta[k] for k in shared}
-            tb = {k: tb[k] for k in shared}
-            lengths = {len(v) for v in ta.values()} | {len(v) for v in tb.values()}
-            if len(lengths) != 1:
+            try:
+                curve = win_rate_curve({k: ta[k] for k in shared}, {k: tb[k] for k in shared})
+            except HarnessError:  # trajectories of unequal length have no curve
                 continue
-            curve = [win_rate(ta, tb, t) for t in range(lengths.pop())]
             win_curves[f"{a}_vs_{b}"] = curve
 
     return SuiteReport(
@@ -452,12 +447,6 @@ def build_report(outcomes, modes) -> SuiteReport:
         win_curves=win_curves,
         failures=failures,
     )
-
-
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
 
 
 def _relative_to_out(path: Path, out: Path) -> str:
@@ -483,8 +472,8 @@ def _write_report(config: SuiteConfig, report: SuiteReport) -> None:
                 "repeat": o.repeat,
                 "seed": o.seed,
                 "trace": _relative_to_out(o.trace_path, out),
-                "final_val_nmse": _json_safe(o.final_val_nmse),
-                "test_nmse": _json_safe(o.test_nmse) if o.test_nmse is not None else None,
+                "final_val_nmse": json_safe(o.final_val_nmse),
+                "test_nmse": json_safe(o.test_nmse),
                 "error": o.error,
             }
             for o in report.outcomes

@@ -16,13 +16,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import context as ctx
-from .data import DEFAULT_SPLIT_RATIO, Problem, SplitView, split
+from .data import DEFAULT_SPLIT_RATIO, Problem, json_safe, split
 from .expr import evaluate, format_skeleton
 from .fit import Candidate, OptimizerConfig, evaluate_candidate, nmse, DegenerateTargetError
 from .generate import (
@@ -51,7 +51,6 @@ class SearchError(ValueError):
 class SearchConfig:
     iterations: int = 150
     samples_per_prompt: int = 2
-    repeats: int = 3
     mode: str = "proaug"
     islands: int = 4
     island_capacity: int = 32
@@ -105,6 +104,9 @@ class ExperienceBuffer:
             raise SearchError("islands and capacity must be >= 1")
         self.capacity = capacity
         self._islands: list[list[Candidate]] = [[] for _ in range(islands)]
+        # per island: (temperature, floor, shifted fitnesses, weights, first-pick
+        # cdf), rebuilt on the first draw after the island changes
+        self._draw_tables: list[tuple | None] = [None] * islands
         self._counter = 0
 
     @property
@@ -121,7 +123,8 @@ class ExperienceBuffer:
     def add(self, candidate: Candidate) -> None:
         if not candidate.is_valid:
             return
-        island = self._islands[self._counter % len(self._islands)]
+        index = self._counter % len(self._islands)
+        island = self._islands[index]
         self._counter += 1
         key = format_skeleton(candidate.skeleton)
         for i, existing in enumerate(island):
@@ -134,6 +137,17 @@ class ExperienceBuffer:
         island.sort(key=lambda c: -c.fitness)
         if len(island) > self.capacity:
             island.pop()
+        self._draw_tables[index] = None
+
+    def _island_weights(self, index: int, temperature: float, floor: float) -> tuple:
+        cached = self._draw_tables[index]
+        if cached is None or cached[:2] != (temperature, floor):
+            fitnesses = np.array([c.fitness for c in self._islands[index]])
+            shifted = np.maximum(fitnesses - fitnesses.max(), floor)
+            weights = np.exp(shifted / temperature)
+            cached = (temperature, floor, shifted, weights, _cdf(weights))
+            self._draw_tables[index] = cached
+        return cached[2:]
 
     def sample_demonstrations(
         self,
@@ -146,28 +160,42 @@ class ExperienceBuffer:
 
         Weights are exp((fitness - max_fitness clamped at `floor`) / T);
         shifting by the max first makes the draw invariant to adding a
-        constant to every fitness.  Draws are without replacement; the
-        returned list is sorted ascending by fitness (worst first).  An empty
-        buffer returns an empty list.
+        constant to every fitness.  Draws are without replacement, each one
+        inverting the cdf of the remaining weights with ``rng.random()`` as
+        ``Generator.choice`` does.  When every remaining weight has underflowed
+        to 0 (a low temperature after the best member is taken), the remaining
+        weights are re-shifted by their own max, which is the same softmax
+        without the underflow.  The returned list is sorted ascending by
+        fitness (worst first).  An empty buffer returns an empty list.
         """
         rng = np.random.default_rng(seed)
         occupied = [i for i, island in enumerate(self._islands) if island]
         if not occupied:
             return []
-        island = self._islands[occupied[rng.integers(len(occupied))]]
-        fitnesses = np.array([c.fitness for c in island])
-        shifted = np.maximum(fitnesses - fitnesses.max(), floor)
-        weights = np.exp(shifted / temperature)
+        index = occupied[rng.integers(len(occupied))]
+        island = self._islands[index]
+        shifted, weights, cdf = self._island_weights(index, temperature, floor)
         chosen: list[int] = []
         available = list(range(len(island)))
         for _ in range(min(k, len(island))):
-            w = weights[available]
-            probs = w / w.sum()
-            pick = int(rng.choice(len(available), p=probs))
+            if chosen:
+                w = weights[available]
+                if w.sum() == 0.0:
+                    rest = shifted[available]
+                    w = np.exp((rest - rest.max()) / temperature)
+                cdf = _cdf(w)
+            pick = int(cdf.searchsorted(rng.random(), side="right"))
             chosen.append(available.pop(pick))
         picked = [island[i] for i in chosen]
         picked.sort(key=lambda c: c.fitness)
         return picked
+
+
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    """Normalized cumulative weights, computed as ``Generator.choice`` does."""
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 # ---------------------------------------------------------------------------
@@ -215,100 +243,27 @@ class RunTrace:
     timings: dict[str, float]
 
 
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def _sample_json(s: SampleRecord) -> dict:
-    return {
-        "raw": s.raw,
-        "expression": s.expression,
-        "error": s.error,
-        "retries": s.retries,
-        "fitness": _json_safe(s.fitness),
-        "train_mse": _json_safe(s.train_mse),
-        "params": [_json_safe(p) for p in s.params],
-    }
-
-
-def _analysis_json(a: AnalysisRecord | None) -> dict | None:
-    if a is None:
-        return None
-    return {
-        "prompt": a.prompt,
-        "spec_text": a.spec_text,
-        "report": a.report,
-        "error": a.error,
-        "attempts": a.attempts,
-        "cached": a.cached,
-    }
-
-
 def trace_lines(trace: RunTrace) -> list[str]:
     """One JSON line per iteration. Deliberately excludes configuration and
     wall-clock timing so identical runs serialize byte-identically."""
-    lines = []
-    for rec in trace.records:
-        payload = {
-            "iteration": rec.iteration,
-            "analysis": _analysis_json(rec.analysis),
-            "equation_prompt": rec.equation_prompt,
-            "samples": [_sample_json(s) for s in rec.samples],
-            "best_nmse": _json_safe(rec.best_nmse),
-        }
-        lines.append(json.dumps(payload, sort_keys=True))
-    return lines
+    return [json.dumps(json_safe(rec), sort_keys=True) for rec in trace.records]
 
 
 def trace_summary(trace: RunTrace) -> dict:
+    """Every search setting, the best candidate and its scores, and timings."""
     cfg = trace.config
-    return {
-        "problem": trace.problem_name,
-        "mode": cfg.mode,
-        "generator": trace.generator_tag,
-        "seed": cfg.seed,
-        "iterations": cfg.iterations,
-        "samples_per_prompt": cfg.samples_per_prompt,
-        "islands": cfg.islands,
-        "island_capacity": cfg.island_capacity,
-        "sampling_temperature": cfg.sampling_temperature,
-        "k_demos": cfg.k_demos,
-        "retry_budget": cfg.retry_budget,
-        "split_ratio": cfg.split_ratio,
-        "split_seed": cfg.split_seed,
-        "inject_report": cfg.inject_report,
-        "fitness_floor": cfg.fitness_floor,
-        "optimizer": {
-            "restarts": cfg.optimizer.restarts,
-            "max_iterations": cfg.optimizer.max_iterations,
-            "max_evaluations": cfg.optimizer.max_evaluations,
-            "gradient_step": cfg.optimizer.gradient_step,
-            "gradient_tolerance": cfg.optimizer.gradient_tolerance,
-            "penalty": cfg.optimizer.penalty,
-        },
-        "decoding": {
-            "temperature": cfg.decoding.temperature,
-            "max_output_tokens": cfg.decoding.max_output_tokens,
-            "stop": list(cfg.decoding.stop),
-        },
-        "best_expression": (
-            format_skeleton(trace.best.skeleton) if trace.best is not None else None
-        ),
-        "best_params": (
-            [_json_safe(p) for p in trace.best.fit.params] if trace.best is not None else None
-        ),
-        "best_val_nmse": _json_safe(
-            -trace.best.fitness if trace.best is not None else float("inf")
-        ),
-        "test_nmse": _json_safe(trace.test_nmse),
-        "timings": trace.timings,
-    }
-
-
-def best_nmse_trajectory(trace: RunTrace) -> list[float]:
-    return [rec.best_nmse for rec in trace.records]
+    best = trace.best
+    summary = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    summary.update(
+        problem=trace.problem_name,
+        generator=trace.generator_tag,
+        best_expression=format_skeleton(best.skeleton) if best is not None else None,
+        best_params=best.fit.params if best is not None else None,
+        best_val_nmse=-best.fitness if best is not None else float("inf"),
+        test_nmse=trace.test_nmse,
+        timings=trace.timings,
+    )
+    return json_safe(summary)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +277,6 @@ def _run_analysis_phase(
     generator: Generator,
     cache: dict,
     previous_error: str | None,
-    iteration: int,
 ) -> tuple[AnalysisRecord, ctx.AnalysisReport | None]:
     """One proaug analysis phase: ask, extract, execute, with feedback re-asks."""
     feedback = previous_error
@@ -427,7 +381,6 @@ def run(
                     analysis_generator,
                     analysis_cache,
                     last_analysis_error,
-                    t,
                 )
                 timings["analysis"] += time.monotonic() - t0
                 if fresh is not None:

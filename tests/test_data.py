@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from symreg.data import (
     DataError,
     Dataset,
-    describe,
     load_csv,
     load_problem,
     load_problem_data,
@@ -189,46 +188,6 @@ class TestSplit:
         assert view.split_seed == 9
         assert view.split_ratio == 0.6
         assert view.test is None
-
-
-class TestDescribe:
-    def test_hand_case(self):
-        ds = make_dataset([[0.0], [0.0], [0.0]], [1.0, 2.0, 3.0])
-        summary = describe(ds)
-        assert summary.target.mean == 2.0
-        assert summary.target.minimum == 1.0
-        assert summary.target.maximum == 3.0
-        assert summary.target.std == pytest.approx((2 / 3) ** 0.5, abs=1e-15)
-
-    def test_constant_column(self):
-        ds = make_dataset([[5.0], [5.0], [5.0]], [1.0, 2.0, 3.0])
-        assert describe(ds).features[0].std == 0.0
-
-    def test_two_pass_oracle(self):
-        rng = np.random.default_rng(99)
-        values = rng.normal(3.0, 2.5, size=200)
-        ds = make_dataset(values, values * 0.0 + 1.0 + values)
-        stats = describe(ds).features[0]
-        mean_ref = sum(values) / len(values)
-        var_ref = sum((v - mean_ref) ** 2 for v in values) / len(values)
-        assert stats.mean == pytest.approx(mean_ref, rel=1e-12)
-        assert stats.std == pytest.approx(var_ref**0.5, rel=1e-12)
-
-    def test_row_permutation_invariance(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(30, 2))
-        y = rng.normal(size=30)
-        perm = rng.permutation(30)
-        base = describe(make_dataset(X, y))
-        shuffled = describe(make_dataset(X[perm], y[perm]))
-        # summation order may shift the mean by an ulp, so compare approximately
-        for a, b in zip(
-            (*base.features, base.target), (*shuffled.features, shuffled.target)
-        ):
-            assert a.name == b.name and a.count == b.count
-            assert a.mean == pytest.approx(b.mean, rel=1e-12)
-            assert a.std == pytest.approx(b.std, rel=1e-12)
-            assert a.minimum == b.minimum and a.maximum == b.maximum
 
 
 class TestProblems:

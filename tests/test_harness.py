@@ -202,6 +202,11 @@ class TestConfigParsing:
         assert cfg.optimizer.max_evaluations == OptimizerConfig().max_evaluations
         assert cfg.decoding.stop == ("```",)
 
+    def test_search_block_rejects_repeats(self):
+        # repeats is a suite setting; a search run has no use for it
+        with pytest.raises(TypeError, match="repeats"):
+            search_config_from_json({"iterations": 9, "repeats": 2})
+
     def test_suite_config_resolves_relative_paths(self, tmp_path):
         X = np.linspace(1, 4, 12).reshape(-1, 1)
         write_problem_files(tmp_path, "tiny", X, X[:, 0])
@@ -215,6 +220,7 @@ class TestConfigParsing:
                     "modes": ["llm-sr"],
                     "out_dir": "out",
                     "generator": {"type": "scripted", "path": "texts.json"},
+                    "analysis_generator": {"type": "scripted", "path": "texts.json"},
                     "search": {"iterations": 2},
                     "repeats": 1,
                 }
@@ -224,6 +230,7 @@ class TestConfigParsing:
         assert cfg.problems[0] == tmp_path / "tiny.json"
         assert cfg.out_dir == tmp_path / "out"
         assert cfg.generator["path"] == str(tmp_path / "texts.json")
+        assert cfg.analysis_generator["path"] == str(tmp_path / "texts.json")
         assert cfg.search.iterations == 2
         assert cfg.search.mode == "llm-sr"
 

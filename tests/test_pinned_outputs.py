@@ -1,0 +1,127 @@
+"""Pinned output digests for a short suite over the bundled problems.
+
+The suite runs every bundled problem in every mode with the offline mutation
+generator; proaug reads a scripted analysis program that exercises every
+directive kind, every transform and combiner, an ``_na`` fit, a malformed
+reply, a fully failed analysis phase and a cache hit.  The sha256 digests
+were taken before the operator table, the JSON writer and the run-outcome
+construction were consolidated, so a refactor that changes any byte of a
+trace, a run summary (minus its wall-clock timings) or the suite report
+fails here.  The digests depend on the float results of numpy/scipy and the
+platform libm; a deliberate numerics change re-pins them and says so.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from symreg.fit import OptimizerConfig
+from symreg.harness import SuiteConfig, run_suite
+from symreg.search import SearchConfig
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+PROGRAM_A = """```analysis
+sample 5 sort=y_desc
+sample 3 seed=7
+stats all
+r2 y ~ x0
+r2 log(y) ~ log(x0)
+r2 log(y) ~ log(sin(x0))
+r2 y ~ exp(x0)
+r2 y ~ cos(x0)
+r2 y ~ sqrt(x0)
+r2 y ~ square(x0)
+r2 y ~ inv(x0)
+r2 y ~ abs(x0)
+r2 y ~ inv(difference(x0,x0))
+corr y ~ product(x0,x0)
+corr log(y) ~ ratio(x0,x0)
+corr y ~ sum(x0,x0)
+corr y ~ log(difference(x0,x0))
+```"""
+
+PROGRAM_B = """```analysis
+sample 4 sort=y_asc
+stats y x0
+r2 y ~ log(square(x0))
+corr y ~ x0
+```"""
+
+MALFORMED = "```analysis\nr2 y ~ tan(x0)\n```"
+
+# iteration 0: A; 1: malformed, then B on retry; 2: both attempts malformed,
+# so B's report is reused and the error is fed back; 3: A again, a cache hit;
+# 4: A, a cache hit
+ANALYSIS_REPLIES = [PROGRAM_A, MALFORMED, PROGRAM_B, MALFORMED, MALFORMED, PROGRAM_A]
+
+TRACES_SHA256 = "fc016c3d9e3a1fac57354d957925b83fd565bcae1558ad84a301d783d4b62515"
+RUN_SUMMARIES_SHA256 = "5f6baac05cd2978d678aa4bf4eed8533546aa6a51ada764687e3e5499c403310"
+SUITE_REPORT_SHA256 = "1f7e0c0a9dae1dccec47f2d9e9080ea543ecdf28ebe3e58a8479131fecf021d0"
+
+
+def _suite(out_dir: Path, broken: Path) -> SuiteConfig:
+    return SuiteConfig(
+        problems=(*sorted(PROBLEMS.glob("*.json")), broken),
+        modes=("llm-sr", "statistical-hint", "proaug"),
+        out_dir=out_dir,
+        search=SearchConfig(
+            iterations=5,
+            samples_per_prompt=2,
+            islands=2,
+            island_capacity=8,
+            retry_budget=1,
+            optimizer=OptimizerConfig(restarts=2, max_iterations=60, max_evaluations=300),
+        ),
+        generator={"type": "mutation"},
+        analysis_generator={"type": "scripted", "texts": ANALYSIS_REPLIES},
+        repeats=2,
+    )
+
+
+def _digest(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def _run_summary_bytes(path: Path) -> bytes:
+    summary = json.loads(path.read_text())
+    del summary["timings"]
+    return json.dumps(summary, indent=2, sort_keys=True).encode()
+
+
+def test_bundled_suite_outputs_are_pinned(tmp_path):
+    broken = tmp_path / "broken.json"
+    # its load error names no path, so the suite report is machine-independent
+    broken.write_text(
+        json.dumps(
+            {
+                "name": "broken",
+                "instructions": "-",
+                "data_path": str(PROBLEMS / "kepler.csv"),
+                "variable_descriptions": ["a", "b"],
+            }
+        )
+    )
+    out = tmp_path / "out"
+    config = _suite(out, broken)
+    report = run_suite(config)
+    assert report.failures == 6  # every run of the unloadable problem
+
+    traces = sorted(out.glob("*/*/*.trace.jsonl"))
+    summaries = sorted(out.glob("*/*/*.summary.json"))
+    assert len(traces) == len(summaries) == 30
+    suite_files = [(out / "summary.json").read_bytes(), (out / "trajectories.csv").read_bytes()]
+
+    assert _digest(p.read_bytes() for p in traces) == TRACES_SHA256
+    assert _digest(_run_summary_bytes(p) for p in summaries) == RUN_SUMMARIES_SHA256
+    assert _digest(suite_files) == SUITE_REPORT_SHA256
+
+    # resuming reuses every run and rewrites the report unchanged
+    resumed = run_suite(config)
+    assert all(o.reused for o in resumed.outcomes if not o.failed)
+    assert _digest(
+        [(out / "summary.json").read_bytes(), (out / "trajectories.csv").read_bytes()]
+    ) == SUITE_REPORT_SHA256

@@ -16,7 +16,6 @@ from symreg.search import (
     ExperienceBuffer,
     SearchConfig,
     SearchError,
-    best_nmse_trajectory,
     derive_seed,
     run,
     trace_lines,
@@ -239,6 +238,38 @@ class TestExperienceBuffer:
         )
         assert cold > warm
 
+    def test_draws_match_generator_choice(self):
+        # the reference draws each pick with Generator.choice over the
+        # remaining weights; the buffer must reproduce its picks exactly,
+        # with adds (which rebuild an island's weights) between draws
+        def reference(buf, k, temperature, seed):
+            rng = np.random.default_rng(seed)
+            occupied = [i for i, island in enumerate(buf.islands) if island]
+            island = buf.islands[occupied[rng.integers(len(occupied))]]
+            fitnesses = np.array([c.fitness for c in island])
+            weights = np.exp(np.maximum(fitnesses - fitnesses.max(), -10.0) / temperature)
+            available = list(range(len(island)))
+            chosen = []
+            for _ in range(min(k, len(island))):
+                w = weights[available]
+                chosen.append(available.pop(int(rng.choice(len(available), p=w / w.sum()))))
+            return sorted((island[i] for i in chosen), key=lambda c: c.fitness)
+
+        rng = np.random.default_rng(0)
+        added = 0
+        for _ in range(40):
+            buf = ExperienceBuffer(islands=int(rng.integers(1, 4)), capacity=int(rng.integers(2, 10)))
+            scale = float(rng.choice([0.1, 2.0, 30.0]))
+            for draw in range(30):
+                if draw % 3 == 0:
+                    added += 1
+                    buf.add(_candidate(f"p0 * x0 + {added}.0", -float(rng.exponential(scale))))
+                k = int(rng.integers(1, 6))
+                temperature = float(rng.choice([0.05, 0.3, 1.0, 4.0]))
+                seed = int(rng.integers(2**32))
+                got = buf.sample_demonstrations(k, temperature, seed)
+                assert got == reference(buf, k, temperature, seed)
+
     def test_rejects_bad_shape(self):
         with pytest.raises(SearchError):
             ExperienceBuffer(islands=0, capacity=4)
@@ -267,7 +298,7 @@ class TestRunLlmSr:
         problem = make_problem(kepler_dataset, name="orbit")
         gen = ScriptedGenerator([GOOD_LINEAR, GOOD_POWER, GOOD_LINEAR])
         trace = run(_quick_config(iterations=4), problem, gen)
-        traj = best_nmse_trajectory(trace)
+        traj = [rec.best_nmse for rec in trace.records]
         assert len(traj) == 4
         assert all(b <= a for a, b in zip(traj, traj[1:]))
 
@@ -285,13 +316,28 @@ class TestRunLlmSr:
         b = run(cfg, problem, ScriptedGenerator([GOOD_POWER, GOOD_LINEAR]))
         assert trace_lines(a) == trace_lines(b)
 
+    def test_low_temperature_draw_after_underflow(self, kepler_dataset):
+        # an NMSE gap far past the floor at T=0.01 underflows every weight but
+        # the best one's; the second demo must still be drawn, not crash
+        problem = make_problem(kepler_dataset, name="orbit")
+        replies = [
+            "```expr\np0 * x0 ^ p1\n```",
+            "```expr\np0 + 1000 * sin(50 * x0)\n```",
+        ]
+        gen = RecordingGenerator(replies)
+        cfg = _quick_config(
+            iterations=2, samples_per_prompt=2, islands=1, sampling_temperature=0.01
+        )
+        run(cfg, problem, gen)
+        assert "sin" in gen.prompts[1] and "x0 ^ p1" in gen.prompts[1]
+
     def test_mutation_generator_end_to_end(self, kepler_dataset):
         problem = make_problem(kepler_dataset, name="orbit")
         cfg = _quick_config(iterations=8, samples_per_prompt=2)
         gen = MutationGenerator(arity=1, seed=0)
         trace = run(cfg, problem, gen)
         assert trace.best is not None
-        traj = best_nmse_trajectory(trace)
+        traj = [rec.best_nmse for rec in trace.records]
         assert all(b <= a for a, b in zip(traj, traj[1:]))
         assert math.isfinite(traj[-1])
 
