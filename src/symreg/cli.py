@@ -106,9 +106,7 @@ def _cmd_run(args) -> int:
     if best is None:
         print("no valid candidate found")
     else:
-        from .expr import format_skeleton
-
-        print(f"best expression: {format_skeleton(best.skeleton)}")
+        print(f"best expression: {best.skeleton.text}")
         print(f"best tr-val NMSE: {-best.fitness:.6g}")
         if trace.test_nmse is not None:
             print(f"test NMSE: {trace.test_nmse:.6g}")

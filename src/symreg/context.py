@@ -21,12 +21,13 @@ Grammar, one directive per line (``#`` comments and blank lines ignored)::
 
 Transforms: log exp sin cos sqrt square inv abs.  Combiners: product ratio
 sum difference.  Execution masks rows where any involved transform is
-undefined; a fit with fewer than 8 valid rows reports an ``_na`` key carrying
-the valid-row count instead of a score.
+undefined; a fit with fewer than 8 valid rows, or whose sums overflow, reports
+an ``_na`` key carrying the valid-row count instead of a score.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -363,31 +364,39 @@ def _y_values(y_transform: str, data: Dataset) -> np.ndarray:
         return np.log(data.target)
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line y ~ x: (slope, intercept, r2 clamped to [0,1])."""
+def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float] | None:
+    """Least-squares line y ~ x: (slope, intercept, r2 clamped to [0,1]), or
+    None when a sum is non-finite (finite rows whose sums overflow)."""
     mx = float(np.mean(x))
     my = float(np.mean(y))
     sxx = float(np.sum((x - mx) ** 2))
+    sxy = float(np.sum((x - mx) * (y - my)))
     if sxx == 0.0:
         slope, intercept = 0.0, my
     else:
-        slope = float(np.sum((x - mx) * (y - my)) / sxx)
+        slope = sxy / sxx
         intercept = my - slope * mx
     residuals = y - (slope * x + intercept)
     ss_res = float(np.sum(residuals**2))
     ss_tot = float(np.sum((y - my) ** 2))
+    if not all(map(math.isfinite, (mx, my, sxx, sxy, ss_res, ss_tot))):
+        return None
     if ss_tot == 0.0:
         return slope, intercept, 0.0
     return slope, intercept, float(min(1.0, max(0.0, 1.0 - ss_res / ss_tot)))
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
+    """Correlation clamped to [-1, 1], or None when a sum is non-finite."""
     sx = float(np.std(x))
     sy = float(np.std(y))
     if sx == 0.0 or sy == 0.0:
         return 0.0
-    r = float(np.mean((x - np.mean(x)) * (y - np.mean(y))) / (sx * sy))
-    return min(1.0, max(-1.0, r))
+    sxy = float(np.mean((x - np.mean(x)) * (y - np.mean(y))))
+    scale = sx * sy
+    if not (math.isfinite(sxy) and math.isfinite(scale)):
+        return None
+    return min(1.0, max(-1.0, sxy / scale))
 
 
 def _run_stats(directive: DescribeStats, data: Dataset) -> list[ReportEntry]:
@@ -427,15 +436,19 @@ def _run_fit(directive: R2Fit | Correlation, data: Dataset) -> list[ReportEntry]
     n_valid = int(np.count_nonzero(valid))
     kind = "r2" if isinstance(directive, R2Fit) else "corr"
     key = f"{kind}_{_y_key(directive.y_transform)}_{term_key(directive.x_term)}"
+    na = [ReportEntry(f"{key}_na", n_valid, detail={"n_valid": n_valid})]
     if n_valid < MIN_VALID_ROWS:
-        return [ReportEntry(f"{key}_na", n_valid, detail={"n_valid": n_valid})]
+        return na
     xv, yv = x[valid], y[valid]
+    with np.errstate(all="ignore"):
+        fit = _ols(xv, yv) if kind == "r2" else _pearson(xv, yv)
+    if fit is None:
+        return na
     if kind == "r2":
-        slope, intercept, r2 = _ols(xv, yv)
+        slope, intercept, r2 = fit
         detail = {"slope": slope, "intercept": intercept, "n_valid": n_valid}
         return [ReportEntry(key, r2, detail=detail)]
-    r = _pearson(xv, yv)
-    return [ReportEntry(key, r, detail={"n_valid": n_valid})]
+    return [ReportEntry(key, fit, detail={"n_valid": n_valid})]
 
 
 def execute(spec: AnalysisSpec, data: Dataset, seed: int = 0, source: str = "") -> AnalysisReport:

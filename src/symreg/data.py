@@ -113,7 +113,7 @@ def load_csv(path: str | Path) -> Dataset:
                         f"{path}: non-numeric value {cell.strip()!r} in column "
                         f"{col!r} at data row {lineno}"
                     ) from None
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise DataError(
                         f"{path}: non-finite value in column {col!r} at data row {lineno}"
                     )

@@ -2,8 +2,9 @@
 
 Candidate equations are finite trees over feature variables (``x0``, ``x1``,
 ...), indexed parameter slots (``p0`` .. ``p9``) and numeric constants.  The
-module provides the infix parser, a canonical fully-parenthesized printer, a
-vectorized evaluator whose domain violations produce IEEE non-finite
+module provides the infix parser, a one-pass canonicalization that also
+prints each skeleton's fully-parenthesized canonical text, a vectorized
+evaluator whose domain violations produce IEEE non-finite
 sentinels instead of exceptions, and a seeded structural mutation used by the
 offline candidate generator.
 
@@ -24,6 +25,7 @@ Functions: ``log exp sin cos sqrt abs square inv neg`` (one argument) and
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 import re
@@ -111,25 +113,15 @@ Node = Union[Const, Var, Param, Unary, Binary]
 class Skeleton:
     """A validated expression with parameters renumbered to ``p0..p{k-1}``.
 
-    ``source_text`` keeps the surface form the skeleton was parsed from (or
-    the canonical print for programmatically built trees); it is excluded
-    from equality so structurally identical skeletons compare equal.
+    ``text`` is the canonical fully-parenthesized print, which parses back to
+    an equal tree; it is derived from the tree, so it is excluded from
+    equality.
     """
 
     expression: Node
     arity: int
     param_count: int
-    source_text: str = field(compare=False)
-
-
-def iter_nodes(node: Node) -> Iterator[Node]:
-    """Pre-order traversal of the tree."""
-    yield node
-    if isinstance(node, Unary):
-        yield from iter_nodes(node.child)
-    elif isinstance(node, Binary):
-        yield from iter_nodes(node.left)
-        yield from iter_nodes(node.right)
+    text: str = field(compare=False)
 
 
 def depth(node: Node) -> int:
@@ -140,73 +132,56 @@ def depth(node: Node) -> int:
     return 1
 
 
-def param_indices(node: Node) -> list[int]:
-    """Distinct parameter indices in order of first appearance (pre-order)."""
-    seen: list[int] = []
-    for n in iter_nodes(node):
-        if isinstance(n, Param) and n.index not in seen:
-            seen.append(n.index)
-    return seen
+def _const_text(value: float) -> str:
+    # parenthesized when the sign bit is set (-0.0 too): a bare leading '-'
+    # would rebind as unary minus over a following '^'
+    return f"({value!r})" if math.copysign(1.0, value) < 0 else repr(value)
 
 
-def _fold_neg_consts(node: Node) -> Node:
-    """Normalize ``neg(Const(v))`` to ``Const(-v)`` so printing round-trips."""
-    if isinstance(node, Unary):
-        child = _fold_neg_consts(node.child)
-        if node.op == "neg" and isinstance(child, Const):
-            return Const(-child.value)
-        return Unary(node.op, child)
-    if isinstance(node, Binary):
-        return Binary(node.op, _fold_neg_consts(node.left), _fold_neg_consts(node.right))
-    return node
+def skeleton_from_node(node: Node, arity: int) -> Skeleton:
+    """Canonicalize a raw tree into a Skeleton in one pre-order pass.
 
+    The pass validates each node (variable range, parameter cap, operator
+    names, float constants), folds ``neg(Const(v))`` into ``Const(-v)``,
+    renumbers parameters by first appearance and builds the canonical text.
+    """
+    renumbered: dict[int, int] = {}
 
-def _validate(node: Node, arity: int) -> None:
-    for n in iter_nodes(node):
+    def build(n: Node) -> tuple[Node, str]:
+        if isinstance(n, Const):
+            if not isinstance(n.value, float):
+                raise ExpressionError(f"constant value must be float, got {n.value!r}")
+            return n, _const_text(n.value)
         if isinstance(n, Var):
             if not 0 <= n.index < arity:
                 raise ExpressionError(
                     f"variable x{n.index} out of range for arity {arity}"
                 )
-        elif isinstance(n, Param):
+            return n, f"x{n.index}"
+        if isinstance(n, Param):
             if not 0 <= n.index < MAX_PARAMS:
                 raise ExpressionError(
                     f"parameter p{n.index} exceeds the {MAX_PARAMS}-slot cap"
                 )
-        elif isinstance(n, Unary):
-            if n.op not in UNARY_OPS:
-                raise ExpressionError(f"unknown unary operator {n.op!r}")
-        elif isinstance(n, Binary):
-            if n.op not in BINARY_OPS:
-                raise ExpressionError(f"unknown binary operator {n.op!r}")
-        elif isinstance(n, Const):
-            if not isinstance(n.value, float):
-                raise ExpressionError(f"constant value must be float, got {n.value!r}")
-
-
-def _renumber_params(node: Node) -> tuple[Node, int]:
-    order = param_indices(node)
-    mapping = {old: new for new, old in enumerate(order)}
-
-    def rewrite(n: Node) -> Node:
-        if isinstance(n, Param):
-            return Param(mapping[n.index])
+            index = renumbered.setdefault(n.index, len(renumbered))
+            return Param(index), f"p{index}"
         if isinstance(n, Unary):
-            return Unary(n.op, rewrite(n.child))
-        if isinstance(n, Binary):
-            return Binary(n.op, rewrite(n.left), rewrite(n.right))
-        return n
+            if n.op not in UNARY:
+                raise ExpressionError(f"unknown unary operator {n.op!r}")
+            child, text = build(n.child)
+            if n.op != "neg":
+                return Unary(n.op, child), f"{n.op}({text})"
+            if isinstance(child, Const):
+                return Const(-child.value), _const_text(-child.value)
+            return Unary("neg", child), f"(-{text})"
+        if n.op not in BINARY:
+            raise ExpressionError(f"unknown binary operator {n.op!r}")
+        left, left_text = build(n.left)
+        right, right_text = build(n.right)
+        return Binary(n.op, left, right), f"({left_text} {_BIN_SYMBOL[n.op]} {right_text})"
 
-    return rewrite(node), len(order)
-
-
-def skeleton_from_node(node: Node, arity: int, source_text: str | None = None) -> Skeleton:
-    """Canonicalize a raw tree into a Skeleton (fold, validate, renumber)."""
-    node = _fold_neg_consts(node)
-    _validate(node, arity)
-    node, k = _renumber_params(node)
-    text = source_text if source_text is not None else _format_node(node)
-    return Skeleton(node, arity, k, text)
+    expression, text = build(node)
+    return Skeleton(expression, arity, len(renumbered), text)
 
 
 # ---------------------------------------------------------------------------
@@ -387,32 +362,7 @@ def parse(text: str, arity: int, var_names: Sequence[str] | None = None) -> Skel
             names[nm] = i
     tokens = _tokenize(text)
     node = _Parser(tokens, arity, names).parse()
-    return skeleton_from_node(node, arity, source_text=text)
-
-
-# ---------------------------------------------------------------------------
-# Printing
-
-
-def _format_node(node: Node) -> str:
-    if isinstance(node, Const):
-        # parenthesized when negative: a bare leading '-' would rebind as
-        # unary minus over a following '^'
-        return f"({node.value!r})" if node.value < 0 else repr(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Param):
-        return f"p{node.index}"
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            return f"(-{_format_node(node.child)})"
-        return f"{node.op}({_format_node(node.child)})"
-    return f"({_format_node(node.left)} {_BIN_SYMBOL[node.op]} {_format_node(node.right)})"
-
-
-def format_skeleton(skeleton: Skeleton) -> str:
-    """Canonical fully-parenthesized surface form; parses back to an equal tree."""
-    return _format_node(skeleton.expression)
+    return skeleton_from_node(node, arity)
 
 
 # ---------------------------------------------------------------------------

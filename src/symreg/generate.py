@@ -26,7 +26,6 @@ from .data import Problem
 from .expr import (
     ExpressionError,
     Skeleton,
-    format_skeleton,
     parse,
     random_mutation,
 )
@@ -150,11 +149,11 @@ def build_equation_prompt(
     if demos:
         for i, cand in enumerate(demos):
             demo_blocks.append(
-                _demo_block(f"equation_v{i}", format_skeleton(cand.skeleton), cand.fitness)
+                _demo_block(f"equation_v{i}", cand.skeleton.text, cand.fitness)
             )
     else:
         seed = default_seed_skeleton(arity)
-        demo_blocks.append(_demo_block("equation_v0", format_skeleton(seed), None))
+        demo_blocks.append(_demo_block("equation_v0", seed.text, None))
     sections.append(
         "Previous candidate skeletons, ordered worst to best:\n" + "\n".join(demo_blocks)
     )
@@ -315,7 +314,7 @@ class MutationGenerator:
                 rng = random.Random(f"{self._seed}:{call}")
                 parent = parents[rng.randrange(len(parents))]
                 child = random_mutation(parent, rng.randrange(2**31))
-                body = format_skeleton(child)
+                body = child.text
                 texts.append(
                     "<thought>Mutated one demonstration skeleton.</thought>\n"
                     f"```expr\n{body}\n```"

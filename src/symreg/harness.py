@@ -472,8 +472,8 @@ def _write_report(config: SuiteConfig, report: SuiteReport) -> None:
                 "repeat": o.repeat,
                 "seed": o.seed,
                 "trace": _relative_to_out(o.trace_path, out),
-                "final_val_nmse": json_safe(o.final_val_nmse),
-                "test_nmse": json_safe(o.test_nmse),
+                "final_val_nmse": o.final_val_nmse,
+                "test_nmse": o.test_nmse,
                 "error": o.error,
             }
             for o in report.outcomes
@@ -481,7 +481,9 @@ def _write_report(config: SuiteConfig, report: SuiteReport) -> None:
         "aggregates": report.aggregates,
         "win_rate": report.win_curves,
     }
-    (out / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out / "summary.json").write_text(
+        json.dumps(json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    )
 
     with open(out / "trajectories.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import context as ctx
 from .data import DEFAULT_SPLIT_RATIO, Problem, json_safe, split
-from .expr import evaluate, format_skeleton
+from .expr import evaluate
 from .fit import Candidate, OptimizerConfig, evaluate_candidate, nmse, DegenerateTargetError
 from .generate import (
     DecodingConfig,
@@ -126,9 +126,9 @@ class ExperienceBuffer:
         index = self._counter % len(self._islands)
         island = self._islands[index]
         self._counter += 1
-        key = format_skeleton(candidate.skeleton)
+        key = candidate.skeleton.text
         for i, existing in enumerate(island):
-            if format_skeleton(existing.skeleton) == key:
+            if existing.skeleton.text == key:
                 if candidate.fitness > existing.fitness:
                     island.pop(i)
                     break
@@ -246,7 +246,7 @@ class RunTrace:
 def trace_lines(trace: RunTrace) -> list[str]:
     """One JSON line per iteration. Deliberately excludes configuration and
     wall-clock timing so identical runs serialize byte-identically."""
-    return [json.dumps(json_safe(rec), sort_keys=True) for rec in trace.records]
+    return [json.dumps(json_safe(rec), sort_keys=True, allow_nan=False) for rec in trace.records]
 
 
 def trace_summary(trace: RunTrace) -> dict:
@@ -257,7 +257,7 @@ def trace_summary(trace: RunTrace) -> dict:
     summary.update(
         problem=trace.problem_name,
         generator=trace.generator_tag,
-        best_expression=format_skeleton(best.skeleton) if best is not None else None,
+        best_expression=best.skeleton.text if best is not None else None,
         best_params=best.fit.params if best is not None else None,
         best_val_nmse=-best.fitness if best is not None else float("inf"),
         test_nmse=trace.test_nmse,
@@ -471,7 +471,7 @@ def run(
             samples.append(
                 SampleRecord(
                     raw=raw,
-                    expression=format_skeleton(skeleton),
+                    expression=skeleton.text,
                     error=None,
                     retries=retries,
                     fitness=candidate.fitness,
@@ -516,4 +516,6 @@ def write_trace(trace: RunTrace, trace_path, summary_path) -> None:
     summary_path = Path(summary_path)
     trace_path.parent.mkdir(parents=True, exist_ok=True)
     trace_path.write_text("\n".join(trace_lines(trace)) + "\n")
-    summary_path.write_text(json.dumps(trace_summary(trace), indent=2, sort_keys=True) + "\n")
+    summary_path.write_text(
+        json.dumps(trace_summary(trace), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    )

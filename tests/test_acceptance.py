@@ -21,7 +21,7 @@ import pytest
 
 from symreg.context import default_hint_spec, execute
 from symreg.data import SplitView, load_problem, load_problem_data, split
-from symreg.expr import evaluate, format_skeleton, parse, random_expression
+from symreg.expr import evaluate, parse, random_expression
 from symreg.fit import (
     OptimizerConfig,
     evaluate_candidate,
@@ -233,7 +233,7 @@ def test_criterion_09_parser_round_trip_thousand_seeds():
         arity = 1 + seed % 4
         skeleton = random_expression(arity, rng_seed=seed)
         assert skeleton.param_count <= 10
-        reparsed = parse(format_skeleton(skeleton), arity)
+        reparsed = parse(skeleton.text, arity)
         assert reparsed.expression == skeleton.expression
         assert reparsed.param_count == skeleton.param_count
     assert time.monotonic() - started < 1.0

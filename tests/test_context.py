@@ -398,6 +398,17 @@ class TestExecuteFits:
         assert entry.value == 7
         assert entry.detail == {"n_valid": 7}
 
+    def test_na_when_sums_overflow(self):
+        # exp(x0) is finite on every row, but its sums overflow: the fits
+        # used to read corr -1.0 and r2 0.0 for an increasing y
+        x = np.linspace(700, 709, 20)
+        ds = make_dataset(x, x)
+        report = execute(parse_spec("r2 y ~ exp(x0)\ncorr y ~ exp(x0)", 1), ds)
+        assert [e.key for e in report.entries] == ["r2_Y_exp(X_0)_na", "corr_Y_exp(X_0)_na"]
+        for entry in report.entries:
+            assert entry.value == 20
+            assert entry.detail == {"n_valid": 20}
+
     def test_exactly_min_valid_rows_is_fine(self):
         x = np.concatenate([np.linspace(1, 2, 8), -np.ones(12)])
         ds = make_dataset(x, np.abs(x))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,14 +19,15 @@ from symreg.expr import (
     Var,
     depth,
     evaluate,
-    format_skeleton,
-    iter_nodes,
-    param_indices,
     parse,
     random_expression,
     random_mutation,
     skeleton_from_node,
 )
+
+
+def _param_slots(text: str) -> list[int]:
+    return sorted({int(i) for i in re.findall(r"p(\d+)", text)})
 
 
 class TestParse:
@@ -68,11 +71,11 @@ class TestParse:
 
     def test_declared_variable_names(self):
         s = parse("p0 * R + p1", 1, var_names=("R",))
-        assert Var(0) in list(iter_nodes(s.expression))
+        assert s.text == "((p0 * x0) + p1)"
 
     def test_scientific_notation(self):
         s = parse("1.5e-3 * x0", 1)
-        assert any(n == Const(1.5e-3) for n in iter_nodes(s.expression))
+        assert s.text == "(0.0015 * x0)"
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError) as err:
@@ -119,22 +122,22 @@ class TestCanonicalization:
     def test_params_renumbered_to_dense_prefix(self):
         s = parse("p5*x0 + p5 + p9", 1)
         assert s.param_count == 2
-        assert sorted(param_indices(s.expression)) == [0, 1]
+        assert s.text == "(((p0 * x0) + p0) + p1)"
 
     def test_renumbering_respects_first_occurrence(self):
         s = parse("p7 + p2*x0", 1)
         # p7 appears first in pre-order, so it becomes p0
-        assert format_skeleton(s) == "(p0 + (p1 * x0))"
+        assert s.text == "(p0 + (p1 * x0))"
 
     def test_neg_const_folded_inside_tree(self):
         node = Binary("add", Unary("neg", Const(2.0)), Var(0))
         s = skeleton_from_node(node, 1)
         assert s.expression == Binary("add", Const(-2.0), Var(0))
 
-    def test_source_text_excluded_from_equality(self):
+    def test_text_excluded_from_equality(self):
         a = parse("p0*x0", 1)
-        b = parse("p0 * x0", 1)
-        assert a == b
+        assert a == parse("p0 * x0", 1)
+        assert dataclasses.replace(a, text="p0 * x0") == a
 
     def test_skeleton_from_node_validates(self):
         with pytest.raises(ExpressionError):
@@ -144,28 +147,48 @@ class TestCanonicalization:
         with pytest.raises(ExpressionError):
             skeleton_from_node(Unary("tan", Var(0)), 1)
 
+    def test_first_invalid_node_in_pre_order_is_reported(self):
+        with pytest.raises(ExpressionError, match="x5"):
+            skeleton_from_node(Binary("add", Var(5), Param(11)), 1)
+        with pytest.raises(ExpressionError, match="p11"):
+            skeleton_from_node(Binary("add", Param(11), Var(5)), 1)
+        with pytest.raises(ExpressionError, match="'foo'"):
+            skeleton_from_node(Binary("foo", Var(5), Param(11)), 1)
+        # validation runs before folding: the constant is named as passed
+        with pytest.raises(ExpressionError, match="got 3$"):
+            skeleton_from_node(Unary("neg", Const(3)), 1)
+
 
 class TestPrint:
     def test_leaf(self):
-        assert format_skeleton(parse("x0", 1)) == "x0"
+        assert parse("x0", 1).text == "x0"
 
     def test_full_parenthesization(self):
-        assert format_skeleton(parse("p0*x0+p1", 1)) == "((p0 * x0) + p1)"
+        assert parse("p0*x0+p1", 1).text == "((p0 * x0) + p1)"
 
     def test_neg_prints_compactly(self):
-        assert format_skeleton(parse("-x0", 1)) == "(-x0)"
+        assert parse("-x0", 1).text == "(-x0)"
+
+    def test_negative_zero_constant_round_trips(self):
+        s = skeleton_from_node(Binary("pow", Const(-0.0), Var(0)), 1)
+        assert s.text == "((-0.0) ^ x0)"
+        again = parse(s.text, 1)
+        assert again.expression == s.expression
+        assert math.copysign(1.0, again.expression.left.value) < 0
+        x = [[-2.0]]
+        assert evaluate(again, x).tolist() == evaluate(s, x).tolist() == [math.inf]
 
     def test_round_trip_sample(self):
         for seed in range(50):
             s = random_expression(arity=3, rng_seed=seed)
-            again = parse(format_skeleton(s), 3)
+            again = parse(s.text, 3)
             assert again.expression == s.expression
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_property(self, seed, arity):
         s = random_expression(arity=arity, rng_seed=seed)
-        again = parse(format_skeleton(s), arity)
+        again = parse(s.text, arity)
         assert again.expression == s.expression
         assert again.param_count == s.param_count
 
@@ -240,7 +263,7 @@ class TestMutation:
 
     def test_different_seeds_explore(self):
         s = parse("p0*x0 + p1", 1)
-        outputs = {format_skeleton(random_mutation(s, seed)) for seed in range(40)}
+        outputs = {random_mutation(s, seed).text for seed in range(40)}
         assert len(outputs) > 5
 
     def test_validity_sweep(self):
@@ -249,9 +272,9 @@ class TestMutation:
             m = random_mutation(s, seed)
             assert m.param_count <= MAX_PARAMS
             assert m.arity == 2
-            assert sorted(set(param_indices(m.expression))) == list(range(m.param_count))
+            assert _param_slots(m.text) == list(range(m.param_count))
             # canonical print must parse back
-            assert parse(format_skeleton(m), 2).expression == m.expression
+            assert parse(m.text, 2).expression == m.expression
 
     def test_depth_capped(self):
         s = parse("p0*x0", 1)
@@ -268,8 +291,7 @@ class TestSkeletonInvariants:
     @settings(max_examples=200, deadline=None)
     def test_param_slots_form_dense_prefix(self, seed):
         s = random_expression(arity=2, rng_seed=seed)
-        slots = sorted(set(param_indices(s.expression)))
-        assert slots == list(range(s.param_count))
+        assert _param_slots(s.text) == list(range(s.param_count))
         assert s.param_count <= MAX_PARAMS
 
     def test_skeleton_is_hashable_and_frozen(self):

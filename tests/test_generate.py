@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from symreg.context import default_hint_spec, execute, parse_spec, render
-from symreg.expr import format_skeleton, parse
+from symreg.expr import parse
 from symreg.fit import Candidate, FitResult
 from symreg.generate import (
     CAP_SENTENCE,
@@ -63,7 +63,7 @@ class TestRequestValidation:
 class TestSeedSkeleton:
     def test_linear_form(self):
         sk = default_seed_skeleton(2)
-        assert format_skeleton(sk) == "(((p0 * x0) + (p1 * x1)) + p2)"
+        assert sk.text == "(((p0 * x0) + (p1 * x1)) + p2)"
         assert sk.param_count == 3
 
     def test_param_cap_respected_at_high_arity(self):
@@ -144,11 +144,11 @@ class TestExtraction:
     def test_expression_with_thought(self):
         raw = "<thought>try a power law</thought>\n```expr\np0 * x0 ^ p1\n```"
         sk = extract_expression(raw, arity=1)
-        assert format_skeleton(sk) == "(p0 * (x0 ^ p1))"
+        assert sk.text == "(p0 * (x0 ^ p1))"
 
     def test_last_block_wins(self):
         raw = "```expr\np0 * x0\n```\nsecond thoughts\n```expr\np0 + x0\n```"
-        assert format_skeleton(extract_expression(raw, 1)) == "(p0 + x0)"
+        assert extract_expression(raw, 1).text == "(p0 + x0)"
 
     def test_no_block(self):
         with pytest.raises(ExtractionError, match="no fenced expr block"):
@@ -182,7 +182,7 @@ class TestExtraction:
 
     def test_multiline_block_content(self):
         raw = "```expr\np0 * x0\n+ p1\n```"
-        assert format_skeleton(extract_expression(raw, 1)) == "((p0 * x0) + p1)"
+        assert extract_expression(raw, 1).text == "((p0 * x0) + p1)"
 
 
 class TestScriptedGenerator:
@@ -276,7 +276,7 @@ class TestMutationGenerator:
             GeneratorRequest(prompt=prompt, n_samples=8)
         )
         # every child derives from the lone parent; most differ from it
-        children = {format_skeleton(extract_expression(r, 1)) for r in resp.raw_texts}
+        children = {extract_expression(r, 1).text for r in resp.raw_texts}
         assert any(c != "sin((p0 * x0))" for c in children)
 
     def test_promptless_fallback_to_seed_skeleton(self):

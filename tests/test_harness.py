@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -357,6 +358,23 @@ class TestRunSuite:
         for entry in payload["runs"]:
             assert not entry["trace"].startswith("/")
         assert str(tmp_path) not in (config.out_dir / "summary.json").read_text()
+
+    def test_summary_json_is_strict_json(self, tmp_path):
+        # no run finds a valid candidate, so the aggregates are inf and nan
+        config = dataclasses.replace(
+            _suite(tmp_path, modes=("llm-sr",)),
+            search=SearchConfig(iterations=1, samples_per_prompt=1, mode="llm-sr", retry_budget=0),
+            generator={"type": "scripted", "texts": ["<thought>no block</thought>"]},
+        )
+        run_suite(config)
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        text = (config.out_dir / "summary.json").read_text()
+        payload = json.loads(text, parse_constant=reject)
+        stats = payload["aggregates"]["square/llm-sr"]["final_val_nmse"]
+        assert stats["median"] is None and stats["iqr"] is None
 
     def test_trajectories_csv_shape(self, tmp_path):
         config = _suite(tmp_path)

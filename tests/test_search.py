@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from symreg.expr import format_skeleton, parse
+from symreg.expr import parse
 from symreg.fit import Candidate, FitResult, OptimizerConfig
 from symreg.generate import (
     REPORT_HEADER,
@@ -169,7 +169,7 @@ class TestExperienceBuffer:
         for i in range(4):
             buf.add(_candidate(f"p0 * x0 + {i}.0", fitness=-float(i)))
         demos = buf.sample_demonstrations(4, 1.0, seed=3)
-        texts = [format_skeleton(c.skeleton) for c in demos]
+        texts = [c.skeleton.text for c in demos]
         assert len(set(texts)) == 4
 
     def test_sample_k_larger_than_island(self):
@@ -195,8 +195,8 @@ class TestExperienceBuffer:
         for seed in range(20):
             a = build(0.0).sample_demonstrations(2, 1.0, seed=seed)
             b = build(-100.0).sample_demonstrations(2, 1.0, seed=seed)
-            assert [format_skeleton(c.skeleton) for c in a] == [
-                format_skeleton(c.skeleton) for c in b
+            assert [c.skeleton.text for c in a] == [
+                c.skeleton.text for c in b
             ]
 
     def test_sample_ratio_quick(self):
