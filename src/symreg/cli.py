@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import context as ctx
 from .data import load_csv, load_problem, load_problem_data
-from .expr import parse
+from .expr import evaluate, parse
 from .fit import fit_params, nmse
 from .generate import REPORT_HEADER
 from .harness import (
@@ -142,8 +142,6 @@ def _cmd_eval(args) -> int:
         print(f"fitted params: {[round(p, 6) for p in params]}")
     else:
         params = ()
-    from .expr import evaluate
-
     predictions = evaluate(skeleton, dataset.features, params)
     value = nmse(predictions, dataset.target)
     print(f"NMSE: {value:.6g}")
@@ -180,9 +178,6 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -347,7 +347,7 @@ def _term_values(term: FeatureTerm, data: Dataset) -> np.ndarray:
     X = data.features
     with np.errstate(all="ignore"):
         if isinstance(term.base, FeatureRef):
-            values = X[:, term.base.index].astype(float)
+            values = X[:, term.base.index]
         else:
             # ratio by 0 and inv of 0 give non-finite rows, masked downstream
             combine = BINARY[_COMBINER_OPS[term.base.combiner]]
@@ -359,7 +359,7 @@ def _term_values(term: FeatureTerm, data: Dataset) -> np.ndarray:
 
 def _y_values(y_transform: str, data: Dataset) -> np.ndarray:
     if y_transform == "identity":
-        return data.target.astype(float)
+        return data.target
     with np.errstate(all="ignore"):
         return np.log(data.target)
 

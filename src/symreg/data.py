@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -137,16 +137,11 @@ class SplitView:
     """Training data partitioned into a fitting half and a scoring half.
 
     ``tr_tr`` and ``tr_val`` are disjoint row subsets of the training data
-    whose union (as a multiset of rows) is the training data.  ``test`` is
-    the held-out set, present only for final reporting; the search never
-    reads it.
+    whose union (as a multiset of rows) is the training data.
     """
 
     tr_tr: Dataset
     tr_val: Dataset
-    split_seed: int
-    split_ratio: float
-    test: Dataset | None = None
 
 
 def _subset(dataset: Dataset, indices: np.ndarray) -> Dataset:
@@ -162,7 +157,6 @@ def split(
     dataset: Dataset,
     seed: int,
     ratio: float = DEFAULT_SPLIT_RATIO,
-    test: Dataset | None = None,
 ) -> SplitView:
     """Seeded shuffle then prefix/suffix partition of the training rows.
 
@@ -185,9 +179,6 @@ def split(
     return SplitView(
         tr_tr=_subset(dataset, perm[:n_tr]),
         tr_val=_subset(dataset, perm[n_tr:]),
-        split_seed=seed,
-        split_ratio=ratio,
-        test=test,
     )
 
 
@@ -273,14 +264,10 @@ def load_problem_data(spec: ProblemSpec) -> Problem:
             f"problem {spec.name!r}: {len(spec.variable_descriptions)} variable "
             f"descriptions for {train.arity} features"
         )
-    hydrated = ProblemSpec(
-        name=spec.name,
-        instructions=spec.instructions,
-        data_path=spec.data_path,
-        test_path=spec.test_path,
+    hydrated = replace(
+        spec,
         variable_descriptions=spec.variable_descriptions or train.feature_names,
         target_description=spec.target_description or train.target_name,
-        ground_truth=spec.ground_truth,
     )
     return Problem(spec=hydrated, train=train, test=test)
 

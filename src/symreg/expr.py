@@ -19,8 +19,10 @@ Surface grammar (EBNF, whitespace-insensitive)::
 
 Functions: ``log exp sin cos sqrt abs square inv neg`` (one argument) and
 ``pow`` (two arguments, equivalent to ``^``).  Variables are ``x0`` ..
-``x{arity-1}`` or the declared per-problem names; parameters are ``p0`` ..
-``p9``.
+``x{arity-1}``; parameters are ``p0`` .. ``p9``.  Trees are at most
+``MAX_DEPTH`` levels deep and parentheses nest at most ``MAX_DEPTH`` levels,
+so parsing, canonicalizing and evaluating stay well inside Python's
+recursion limit whatever the input.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ import operator
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 import numpy as np
 
 MAX_PARAMS = 10
+MAX_DEPTH = 100
 MAX_MUTATION_DEPTH = 12
 
 # The operator table: every evaluator dispatches through it.  Dict order is
@@ -141,13 +144,15 @@ def _const_text(value: float) -> str:
 def skeleton_from_node(node: Node, arity: int) -> Skeleton:
     """Canonicalize a raw tree into a Skeleton in one pre-order pass.
 
-    The pass validates each node (variable range, parameter cap, operator
-    names, float constants), folds ``neg(Const(v))`` into ``Const(-v)``,
-    renumbers parameters by first appearance and builds the canonical text.
+    The pass validates each node (depth, variable range, parameter cap,
+    operator names, float constants), folds ``neg(Const(v))`` into
+    ``Const(-v)``, renumbers parameters by first appearance and builds the
+    canonical text.  The depth check runs before each descent, so a tree of
+    any depth is rejected without deep recursion.
     """
     renumbered: dict[int, int] = {}
 
-    def build(n: Node) -> tuple[Node, str]:
+    def build(n: Node, level: int) -> tuple[Node, str]:
         if isinstance(n, Const):
             if not isinstance(n.value, float):
                 raise ExpressionError(f"constant value must be float, got {n.value!r}")
@@ -165,10 +170,14 @@ def skeleton_from_node(node: Node, arity: int) -> Skeleton:
                 )
             index = renumbered.setdefault(n.index, len(renumbered))
             return Param(index), f"p{index}"
+        # a negated constant folds into a leaf, so it adds no level
+        folds = isinstance(n, Unary) and n.op == "neg" and isinstance(n.child, Const)
+        if level >= MAX_DEPTH and not folds:
+            raise ExpressionError(f"expression deeper than {MAX_DEPTH} levels")
         if isinstance(n, Unary):
             if n.op not in UNARY:
                 raise ExpressionError(f"unknown unary operator {n.op!r}")
-            child, text = build(n.child)
+            child, text = build(n.child, level + 1)
             if n.op != "neg":
                 return Unary(n.op, child), f"{n.op}({text})"
             if isinstance(child, Const):
@@ -176,11 +185,11 @@ def skeleton_from_node(node: Node, arity: int) -> Skeleton:
             return Unary("neg", child), f"(-{text})"
         if n.op not in BINARY:
             raise ExpressionError(f"unknown binary operator {n.op!r}")
-        left, left_text = build(n.left)
-        right, right_text = build(n.right)
+        left, left_text = build(n.left, level + 1)
+        right, right_text = build(n.right, level + 1)
         return Binary(n.op, left, right), f"({left_text} {_BIN_SYMBOL[n.op]} {right_text})"
 
-    expression, text = build(node)
+    expression, text = build(node, 1)
     return Skeleton(expression, arity, len(renumbered), text)
 
 
@@ -216,14 +225,19 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], arity: int, names: dict[str, int]):
+    """Recursive descent over the token list.  Only parentheses (grouping and
+    call arguments) recurse; unary minus and ``^`` chains are loops, and the
+    parenthesis nesting is capped, so the parser's stack stays bounded."""
+
+    def __init__(self, tokens: list[tuple[str, str, int]], arity: int):
         self._toks = tokens
         self._pos = 0
         self._arity = arity
-        self._names = names
+        self._nesting = 0
 
-    def _peek(self) -> tuple[str, str, int]:
-        return self._toks[self._pos]
+    def _at_sym(self, *syms: str) -> bool:
+        kind, text, _ = self._toks[self._pos]
+        return kind == "sym" and text in syms
 
     def _advance(self) -> tuple[str, str, int]:
         tok = self._toks[self._pos]
@@ -238,56 +252,56 @@ class _Parser:
 
     def parse(self) -> Node:
         node = self._expression()
-        kind, text, pos = self._peek()
+        kind, text, pos = self._toks[self._pos]
         if kind != "end":
             raise ParseError(f"unexpected trailing input {text!r}", pos)
         return node
 
     def _expression(self) -> Node:
+        if self._nesting > MAX_DEPTH:
+            pos = self._toks[self._pos][2]
+            raise ParseError(f"parentheses nested deeper than {MAX_DEPTH} levels", pos)
+        self._nesting += 1
         node = self._term()
-        while True:
-            kind, text, _ = self._peek()
-            if kind == "sym" and text in _SYMBOL_ADD:
-                self._advance()
-                node = Binary(_SYMBOL_ADD[text], node, self._term())
-            else:
-                return node
+        while self._at_sym("+", "-"):
+            op = _SYMBOL_ADD[self._advance()[1]]
+            node = Binary(op, node, self._term())
+        self._nesting -= 1
+        return node
 
     def _term(self) -> Node:
         node = self._factor()
-        while True:
-            kind, text, _ = self._peek()
-            if kind == "sym" and text in _SYMBOL_MUL:
-                self._advance()
-                node = Binary(_SYMBOL_MUL[text], node, self._factor())
-            else:
-                return node
+        while self._at_sym("*", "/"):
+            op = _SYMBOL_MUL[self._advance()[1]]
+            node = Binary(op, node, self._factor())
+        return node
 
     def _factor(self) -> Node:
-        kind, text, _ = self._peek()
-        if kind == "sym" and text == "-":
+        # factor := "-" factor | atom ("^" factor)?, as a loop: read each
+        # minus-prefixed atom of a "^" chain, then fold right to left
+        chain: list[tuple[int, Node]] = []
+        while True:
+            negations = 0
+            while self._at_sym("-"):
+                self._advance()
+                negations += 1
+            chain.append((negations, self._atom()))
+            if not self._at_sym("^"):
+                break
             self._advance()
-            child = self._factor()
-            if isinstance(child, Const):
-                return Const(-child.value)
-            return Unary("neg", child)
-        return self._power()
-
-    def _power(self) -> Node:
-        base = self._atom()
-        kind, text, _ = self._peek()
-        if kind == "sym" and text == "^":
-            self._advance()
-            return Binary("pow", base, self._factor())
-        return base
+        node: Node | None = None
+        for negations, base in reversed(chain):
+            node = base if node is None else Binary("pow", base, node)
+            for _ in range(negations):
+                node = Unary("neg", node)
+        return node
 
     def _atom(self) -> Node:
         kind, text, pos = self._advance()
         if kind == "num":
             return Const(float(text))
         if kind == "name":
-            nkind, ntext, _ = self._peek()
-            if nkind == "sym" and ntext == "(":
+            if self._at_sym("("):
                 return self._call(text, pos)
             return self._resolve(text, pos)
         if kind == "sym" and text == "(":
@@ -302,13 +316,9 @@ class _Parser:
             raise ParseError(f"unknown function {name!r}", pos)
         self._expect_sym("(")
         args = [self._expression()]
-        while True:
-            kind, text, _ = self._peek()
-            if kind == "sym" and text == ",":
-                self._advance()
-                args.append(self._expression())
-            else:
-                break
+        while self._at_sym(","):
+            self._advance()
+            args.append(self._expression())
         self._expect_sym(")")
         if name == "pow":
             if len(args) != 2:
@@ -316,13 +326,9 @@ class _Parser:
             return Binary("pow", args[0], args[1])
         if len(args) != 1:
             raise ParseError(f"{name} expects 1 argument, got {len(args)}", pos)
-        if name == "neg" and isinstance(args[0], Const):
-            return Const(-args[0].value)
         return Unary(name, args[0])
 
     def _resolve(self, name: str, pos: int) -> Node:
-        if name in self._names:
-            return Var(self._names[name])
         m = _VAR_RE.match(name)
         if m:
             index = int(m.group(1))
@@ -342,26 +348,15 @@ class _Parser:
         raise ParseError(f"unknown identifier {name!r}", pos)
 
 
-def parse(text: str, arity: int, var_names: Sequence[str] | None = None) -> Skeleton:
+def parse(text: str, arity: int) -> Skeleton:
     """Parse a surface-form expression into a canonical Skeleton.
 
-    ``var_names`` optionally declares per-problem variable names (one per
-    feature); the canonical ``x{i}``/``p{i}`` tokens are always accepted.
+    Raises ParseError for syntax and name errors (and parentheses nested more
+    than MAX_DEPTH levels), ExpressionError for trees deeper than MAX_DEPTH.
     """
     if arity < 1:
         raise ExpressionError("arity must be >= 1")
-    names: dict[str, int] = {}
-    if var_names is not None:
-        if len(var_names) != arity:
-            raise ExpressionError(
-                f"{len(var_names)} variable names declared for arity {arity}"
-            )
-        for i, nm in enumerate(var_names):
-            if nm in _FUNCTIONS:
-                raise ExpressionError(f"variable name {nm!r} shadows a function")
-            names[nm] = i
-    tokens = _tokenize(text)
-    node = _Parser(tokens, arity, names).parse()
+    node = _Parser(_tokenize(text), arity).parse()
     return skeleton_from_node(node, arity)
 
 

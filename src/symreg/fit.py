@@ -96,8 +96,6 @@ class Candidate:
     skeleton: Skeleton
     fit: FitResult
     fitness: float
-    iteration_born: int = 0
-    generator_tag: str = ""
 
     @property
     def is_valid(self) -> bool:
@@ -222,8 +220,6 @@ def evaluate_candidate(
     split: SplitView,
     config: OptimizerConfig | None = None,
     seed: int = 0,
-    iteration_born: int = 0,
-    generator_tag: str = "",
 ) -> Candidate:
     """Fit on tr-tr, score fitness = -NMSE on tr-val.
 
@@ -237,10 +233,4 @@ def evaluate_candidate(
     except DegenerateTargetError:
         val_nmse = INF
     fitness = -val_nmse if np.isfinite(val_nmse) else -INF
-    return Candidate(
-        skeleton=skeleton,
-        fit=fit,
-        fitness=fitness,
-        iteration_born=iteration_born,
-        generator_tag=generator_tag,
-    )
+    return Candidate(skeleton=skeleton, fit=fit, fitness=fitness)

@@ -13,7 +13,6 @@ import json
 import os
 import random
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -246,7 +245,7 @@ def extract_spec(raw: str, arity: int) -> AnalysisSpec:
 
 
 class ScriptedGenerator:
-    """Replays a fixed list of texts, cycling; deterministic and thread-safe.
+    """Replays a fixed list of texts, cycling; deterministic.
 
     ``source`` is either the list itself or a path to a JSON array file.
     """
@@ -264,14 +263,12 @@ class ScriptedGenerator:
         if not self._texts:
             raise ValueError("scripted generator needs at least one text")
         self._cursor = 0
-        self._lock = threading.Lock()
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
         texts = []
-        with self._lock:
-            for _ in range(request.n_samples):
-                texts.append(self._texts[self._cursor % len(self._texts)])
-                self._cursor += 1
+        for _ in range(request.n_samples):
+            texts.append(self._texts[self._cursor % len(self._texts)])
+            self._cursor += 1
         return GeneratorResponse(
             raw_texts=tuple(texts),
             errors=(None,) * request.n_samples,
@@ -293,7 +290,6 @@ class MutationGenerator:
         self._arity = arity
         self._seed = seed
         self._calls = 0
-        self._lock = threading.Lock()
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
         blocks = _EXPR_BLOCK.findall(request.prompt)
@@ -306,19 +302,17 @@ class MutationGenerator:
         if not parents:
             parents.append(default_seed_skeleton(self._arity))
         texts = []
-        with self._lock:
-            for _ in range(request.n_samples):
-                call = self._calls
-                self._calls += 1
-                # string seeding hashes via sha512: stable across processes
-                rng = random.Random(f"{self._seed}:{call}")
-                parent = parents[rng.randrange(len(parents))]
-                child = random_mutation(parent, rng.randrange(2**31))
-                body = child.text
-                texts.append(
-                    "<thought>Mutated one demonstration skeleton.</thought>\n"
-                    f"```expr\n{body}\n```"
-                )
+        for _ in range(request.n_samples):
+            call = self._calls
+            self._calls += 1
+            # string seeding hashes via sha512: stable across processes
+            rng = random.Random(f"{self._seed}:{call}")
+            parent = parents[rng.randrange(len(parents))]
+            child = random_mutation(parent, rng.randrange(2**31))
+            texts.append(
+                "<thought>Mutated one demonstration skeleton.</thought>\n"
+                f"```expr\n{child.text}\n```"
+            )
         return GeneratorResponse(
             raw_texts=tuple(texts),
             errors=(None,) * request.n_samples,
@@ -337,9 +331,9 @@ class RemoteChatGenerator:
 
     POSTs ``{model, messages, temperature, n, max_tokens}`` to the configured
     URL with a bearer token from the SYMREG_API_KEY environment variable.
-    Provider failures and timeouts never raise into the search loop; they
-    yield flagged empty samples.  ``wire`` on the response carries the
-    redacted request and raw provider reply for the trace.
+    Provider failures, malformed replies and timeouts never raise into the
+    search loop; they yield flagged empty samples.  ``wire`` on the response
+    carries the redacted request and raw provider reply for the trace.
     """
 
     tag = "remote"
@@ -392,12 +386,18 @@ class RemoteChatGenerator:
             wire["error"] = f"invalid JSON response: {exc}"
             return GeneratorResponse(("",) * n, (str(exc),) * n, None, latency, wire)
         wire["response"] = payload
-        choices = payload.get("choices", [])
+        if not isinstance(payload, dict):
+            error = "provider reply is not a JSON object"
+            return GeneratorResponse(("",) * n, (error,) * n, None, latency, wire)
+        choices = payload.get("choices")
+        if not isinstance(choices, list):
+            choices = []
         texts: list[str] = []
         errors: list[str | None] = []
         for i in range(n):
             if i < len(choices):
-                content = (choices[i].get("message") or {}).get("content")
+                message = choices[i].get("message") if isinstance(choices[i], dict) else None
+                content = message.get("content") if isinstance(message, dict) else None
                 if isinstance(content, str):
                     texts.append(content)
                     errors.append(None)

@@ -400,8 +400,9 @@ def build_report(outcomes, modes) -> SuiteReport:
         by_problem_mode.setdefault((o.problem, o.mode), []).append(o)
 
     aggregates: dict = {}
+    # repeat-averaged per-problem trajectories for each mode
+    mode_trajectories: dict[str, dict[str, list[float]]] = {}
     for (problem, mode), runs in sorted(by_problem_mode.items()):
-        runs = sorted(runs, key=lambda o: o.repeat)
         entry = {
             "repeats": len(runs),
             "final_val_nmse": variance_stats([o.final_val_nmse for o in runs]),
@@ -410,21 +411,9 @@ def build_report(outcomes, modes) -> SuiteReport:
         if all(t is not None for t in tests):
             entry["test_nmse"] = variance_stats(tests)
         aggregates[f"{problem}/{mode}"] = entry
-
-    # repeat-averaged per-problem trajectories for each mode
-    mode_trajectories: dict[str, dict[str, list[float]]] = {}
-    for mode in modes:
-        per_problem: dict[str, list[float]] = {}
-        names = {o.problem for o in ok if o.mode == mode}
-        for name in names:
-            repeats = [
-                list(o.trajectory)
-                for o in ok
-                if o.mode == mode and o.problem == name and o.trajectory
-            ]
-            if repeats:
-                per_problem[name] = average_trajectories(repeats)
-        mode_trajectories[mode] = per_problem
+        repeats = [list(o.trajectory) for o in runs if o.trajectory]
+        if repeats:
+            mode_trajectories.setdefault(mode, {})[problem] = average_trajectories(repeats)
 
     win_curves: dict = {}
     for a in modes:

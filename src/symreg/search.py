@@ -113,10 +113,6 @@ class ExperienceBuffer:
     def islands(self) -> tuple[tuple[Candidate, ...], ...]:
         return tuple(tuple(island) for island in self._islands)
 
-    @property
-    def insertion_counter(self) -> int:
-        return self._counter
-
     def __len__(self) -> int:
         return sum(len(island) for island in self._islands)
 
@@ -275,14 +271,17 @@ def _run_analysis_phase(
     tr_tr,
     config: SearchConfig,
     generator: Generator,
+    seed: int,
     cache: dict,
     previous_error: str | None,
 ) -> tuple[AnalysisRecord, ctx.AnalysisReport | None]:
-    """One proaug analysis phase: ask, extract, execute, with feedback re-asks."""
-    feedback = previous_error
-    prompt = build_analysis_prompt(problem, feedback)
+    """One proaug analysis phase: ask, extract, execute, with feedback re-asks.
+
+    Programs run with the run's split seed, so ``cache`` is keyed by the
+    canonical program text alone.
+    """
+    prompt = build_analysis_prompt(problem, previous_error)
     first_prompt = prompt
-    exec_seed = config.split_seed if config.split_seed is not None else config.seed
     last_error: str | None = None
     for attempt in range(1 + config.retry_budget):
         request = GeneratorRequest(
@@ -297,13 +296,12 @@ def _run_analysis_phase(
             try:
                 spec = extract_spec(raw, problem.arity)
                 spec_text = ctx.format_spec(spec)
-                cache_key = (spec_text, exec_seed)
-                cached = cache_key in cache
+                cached = spec_text in cache
                 if cached:
-                    report = cache[cache_key]
+                    report = cache[spec_text]
                 else:
-                    report = ctx.execute(spec, tr_tr, seed=exec_seed, source="proaug")
-                    cache[cache_key] = report
+                    report = ctx.execute(spec, tr_tr, seed=seed, source="proaug")
+                    cache[spec_text] = report
                 record = AnalysisRecord(
                     prompt=first_prompt,
                     spec_text=spec_text,
@@ -344,7 +342,7 @@ def run(
     t_start = time.monotonic()
 
     split_seed = config.split_seed if config.split_seed is not None else config.seed
-    view = split(problem.train, split_seed, config.split_ratio, test=problem.test)
+    view = split(problem.train, split_seed, config.split_ratio)
     buffer = ExperienceBuffer(config.islands, config.island_capacity)
     if analysis_generator is None:
         analysis_generator = generator
@@ -379,6 +377,7 @@ def run(
                     view.tr_tr,
                     config,
                     analysis_generator,
+                    split_seed,
                     analysis_cache,
                     last_analysis_error,
                 )
@@ -460,8 +459,6 @@ def run(
                 view,
                 config.optimizer,
                 seed=derive_seed(config.seed, _EVAL, t, j),
-                iteration_born=t,
-                generator_tag=generator.tag,
             )
             timings["evaluation"] += time.monotonic() - t0
             buffer.add(candidate)

@@ -247,12 +247,7 @@ def test_criterion_10_no_validation_or_test_leakage(kepler_dataset):
     noisy_val = make_dataset(
         view.tr_val.features.copy(), view.tr_val.target + 0.5, view.tr_val.feature_names
     )
-    perturbed = SplitView(
-        tr_tr=view.tr_tr,
-        tr_val=noisy_val,
-        split_seed=view.split_seed,
-        split_ratio=view.split_ratio,
-    )
+    perturbed = SplitView(tr_tr=view.tr_tr, tr_val=noisy_val)
     skeleton = parse("p0 * x0 + p1", 1)
     clean = evaluate_candidate(skeleton, view, seed=0)
     shifted = evaluate_candidate(skeleton, perturbed, seed=0)

@@ -183,11 +183,13 @@ class TestSplit:
             split(ds, seed=0, ratio=0.95)
 
     def test_view_records_seed_and_ratio(self):
+        # the view is the one (seed, ratio) define: the seeded permutation's
+        # first int(round(0.6 * 10)) rows fit, the rest score
         ds = make_dataset(np.arange(10.0), np.arange(10.0))
         view = split(ds, seed=9, ratio=0.6)
-        assert view.split_seed == 9
-        assert view.split_ratio == 0.6
-        assert view.test is None
+        perm = np.random.default_rng(9).permutation(10)
+        assert view.tr_tr.target.tolist() == perm[:6].tolist()
+        assert view.tr_val.target.tolist() == perm[6:].tolist()
 
 
 class TestProblems:

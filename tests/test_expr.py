@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symreg.expr import (
+    MAX_DEPTH,
     MAX_PARAMS,
     Binary,
     Const,
@@ -24,6 +25,8 @@ from symreg.expr import (
     random_mutation,
     skeleton_from_node,
 )
+from symreg.fit import OptimizerConfig, fit_params
+from tests.conftest import make_dataset
 
 
 def _param_slots(text: str) -> list[int]:
@@ -69,10 +72,6 @@ class TestParse:
         s = parse("-1.5", 1)
         assert s.expression == Const(-1.5)
 
-    def test_declared_variable_names(self):
-        s = parse("p0 * R + p1", 1, var_names=("R",))
-        assert s.text == "((p0 * x0) + p1)"
-
     def test_scientific_notation(self):
         s = parse("1.5e-3 * x0", 1)
         assert s.text == "(0.0015 * x0)"
@@ -116,6 +115,50 @@ class TestParse:
             parse("log(x0, x0)", 1)
         with pytest.raises(ParseError, match="expects 2 arguments"):
             parse("pow(x0)", 1)
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 400 + "p0*x0" + ")" * 400, "sin(" * 2000 + "x0" + ")" * 2000],
+        ids=["parentheses", "calls"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+            parse(text, 1)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["+".join(["x0"] * 3000), "^".join(["x0"] * 3000), "-" * 3000 + "x0"],
+        ids=["sum-chain", "power-chain", "minus-chain"],
+    )
+    def test_deep_trees_rejected(self, text):
+        with pytest.raises(ExpressionError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse(text, 1)
+
+    def test_bound_is_inclusive(self):
+        chain = parse("+".join(["x0"] * MAX_DEPTH), 1)
+        assert depth(chain.expression) == MAX_DEPTH
+        with pytest.raises(ExpressionError):
+            parse("+".join(["x0"] * (MAX_DEPTH + 1)), 1)
+        assert parse("(" * MAX_DEPTH + "x0" + ")" * MAX_DEPTH, 1).text == "x0"
+
+    def test_deepest_skeleton_round_trips_and_fits(self):
+        # alternating neg/add down to a negative constant, whose print "(-2.5)"
+        # nests one level more than the constant itself
+        node = Const(-2.5)
+        for level in range(MAX_DEPTH - 1):
+            node = Unary("neg", node) if level % 2 else Binary("add", node, Param(level % 3))
+        sk = skeleton_from_node(node, 1)
+        assert depth(sk.expression) == MAX_DEPTH
+        assert parse(sk.text, 1) == sk
+        with pytest.raises(ExpressionError, match="deeper than"):
+            skeleton_from_node(Unary("sin", node), 1)
+        # evaluation recurses once per level, inside scipy's minimize too
+        X = np.linspace(0.5, 2.0, 12).reshape(-1, 1)
+        config = OptimizerConfig(restarts=1, max_evaluations=400)
+        result = fit_params(sk, make_dataset(X, X[:, 0]), config)
+        assert math.isfinite(result.train_mse)
 
 
 class TestCanonicalization:

@@ -241,14 +241,6 @@ class TestEvaluateCandidate:
         assert not cand.is_valid
         assert cand.fitness == -INF
 
-    def test_metadata_carried(self, kepler_dataset):
-        view = split(kepler_dataset, seed=0)
-        cand = evaluate_candidate(
-            parse("p0 * x0", 1), view, seed=0, iteration_born=7, generator_tag="mut"
-        )
-        assert cand.iteration_born == 7
-        assert cand.generator_tag == "mut"
-
     def test_candidate_validity_flag(self):
         sk = parse("p0 * x0", 1)
         fit = fit_params(sk, make_dataset([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0]))

@@ -4,9 +4,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symreg.context import default_hint_spec, execute, parse_spec, render
-from symreg.expr import parse
+from symreg.expr import MAX_DEPTH, depth, parse
 from symreg.fit import Candidate, FitResult
 from symreg.generate import (
     CAP_SENTENCE,
@@ -184,6 +186,30 @@ class TestExtraction:
         raw = "```expr\np0 * x0\n+ p1\n```"
         assert extract_expression(raw, 1).text == "((p0 * x0) + p1)"
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        body=st.lists(
+            st.sampled_from(
+                ["x0", "x1", "x7", "p0", "p12", "2", "1.5e3", ".", "+", "-", "*", "/",
+                 "^", "(", ")", ",", "sin", "pow", "neg", "q", " "]
+            ),
+            max_size=24,
+        ).map("".join),
+        wrap=st.sampled_from(
+            [("(", ")"), ("sin(", ")"), ("pow(x0,", ")"), ("-", ""), ("x0+", ""), ("x1^", "")]
+        ),
+        nesting=st.integers(0, 2000),
+    )
+    def test_only_extraction_errors_escape(self, body, wrap, nesting):
+        opener, closer = wrap
+        raw = f"```expr\n{opener * nesting}{body}{closer * nesting}\n```"
+        try:
+            sk = extract_expression(raw, 2)
+        except ExtractionError:
+            return
+        assert depth(sk.expression) <= MAX_DEPTH
+        assert parse(sk.text, 2) == sk
+
 
 class TestScriptedGenerator:
     def test_cycles_in_order(self):
@@ -216,23 +242,6 @@ class TestScriptedGenerator:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
             ScriptedGenerator([])
-
-    def test_thread_safety_no_duplicates(self):
-        gen = ScriptedGenerator([str(i) for i in range(100)])
-        seen = []
-        lock = threading.Lock()
-
-        def worker():
-            resp = gen.generate(GeneratorRequest(prompt="p", n_samples=10))
-            with lock:
-                seen.extend(resp.raw_texts)
-
-        threads = [threading.Thread(target=worker) for _ in range(10)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sorted(seen, key=int) == [str(i) for i in range(100)]
 
 
 class TestMutationGenerator:
@@ -322,6 +331,8 @@ def provider():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", _Provider
     server.shutdown()
+    server.server_close()
+    thread.join()
 
 
 def _choices(*texts):
@@ -411,6 +422,40 @@ class TestRemoteChatGenerator:
         )
         assert resp.raw_texts == ("",)
         assert resp.errors == ("missing message content",)
+
+    @pytest.mark.parametrize("body", [b"[]", b'"s"', b"null", b"3"])
+    def test_non_object_body_flagged(self, provider, body):
+        url, stub = provider
+        stub.raw_body = body
+        resp = RemoteChatGenerator(url, model="m", api_key="k").generate(
+            GeneratorRequest(prompt="p", n_samples=2)
+        )
+        assert resp.raw_texts == ("", "")
+        assert resp.errors == ("provider reply is not a JSON object",) * 2
+        assert resp.usage is None
+        assert resp.wire["response"] == json.loads(body)
+
+    @pytest.mark.parametrize(
+        "choice", ["text", None, [], {"message": "text"}, {"message": ["text"]}]
+    )
+    def test_malformed_choice_flagged(self, provider, choice):
+        url, stub = provider
+        stub.payload = {"choices": [choice, {"message": {"content": "ok"}}]}
+        resp = RemoteChatGenerator(url, model="m", api_key="k").generate(
+            GeneratorRequest(prompt="p", n_samples=2)
+        )
+        assert resp.raw_texts == ("", "ok")
+        assert resp.errors == ("missing message content", None)
+
+    @pytest.mark.parametrize("choices", [None, "ab", {"0": {"message": {"content": "a"}}}])
+    def test_choices_not_a_list_flagged(self, provider, choices):
+        url, stub = provider
+        stub.payload = {"choices": choices}
+        resp = RemoteChatGenerator(url, model="m", api_key="k").generate(
+            GeneratorRequest(prompt="p", n_samples=1)
+        )
+        assert resp.raw_texts == ("",)
+        assert resp.errors == ("provider returned fewer choices than requested",)
 
     def test_http_error_never_raises(self, provider):
         url, stub = provider

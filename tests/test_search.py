@@ -116,12 +116,15 @@ class TestExperienceBuffer:
         assert sizes == [2, 2, 2]
 
     def test_invalid_candidates_dropped_without_advancing(self):
-        buf = ExperienceBuffer(islands=2, capacity=4)
+        buf = ExperienceBuffer(islands=3, capacity=4)
         buf.add(_candidate("p0 * x0", fitness=float("-inf")))
         assert len(buf) == 0
-        assert buf.insertion_counter == 0
         buf.add(_candidate("p0 * x0", fitness=-1.0))
-        assert buf.insertion_counter == 1
+        buf.add(_candidate("p0 * x0 + 1.0", fitness=float("-inf")))
+        buf.add(_candidate("p0 * x0 + 2.0", fitness=-2.0))
+        # invalid candidates take no turn: the valid ones land on islands 0, 1
+        texts = [[c.skeleton.text for c in island] for island in buf.islands]
+        assert texts == [["(p0 * x0)"], ["((p0 * x0) + 2.0)"], []]
 
     def test_islands_sorted_best_first(self):
         buf = ExperienceBuffer(islands=1, capacity=8)
@@ -362,6 +365,23 @@ class TestRetryFlow:
         assert sample.error is not None
         assert sample.fitness == float("-inf")
         assert trace.best is None
+
+    @pytest.mark.parametrize(
+        "body",
+        ["(" * 400 + "p0*x0" + ")" * 400, "+".join(["x0"] * 3000)],
+        ids=["400-deep-parentheses", "3000-term-chain"],
+    )
+    def test_deeply_nested_reply_is_an_extraction_failure(self, kepler_dataset, body):
+        problem = make_problem(kepler_dataset, name="orbit")
+        deep = f"<thought>nested</thought>\n```expr\n{body}\n```"
+        gen = ScriptedGenerator([GOOD_POWER, deep])
+        trace = run(_quick_config(iterations=2, retry_budget=0), problem, gen)
+        first, second = (record.samples[0] for record in trace.records)
+        assert first.expression == "(p0 * (x0 ^ p1))"
+        assert second.expression is None
+        assert second.error.startswith("expr block failed to parse")
+        assert "deeper than 100 levels" in second.error
+        assert trace.best is not None
 
     def test_generation_error_consumes_retry(self, kepler_dataset):
         problem = make_problem(kepler_dataset, name="orbit")
