@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on the benchmark, in alternating pairs.
+
+    python3 scripts/bench_pair.py --parent DIR --change DIR --pr N \\
+        --workload proaug-large --workload suite-parallel --pairs 10 \\
+        --seeds 1 2 3 --seconds 45
+
+Runs ``perfbench/run.py`` of each checkout on that checkout, N pairs per
+workload; pair k uses seed ``seeds[k % len(seeds)]``, and the side that runs
+first flips from pair to pair.  Each run also records ``ru_minflt``, the
+minor page faults of the run and everything it started, from
+``getrusage(RUSAGE_CHILDREN)``.  Writes ``BENCH_<pr>.json``: the machine,
+every pair's values and digests, and per metric each side's median and
+quartiles and the number of pairs the change wins (ties count for neither).
+
+The two checkouts must have paths of equal length: heap layout follows the
+path length, and that alone has moved run_s by 10-17%.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True, check=False,
+    )
+    minflt = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout} {workload} seed {seed} failed:\n{proc.stderr[-2000:]}")
+    result = json.loads(lines[-1])
+    digest = next(line.split()[2] for line in lines if line.startswith("digest "))
+    machine = next(json.loads(line[len("machine "):]) for line in lines if line.startswith("machine "))
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    values["ru_minflt"] = minflt
+    return {"values": values, "digest": digest, "correct": result["correct"],
+            "failed": result["failed"], "machine": machine}
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    summary = {}
+    for name in pairs[0]["parent"]["values"]:
+        sides = {side: [p[side]["values"][name] for p in pairs] for side in SIDES}
+        sign = 1 if better.get(name, "lower") == "lower" else -1
+        wins = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
+        summary[name] = {**{side: quartiles(v) for side, v in sides.items()},
+                         "change_wins": wins, "pairs": len(pairs),
+                         "better": "lower" if sign == 1 else "higher"}
+    return summary
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1])
+    parser.add_argument("--seconds", type=float, default=45.0)
+    parser.add_argument("--out-dir", type=Path, default=Path("."))
+    args = parser.parse_args()
+
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(str(checkouts["parent"])) != len(str(checkouts["change"])):
+        parser.error(f"checkout paths differ in length: {checkouts['parent']} {checkouts['change']}")
+    spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    record: dict = {"pr": args.pr, "seconds": args.seconds, "workloads": {}}
+    for workload in args.workload:
+        pairs = []
+        for k in range(args.pairs):
+            seed = args.seeds[k % len(args.seeds)]
+            order = SIDES if k % 2 == 0 else SIDES[::-1]
+            pair: dict = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
+                record["machine"] = pair[side].pop("machine")
+            pair["same_digest"] = pair["parent"]["digest"] == pair["change"]["digest"]
+            pairs.append(pair)
+            print(workload, f"pair {k} seed {seed}",
+                  {s: round(pair[s]["values"]["run_s"], 3) for s in SIDES},
+                  "same digest" if pair["same_digest"] else "DIGESTS DIFFER", flush=True)
+        record["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
+
+    out = args.out_dir / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -277,6 +277,9 @@ def parse_spec(text: str, arity: int) -> AnalysisSpec:
                         seed = int(value)
                     except ValueError:
                         raise SpecError(f"seed must be an integer, got {value!r}", lineno) from None
+                    if seed < 0:
+                        # default_rng rejects negative entropy at execute time
+                        raise SpecError("seed must be a non-negative integer", lineno)
                 else:
                     raise SpecError(f"unknown sample option {key!r}", lineno)
             directives.append(SampleRows(count, sort, seed))
@@ -369,8 +372,10 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float] | None:
     None when a sum is non-finite (finite rows whose sums overflow)."""
     mx = float(np.mean(x))
     my = float(np.mean(y))
-    sxx = float(np.sum((x - mx) ** 2))
-    sxy = float(np.sum((x - mx) * (y - my)))
+    dx = x - mx
+    dy = y - my
+    sxx = float(np.sum(dx**2))
+    sxy = float(np.sum(dx * dy))
     if sxx == 0.0:
         slope, intercept = 0.0, my
     else:
@@ -378,7 +383,7 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float] | None:
         intercept = my - slope * mx
     residuals = y - (slope * x + intercept)
     ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((y - my) ** 2))
+    ss_tot = float(np.sum(dy**2))
     if not all(map(math.isfinite, (mx, my, sxx, sxy, ss_res, ss_tot))):
         return None
     if ss_tot == 0.0:
@@ -429,17 +434,22 @@ def _run_sample(
     return [ReportEntry(key="samples", header=header, lines=tuple(lines))]
 
 
-def _run_fit(directive: R2Fit | Correlation, data: Dataset) -> list[ReportEntry]:
+def _run_fit(directive: R2Fit | Correlation, data: Dataset, targets: dict) -> list[ReportEntry]:
+    """``targets`` holds each y-transform already computed in this execute,
+    with its finite-row mask."""
+    if directive.y_transform not in targets:
+        y = _y_values(directive.y_transform, data)
+        targets[directive.y_transform] = y, np.isfinite(y)
+    y, y_finite = targets[directive.y_transform]
     x = _term_values(directive.x_term, data)
-    y = _y_values(directive.y_transform, data)
-    valid = np.isfinite(x) & np.isfinite(y)
+    valid = np.isfinite(x) & y_finite
     n_valid = int(np.count_nonzero(valid))
     kind = "r2" if isinstance(directive, R2Fit) else "corr"
     key = f"{kind}_{_y_key(directive.y_transform)}_{term_key(directive.x_term)}"
     na = [ReportEntry(f"{key}_na", n_valid, detail={"n_valid": n_valid})]
     if n_valid < MIN_VALID_ROWS:
         return na
-    xv, yv = x[valid], y[valid]
+    xv, yv = (x, y) if n_valid == len(valid) else (x[valid], y[valid])
     with np.errstate(all="ignore"):
         fit = _ols(xv, yv) if kind == "r2" else _pearson(xv, yv)
     if fit is None:
@@ -451,29 +461,53 @@ def _run_fit(directive: R2Fit | Correlation, data: Dataset) -> list[ReportEntry]
     return [ReportEntry(key, fit, detail={"n_valid": n_valid})]
 
 
-def execute(spec: AnalysisSpec, data: Dataset, seed: int = 0, source: str = "") -> AnalysisReport:
+def execute(
+    spec: AnalysisSpec,
+    data: Dataset,
+    seed: int = 0,
+    source: str = "",
+    memo: dict | None = None,
+) -> AnalysisReport:
     """Run every directive against the fitting data (tr-tr view only).
 
     Pure in (spec, data, seed): no clock, file, or network access.  Each
     directive executes independently; one that raises contributes a line to
     execution_errors and no entries.
+
+    ``memo`` maps each stats, r2 and corr directive already run to its
+    entries or its error text, and is filled as directives run; pass one
+    dict to every execute on the same dataset so a repeated directive is
+    looked up instead of re-run.  It is only valid for that one dataset.
+    Sample directives depend on their index and the seed, so they always
+    run.  An error line carries the directive's index in this spec.
     """
     if data.arity != spec.arity:
         raise ValueError(f"spec arity {spec.arity} != dataset arity {data.arity}")
+    if memo is None:
+        memo = {}
+    targets: dict = {}
     entries: list[ReportEntry] = []
     errors: list[str] = []
     for i, directive in enumerate(spec.directives):
-        try:
-            if isinstance(directive, DescribeStats):
-                entries.extend(_run_stats(directive, data))
-            elif isinstance(directive, SampleRows):
-                entropy = directive.seed if directive.seed is not None else seed
-                rng = np.random.default_rng([entropy, i])
-                entries.extend(_run_sample(directive, data, rng))
-            else:
-                entries.extend(_run_fit(directive, data))
-        except Exception as exc:  # per-directive isolation
-            errors.append(f"directive {i + 1}: {exc}")
+        outcome: list[ReportEntry] | str | None = memo.get(directive)
+        if outcome is None:
+            try:
+                if isinstance(directive, DescribeStats):
+                    outcome = _run_stats(directive, data)
+                elif isinstance(directive, SampleRows):
+                    entropy = directive.seed if directive.seed is not None else seed
+                    rng = np.random.default_rng([entropy, i])
+                    outcome = _run_sample(directive, data, rng)
+                else:
+                    outcome = _run_fit(directive, data, targets)
+            except Exception as exc:  # per-directive isolation
+                outcome = str(exc)
+            if not isinstance(directive, SampleRows):  # a draw depends on its index
+                memo[directive] = outcome
+        if isinstance(outcome, str):
+            errors.append(f"directive {i + 1}: {outcome}")
+        else:
+            entries.extend(outcome)
     return AnalysisReport(tuple(entries), tuple(errors), source)
 
 

@@ -79,7 +79,8 @@ class GeneratorResponse:
     """Exactly n_samples texts; per-sample errors mark padded failures.
 
     ``wire`` holds the provider request/response bodies (key redacted) for
-    the run trace; offline generators leave it None.
+    a caller inspecting one exchange; the search loop drops it, so traces
+    never contain it.  Offline generators leave it None.
     """
 
     raw_texts: tuple[str, ...]
@@ -333,7 +334,8 @@ class RemoteChatGenerator:
     URL with a bearer token from the SYMREG_API_KEY environment variable.
     Provider failures, malformed replies and timeouts never raise into the
     search loop; they yield flagged empty samples.  ``wire`` on the response
-    carries the redacted request and raw provider reply for the trace.
+    carries the redacted request and raw provider reply; the search loop
+    does not record it.
     """
 
     tag = "remote"

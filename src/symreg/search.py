@@ -272,13 +272,15 @@ def _run_analysis_phase(
     config: SearchConfig,
     generator: Generator,
     seed: int,
-    cache: dict,
+    memo: dict,
+    seen: set[str],
     previous_error: str | None,
 ) -> tuple[AnalysisRecord, ctx.AnalysisReport | None]:
     """One proaug analysis phase: ask, extract, execute, with feedback re-asks.
 
-    Programs run with the run's split seed, so ``cache`` is keyed by the
-    canonical program text alone.
+    ``memo`` is the run's directive memo for ``tr_tr`` (see ``ctx.execute``);
+    ``seen`` holds the canonical text of every program already run, and
+    only sets ``AnalysisRecord.cached``.
     """
     prompt = build_analysis_prompt(problem, previous_error)
     first_prompt = prompt
@@ -296,12 +298,9 @@ def _run_analysis_phase(
             try:
                 spec = extract_spec(raw, problem.arity)
                 spec_text = ctx.format_spec(spec)
-                cached = spec_text in cache
-                if cached:
-                    report = cache[spec_text]
-                else:
-                    report = ctx.execute(spec, tr_tr, seed=seed, source="proaug")
-                    cache[spec_text] = report
+                cached = spec_text in seen
+                seen.add(spec_text)
+                report = ctx.execute(spec, tr_tr, seed=seed, source="proaug", memo=memo)
                 record = AnalysisRecord(
                     prompt=first_prompt,
                     spec_text=spec_text,
@@ -358,7 +357,8 @@ def run(
         )
         timings["analysis"] += time.monotonic() - t0
 
-    analysis_cache: dict = {}
+    analysis_memo: dict = {}
+    seen_programs: set[str] = set()
     last_report: ctx.AnalysisReport | None = None
     last_analysis_error: str | None = None
 
@@ -378,7 +378,8 @@ def run(
                     config,
                     analysis_generator,
                     split_seed,
-                    analysis_cache,
+                    analysis_memo,
+                    seen_programs,
                     last_analysis_error,
                 )
                 timings["analysis"] += time.monotonic() - t0

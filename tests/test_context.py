@@ -132,6 +132,13 @@ class TestParseSpec:
         with pytest.raises(SpecError, match="positive"):
             parse_spec("sample 0", arity=1)
 
+    def test_negative_seed_rejected(self):
+        # default_rng refuses negative entropy, which used to surface only
+        # as an execution error in a program that counted as a success
+        with pytest.raises(SpecError) as err:
+            parse_spec("stats all\nsample 3 seed=-1", arity=1)
+        assert str(err.value) == "seed must be a non-negative integer (line 2)"
+
     def test_combo_needs_two_features(self):
         with pytest.raises(SpecError, match="two features"):
             parse_spec("r2 y ~ ratio(x0)", arity=1)
@@ -477,6 +484,69 @@ class TestExecuteIsolation:
         ds = make_dataset(np.linspace(1, 2, 10), np.linspace(1, 2, 10))
         report = execute(parse_spec("stats all", 1), ds, source="stats all")
         assert report.source == "stats all"
+
+
+class TestExecuteMemo:
+    def test_shared_memo_matches_fresh_execute(self):
+        rng = np.random.default_rng(7)
+        X = rng.uniform(-1.0, 4.0, size=(300, 3))
+        ds = make_dataset(X, X[:, 0] ** 2 * X[:, 1] - X[:, 2])
+        pool = [
+            "stats all",
+            "stats y x2",
+            "r2 y ~ x0",
+            "r2 log(y) ~ log(x0)",
+            "corr log(y) ~ sqrt(x1)",
+            "corr y ~ ratio(x0,x2)",
+            "r2 y ~ log(product(x1,x2))",
+            "r2 log(y) ~ inv(difference(x0,x1))",
+        ]
+        memo: dict = {}
+        for _ in range(12):
+            lines = list(rng.choice(pool, size=5, replace=True))
+            # the same sample line lands at a different index in each program
+            lines.insert(int(rng.integers(len(lines) + 1)), "sample 4 sort=y_desc")
+            spec = parse_spec("\n".join(lines), 3)
+            shared = execute(spec, ds, seed=5, memo=memo)
+            fresh = execute(spec, ds, seed=5)
+            assert report_to_json(shared) == report_to_json(fresh)
+        assert len(memo) == len({parse_spec(line, 3).directives[0] for line in pool})
+
+    def test_sample_lines_never_memoized(self):
+        ds = make_dataset(np.linspace(1, 2, 20), np.linspace(1, 2, 20))
+        memo: dict = {}
+        execute(parse_spec("sample 3\nstats all", 1), ds, memo=memo)
+        assert list(memo) == [DescribeStats((None, 0))]
+
+    def test_memoized_error_carries_index_in_each_program(self):
+        bad = R2Fit(FeatureTerm((), FeatureRef(5)), "identity")
+        stats = DescribeStats((None, 0))
+        ds = make_dataset(np.linspace(1, 2, 10), np.linspace(1, 2, 10))
+        memo: dict = {}
+        first = execute(AnalysisSpec((bad, stats), 1), ds, memo=memo)
+        second = execute(AnalysisSpec((stats, SampleRows(2), bad), 1), ds, memo=memo)
+        assert len(first.execution_errors) == len(second.execution_errors) == 1
+        assert first.execution_errors[0].startswith("directive 1: ")
+        message = first.execution_errors[0].removeprefix("directive 1: ")
+        assert second.execution_errors[0] == f"directive 3: {message}"
+        fresh = execute(AnalysisSpec((stats, SampleRows(2), bad), 1), ds)
+        assert report_to_json(second) == report_to_json(fresh)
+
+    @pytest.mark.parametrize(
+        "line", ["r2 log(y) ~ log(x0)", "corr log(y) ~ log(sqrt(x0))", "r2 y ~ log(x0)"]
+    )
+    def test_rows_with_undefined_transform_are_dropped_exactly(self, line):
+        # the all-finite fit skips the masking copies; the masked fit must
+        # read the same entries to the last bit
+        x = np.linspace(0.5, 6.0, 40)
+        y = 1.7 * x**1.3
+        clean = execute(parse_spec(line, 1), make_dataset(x, y))
+        undefined = np.array([-1.0, 0.0, -2.5, -0.25])  # every x-term is undefined
+        rows = np.insert(x, [0, 10, 25, 40], undefined)
+        targets = np.insert(y, [0, 10, 25, 40], -1.0)  # log(y) undefined too
+        masked = execute(parse_spec(line, 1), make_dataset(rows, targets))
+        assert masked.entries[0].detail["n_valid"] == 40
+        assert report_to_json(masked) == report_to_json(clean)
 
 
 class TestRender:

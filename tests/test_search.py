@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from symreg import context as ctx
+from symreg.data import split
 from symreg.expr import parse
 from symreg.fit import Candidate, FitResult, OptimizerConfig
 from symreg.generate import (
@@ -458,6 +460,27 @@ class TestRunProaug:
         assert second.cached is True
         assert first.report == second.report
         assert first.error is None and first.attempts == 1
+
+    def test_memo_shared_across_programs(self, kepler_dataset):
+        # two programs that differ but share directives, then a repeat
+        first_program = "stats all\nsample 3 seed=1\nr2 log(y) ~ log(x0)\ncorr y ~ x0"
+        second_program = "r2 log(y) ~ log(x0)\nstats all\nsample 3 seed=1\nr2 y ~ sqrt(x0)"
+        replies = [f"```analysis\n{text}\n```" for text in (first_program, second_program)]
+        problem = make_problem(kepler_dataset, name="orbit")
+        eq = ScriptedGenerator([GOOD_POWER])
+        an = ScriptedGenerator([replies[0], replies[1], replies[0]])
+        cfg = _quick_config(mode="proaug", iterations=3)
+        trace = run(cfg, problem, eq, analysis_generator=an)
+        first, second, repeat = (rec.analysis for rec in trace.records)
+        tr_tr = split(problem.train, cfg.seed, cfg.split_ratio).tr_tr
+        standalone = ctx.execute(
+            ctx.parse_spec(second_program, 1), tr_tr, seed=cfg.seed, source="proaug"
+        )
+        assert first.cached is False
+        assert second.cached is False
+        assert second.report == ctx.report_to_json(standalone)
+        assert repeat.cached is True
+        assert repeat.report == first.report
 
     def test_report_lands_in_equation_prompt(self, kepler_dataset):
         problem = make_problem(kepler_dataset, name="orbit")
