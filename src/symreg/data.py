@@ -233,18 +233,13 @@ def load_problem(path: str | Path) -> ProblemSpec:
         if key not in raw:
             raise DataError(f"{path}: missing required key {key!r}")
     base = path.parent
-
-    def resolve(p: str) -> Path:
-        candidate = Path(p)
-        return candidate if candidate.is_absolute() else base / candidate
-
     test_path = raw.get("test_path")
     gt = raw.get("ground_truth")
     return ProblemSpec(
         name=str(raw["name"]),
         instructions=str(raw["instructions"]),
-        data_path=resolve(str(raw["data_path"])),
-        test_path=resolve(str(test_path)) if test_path else None,
+        data_path=base / str(raw["data_path"]),
+        test_path=base / str(test_path) if test_path else None,
         variable_descriptions=tuple(str(v) for v in raw.get("variable_descriptions", [])),
         target_description=str(raw.get("target_description", "")),
         ground_truth=str(gt) if gt is not None else None,

@@ -78,6 +78,8 @@ class OptimizerConfig:
             raise FitError("need at least one restart (the all-ones start)")
         if self.max_iterations < 1 or self.max_evaluations < 1:
             raise FitError("iteration and evaluation budgets must be positive")
+        if not 0.0 < self.gradient_step < INF:
+            raise FitError("gradient_step must be positive and finite")
 
 
 @dataclass(frozen=True)

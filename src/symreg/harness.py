@@ -18,6 +18,7 @@ from pathlib import Path
 from .data import Problem, json_safe, load_problem, load_problem_data
 from .fit import OptimizerConfig
 from .generate import (
+    DEFAULT_TIMEOUT,
     DecodingConfig,
     Generator,
     MutationGenerator,
@@ -78,14 +79,10 @@ def suite_config_from_json(path: str | Path) -> SuiteConfig:
     raw = json.loads(path.read_text())
     base = path.parent
 
-    def resolve(p: str) -> Path:
-        candidate = Path(p)
-        return candidate if candidate.is_absolute() else base / candidate
-
     def generator_settings(settings: dict) -> dict:
         settings = dict(settings)
         if settings.get("type") == "scripted" and "path" in settings:
-            settings["path"] = str(resolve(settings["path"]))
+            settings["path"] = str(base / settings["path"])
         return settings
 
     for key in ("problems", "modes", "out_dir", "generator"):
@@ -95,9 +92,9 @@ def suite_config_from_json(path: str | Path) -> SuiteConfig:
     search_raw.setdefault("mode", raw["modes"][0])
     analysis = raw.get("analysis_generator")
     return SuiteConfig(
-        problems=tuple(resolve(p) for p in raw["problems"]),
+        problems=tuple(base / p for p in raw["problems"]),
         modes=tuple(raw["modes"]),
-        out_dir=resolve(raw["out_dir"]),
+        out_dir=base / raw["out_dir"],
         search=search_config_from_json(search_raw),
         generator=generator_settings(raw["generator"]),
         analysis_generator=None if analysis is None else generator_settings(analysis),
@@ -129,7 +126,7 @@ def make_generator(settings: dict, arity: int, run_seed: int) -> Generator:
         return RemoteChatGenerator(
             url=settings["url"],
             model=settings["model"],
-            timeout=float(settings.get("timeout", 120.0)),
+            timeout=float(settings.get("timeout", DEFAULT_TIMEOUT)),
         )
     raise HarnessError(f"unknown generator type {kind!r}")
 

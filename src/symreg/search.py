@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ MODES = ("llm-sr", "statistical-hint", "proaug")
 FITNESS_FLOOR = -10.0
 
 # phase codes for seed derivation
-_DEMO, _EVAL, _ANALYSIS = 1, 2, 3
+_DEMO, _EVAL = 1, 2
 
 
 class SearchError(ValueError):
@@ -80,6 +80,8 @@ class SearchConfig:
             raise SearchError("island_capacity must be >= k_demos")
         if self.sampling_temperature <= 0:
             raise SearchError("sampling_temperature must be positive")
+        if self.retry_budget < 0:
+            raise SearchError("retry_budget must be >= 0")
 
 
 def derive_seed(root: int, *path: int) -> int:
@@ -246,7 +248,9 @@ def trace_lines(trace: RunTrace) -> list[str]:
 
 
 def trace_summary(trace: RunTrace) -> dict:
-    """Every search setting, the best candidate and its scores, and timings."""
+    """Every search setting, the best candidate and its scores, and timings:
+    wall seconds of ``analysis``, ``generation`` (equation calls, re-asks and
+    parsing each reply), ``evaluation`` (fits and scores) and ``total``."""
     cfg = trace.config
     best = trace.best
     summary = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
@@ -266,62 +270,27 @@ def trace_summary(trace: RunTrace) -> dict:
 # The loop
 
 
-def _run_analysis_phase(
-    problem: Problem,
-    tr_tr,
-    config: SearchConfig,
-    generator: Generator,
-    seed: int,
-    memo: dict,
-    seen: set[str],
-    previous_error: str | None,
-) -> tuple[AnalysisRecord, ctx.AnalysisReport | None]:
-    """One proaug analysis phase: ask, extract, execute, with feedback re-asks.
+def _ask(generator: Generator, request: GeneratorRequest, reply, extract, budget: int, reprompt):
+    """Extract a value from a reply, re-asking up to ``budget`` times.
 
-    ``memo`` is the run's directive memo for ``tr_tr`` (see ``ctx.execute``);
-    ``seen`` holds the canonical text of every program already run, and
-    only sets ``AnalysisRecord.cached``.
+    ``reply`` is the first ``(raw text, generator error)`` pair.  A generator
+    error or an ``ExtractionError`` from ``extract(raw)`` spends one re-ask:
+    ``request`` again with one sample and ``reprompt(error)`` as its prompt.
+    Returns ``(value or None, last raw text, last error, re-asks spent)``.
     """
-    prompt = build_analysis_prompt(problem, previous_error)
-    first_prompt = prompt
-    last_error: str | None = None
-    for attempt in range(1 + config.retry_budget):
-        request = GeneratorRequest(
-            prompt=prompt, n_samples=1, decoding=config.decoding, purpose="analysis"
-        )
-        response = generator.generate(request)
-        raw = response.raw_texts[0]
-        sample_error = response.errors[0]
-        if sample_error is not None:
-            last_error = f"generation failed: {sample_error}"
-        else:
-            try:
-                spec = extract_spec(raw, problem.arity)
-                spec_text = ctx.format_spec(spec)
-                cached = spec_text in seen
-                seen.add(spec_text)
-                report = ctx.execute(spec, tr_tr, seed=seed, source="proaug", memo=memo)
-                record = AnalysisRecord(
-                    prompt=first_prompt,
-                    spec_text=spec_text,
-                    report=ctx.report_to_json(report),
-                    error=None,
-                    attempts=attempt + 1,
-                    cached=cached,
-                )
-                return record, report
-            except ExtractionError as exc:
-                last_error = str(exc)
-        prompt = build_analysis_prompt(problem, last_error)
-    record = AnalysisRecord(
-        prompt=first_prompt,
-        spec_text=None,
-        report=None,
-        error=last_error,
-        attempts=1 + config.retry_budget,
-        cached=False,
-    )
-    return record, None
+    raw, error = reply
+    for retries in range(budget + 1):
+        if retries:
+            response = generator.generate(replace(request, prompt=reprompt(error), n_samples=1))
+            raw, error = response.raw_texts[0], response.errors[0]
+        if error is not None:
+            error = f"generation failed: {error}"
+            continue
+        try:
+            return extract(raw), raw, None, retries
+        except ExtractionError as exc:
+            error = str(exc)
+    return None, raw, error, budget
 
 
 def run(
@@ -372,22 +341,39 @@ def run(
         if config.inject_report:
             if config.mode == "proaug":
                 t0 = time.monotonic()
-                analysis_record, fresh = _run_analysis_phase(
-                    problem,
-                    view.tr_tr,
-                    config,
+                analysis_prompt = build_analysis_prompt(problem, last_analysis_error)
+                request = GeneratorRequest(
+                    prompt=analysis_prompt,
+                    n_samples=1,
+                    decoding=config.decoding,
+                    purpose="analysis",
+                )
+                first = analysis_generator.generate(request)
+                spec, _, last_analysis_error, retries = _ask(
                     analysis_generator,
-                    split_seed,
-                    analysis_memo,
-                    seen_programs,
-                    last_analysis_error,
+                    request,
+                    (first.raw_texts[0], first.errors[0]),
+                    lambda text: extract_spec(text, problem.arity),
+                    config.retry_budget,
+                    lambda error: build_analysis_prompt(problem, error),
+                )
+                spec_text, fresh, cached = None, None, False
+                if spec is not None:
+                    spec_text = ctx.format_spec(spec)
+                    cached = spec_text in seen_programs
+                    seen_programs.add(spec_text)
+                    fresh = last_report = ctx.execute(
+                        spec, view.tr_tr, seed=split_seed, source="proaug", memo=analysis_memo
+                    )
+                analysis_record = AnalysisRecord(
+                    prompt=analysis_prompt,
+                    spec_text=spec_text,
+                    report=None if fresh is None else ctx.report_to_json(fresh),
+                    error=last_analysis_error,
+                    attempts=retries + 1,
+                    cached=cached,
                 )
                 timings["analysis"] += time.monotonic() - t0
-                if fresh is not None:
-                    last_report = fresh
-                    last_analysis_error = None
-                else:
-                    last_analysis_error = analysis_record.error
                 report = last_report  # falls back to last success (None at t=0)
             elif config.mode == "statistical-hint":
                 report = hint_report
@@ -401,80 +387,50 @@ def run(
         prompt = build_equation_prompt(problem, demos, report)
 
         t0 = time.monotonic()
-        response = generator.generate(
-            GeneratorRequest(
-                prompt=prompt,
-                n_samples=config.samples_per_prompt,
-                decoding=config.decoding,
-                purpose="equation",
-            )
+        request = GeneratorRequest(
+            prompt=prompt,
+            n_samples=config.samples_per_prompt,
+            decoding=config.decoding,
+            purpose="equation",
         )
+        response = generator.generate(request)
         timings["generation"] += time.monotonic() - t0
 
         samples: list[SampleRecord] = []
         for j in range(config.samples_per_prompt):
-            raw = response.raw_texts[j]
-            error = response.errors[j]
-            skeleton = None
-            retries = 0
-            while True:
-                if error is None:
-                    try:
-                        skeleton = extract_expression(raw, problem.arity)
-                        break
-                    except ExtractionError as exc:
-                        error = str(exc)
-                if retries >= config.retry_budget:
-                    break
-                retries += 1
-                t0 = time.monotonic()
-                retry = generator.generate(
-                    GeneratorRequest(
-                        prompt=prompt,
-                        n_samples=1,
-                        decoding=config.decoding,
-                        purpose="equation",
-                    )
-                )
-                timings["generation"] += time.monotonic() - t0
-                raw = retry.raw_texts[0]
-                error = retry.errors[0]
-
-            if skeleton is None:
-                samples.append(
-                    SampleRecord(
-                        raw=raw,
-                        expression=None,
-                        error=error,
-                        retries=retries,
-                        fitness=float("-inf"),
-                        train_mse=float("inf"),
-                        params=(),
-                    )
-                )
-                continue
-
             t0 = time.monotonic()
-            candidate = evaluate_candidate(
-                skeleton,
-                view,
-                config.optimizer,
-                seed=derive_seed(config.seed, _EVAL, t, j),
+            skeleton, raw, error, retries = _ask(
+                generator,
+                request,
+                (response.raw_texts[j], response.errors[j]),
+                lambda text: extract_expression(text, problem.arity),
+                config.retry_budget,
+                lambda _: prompt,
             )
-            timings["evaluation"] += time.monotonic() - t0
-            buffer.add(candidate)
-            if candidate.is_valid and -candidate.fitness < best_nmse:
-                best_nmse = -candidate.fitness
-                best = candidate
+            timings["generation"] += time.monotonic() - t0
+            candidate = None
+            if skeleton is not None:
+                t0 = time.monotonic()
+                candidate = evaluate_candidate(
+                    skeleton,
+                    view,
+                    config.optimizer,
+                    seed=derive_seed(config.seed, _EVAL, t, j),
+                )
+                timings["evaluation"] += time.monotonic() - t0
+                buffer.add(candidate)
+                if candidate.is_valid and -candidate.fitness < best_nmse:
+                    best_nmse = -candidate.fitness
+                    best = candidate
             samples.append(
                 SampleRecord(
                     raw=raw,
-                    expression=skeleton.text,
-                    error=None,
+                    expression=None if skeleton is None else skeleton.text,
+                    error=error,
                     retries=retries,
-                    fitness=candidate.fitness,
-                    train_mse=candidate.fit.train_mse,
-                    params=candidate.fit.params,
+                    fitness=float("-inf") if candidate is None else candidate.fitness,
+                    train_mse=float("inf") if candidate is None else candidate.fit.train_mse,
+                    params=() if candidate is None else candidate.fit.params,
                 )
             )
 

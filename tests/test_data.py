@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,9 +213,30 @@ class TestProblems:
         sub.mkdir()
         X = np.arange(6.0).reshape(-1, 1)
         path = write_problem_files(sub, "rel", X, X[:, 0])
+        # an absolute path is taken as it is
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        write_csv(elsewhere / "held_out.csv", X[:4], X[:4, 0])
+        raw = json.loads(path.read_text())
+        raw["test_path"] = str(elsewhere / "held_out.csv")
+        path.write_text(json.dumps(raw))
         spec = load_problem(path)
-        assert spec.data_path.is_absolute() or spec.data_path.exists()
-        assert load_problem_data(spec).train.n_rows == 6
+        assert spec.data_path == sub / "rel.csv"
+        assert spec.test_path == elsewhere / "held_out.csv"
+        problem = load_problem_data(spec)
+        assert problem.train.n_rows == 6
+        assert problem.test.n_rows == 4
+
+    def test_make_problems_regenerates_bundled_files(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        subprocess.run(
+            [sys.executable, str(root / "scripts" / "make_problems.py"), "--out", str(tmp_path)],
+            check=True,
+        )
+        bundled = sorted(p.name for p in (root / "problems").iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == bundled
+        for name in bundled:
+            assert (tmp_path / name).read_bytes() == (root / "problems" / name).read_bytes(), name
 
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "bad.json"

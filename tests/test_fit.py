@@ -108,6 +108,11 @@ class TestOptimizerConfig:
         with pytest.raises(FitError):
             OptimizerConfig(max_evaluations=0)
 
+    @pytest.mark.parametrize("step", [0.0, -1e-6, float("inf"), float("nan")])
+    def test_rejects_non_positive_or_non_finite_gradient_step(self, step):
+        with pytest.raises(FitError, match="gradient_step"):
+            OptimizerConfig(gradient_step=step)
+
 
 class TestFitParams:
     def test_linear_exact_recovery(self, linear_dataset):

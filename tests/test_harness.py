@@ -217,18 +217,18 @@ class TestConfigParsing:
         cfg_path.write_text(
             json.dumps(
                 {
-                    "problems": ["tiny.json"],
+                    "problems": ["tiny.json", str(tmp_path / "elsewhere" / "other.json")],
                     "modes": ["llm-sr"],
                     "out_dir": "out",
                     "generator": {"type": "scripted", "path": "texts.json"},
-                    "analysis_generator": {"type": "scripted", "path": "texts.json"},
+                    "analysis_generator": {"type": "scripted", "path": str(script)},
                     "search": {"iterations": 2},
                     "repeats": 1,
                 }
             )
         )
         cfg = suite_config_from_json(cfg_path)
-        assert cfg.problems[0] == tmp_path / "tiny.json"
+        assert cfg.problems == (tmp_path / "tiny.json", tmp_path / "elsewhere" / "other.json")
         assert cfg.out_dir == tmp_path / "out"
         assert cfg.generator["path"] == str(tmp_path / "texts.json")
         assert cfg.analysis_generator["path"] == str(tmp_path / "texts.json")

@@ -11,6 +11,7 @@ from symreg.fit import Candidate, FitResult, OptimizerConfig
 from symreg.generate import (
     REPORT_HEADER,
     GeneratorRequest,
+    GeneratorResponse,
     MutationGenerator,
     ScriptedGenerator,
 )
@@ -66,6 +67,25 @@ class RecordingGenerator:
         return self._inner.generate(request)
 
 
+class FailingGenerator:
+    """Reports ``HTTP 500`` for its first ``fail_calls`` calls (all of them by
+    default), then replies ``reply``; logs every request it sees."""
+
+    tag = "failing"
+
+    def __init__(self, fail_calls=None, reply=""):
+        self.fail_calls = fail_calls
+        self.reply = reply
+        self.requests = []
+
+    def generate(self, request):
+        self.requests.append(request)
+        n = request.n_samples
+        if self.fail_calls is None or len(self.requests) <= self.fail_calls:
+            return GeneratorResponse(("",) * n, ("HTTP 500",) * n)
+        return GeneratorResponse((self.reply,) * n, (None,) * n)
+
+
 class MustNotCall:
     tag = "sentinel"
 
@@ -102,6 +122,11 @@ class TestSearchConfig:
     def test_zero_temperature(self):
         with pytest.raises(SearchError, match="temperature"):
             SearchConfig(sampling_temperature=0.0)
+
+    def test_negative_retry_budget(self):
+        with pytest.raises(SearchError, match="retry_budget"):
+            SearchConfig(retry_budget=-1)
+        assert SearchConfig(retry_budget=0).retry_budget == 0
 
     def test_defaults_valid(self):
         cfg = SearchConfig()
@@ -387,31 +412,41 @@ class TestRetryFlow:
 
     def test_generation_error_consumes_retry(self, kepler_dataset):
         problem = make_problem(kepler_dataset, name="orbit")
-
-        class FlakyGenerator:
-            tag = "flaky"
-
-            def __init__(self):
-                self.calls = 0
-
-            def generate(self, request):
-                self.calls += 1
-                from symreg.generate import GeneratorResponse
-
-                if self.calls == 1:
-                    return GeneratorResponse(
-                        ("",) * request.n_samples,
-                        ("HTTP 500",) * request.n_samples,
-                    )
-                return GeneratorResponse(
-                    (GOOD_POWER,) * request.n_samples,
-                    (None,) * request.n_samples,
-                )
-
-        trace = run(_quick_config(iterations=1), problem, FlakyGenerator())
+        gen = FailingGenerator(fail_calls=1, reply=GOOD_POWER)
+        trace = run(_quick_config(iterations=1), problem, gen)
         sample = trace.records[0].samples[0]
         assert sample.retries == 1
         assert sample.expression is not None
+
+    def test_equation_generation_error_exhausts_budget(self, kepler_dataset):
+        problem = make_problem(kepler_dataset, name="orbit")
+        gen = FailingGenerator()
+        trace = run(_quick_config(iterations=1, retry_budget=2), problem, gen)
+        sample = trace.records[0].samples[0]
+        assert sample.error == "generation failed: HTTP 500"
+        assert sample.retries == 2
+        assert sample.expression is None
+        assert sample.fitness == float("-inf")
+        assert [r.n_samples for r in gen.requests] == [1, 1, 1]
+        assert len({r.prompt for r in gen.requests}) == 1
+        assert trace.best is None
+
+    def test_analysis_generation_error_is_fed_back(self, kepler_dataset):
+        problem = make_problem(kepler_dataset, name="orbit")
+        an = FailingGenerator(fail_calls=1, reply=GOOD_ANALYSIS)
+        cfg = _quick_config(mode="proaug", iterations=1, retry_budget=2)
+        trace = run(cfg, problem, ScriptedGenerator([GOOD_POWER]), analysis_generator=an)
+        record = trace.records[0].analysis
+        assert record.attempts == 2
+        assert record.error is None
+        assert record.spec_text == "stats all"
+        assert record.prompt == an.requests[0].prompt
+        assert "rejected" not in an.requests[0].prompt
+        assert (
+            "Your previous analysis program was rejected: generation failed: HTTP 500"
+            in an.requests[1].prompt
+        )
+        assert all(r.purpose == "analysis" and r.n_samples == 1 for r in an.requests)
 
 
 class TestRunStatisticalHint:
