@@ -79,6 +79,8 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=45.0)
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2: quartiles need two points")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if len(str(checkouts["parent"])) != len(str(checkouts["change"])):

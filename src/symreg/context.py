@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -45,12 +45,14 @@ TRANSFORMS = ("log", "exp", "sin", "cos", "sqrt", "square", "inv", "abs")
 _COMBINER_OPS = {"product": "mul", "ratio": "div", "sum": "add", "difference": "sub"}
 COMBINERS = tuple(_COMBINER_OPS)
 
-_SORT_TOKEN = {"y_asc": "target_asc", "y_desc": "target_desc", "none": "none"}
-_SORT_SUFFIX = {
-    "target_asc": " (Sorted by Y from small to large)",
-    "target_desc": " (Sorted by Y from large to small)",
+# sample sort word -> header suffix
+SORTS = {
+    "y_asc": " (Sorted by Y from small to large)",
+    "y_desc": " (Sorted by Y from large to small)",
     "none": "",
 }
+# fit y-term word -> statistics-dictionary key
+Y_TERMS = {"y": "Y", "log(y)": "log(Y)"}
 
 
 class SpecError(ValueError):
@@ -90,29 +92,27 @@ class DescribeStats:
 @dataclass(frozen=True)
 class SampleRows:
     count: int
-    sort: str = "none"
+    sort: str = "none"  # a key of SORTS
     seed: int | None = None
 
 
 @dataclass(frozen=True)
-class R2Fit:
+class Fit:
+    kind: str  # r2 (least-squares line) or corr (Pearson)
     x_term: FeatureTerm
-    y_transform: str = "identity"  # identity or log
+    y_term: str = "y"  # a key of Y_TERMS
 
 
-@dataclass(frozen=True)
-class Correlation:
-    x_term: FeatureTerm
-    y_transform: str = "identity"
-
-
-Directive = Union[DescribeStats, SampleRows, R2Fit, Correlation]
+Directive = Union[DescribeStats, SampleRows, Fit]
 
 
 @dataclass(frozen=True)
 class AnalysisSpec:
     directives: tuple[Directive, ...]
     arity: int
+    # canonical program, one directive per line, built by parse_spec; parses
+    # back to an equal spec with the same text
+    text: str = field(default="", compare=False)
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,20 @@ class AnalysisReport:
 
 
 # ---------------------------------------------------------------------------
-# Key naming
+# Term text and key naming
+
+
+def _term_text(term: FeatureTerm, var: str) -> str:
+    """An x-term printed with feature ``i`` spelled ``{var}{i}``: ``x`` in
+    canonical program text, ``X_`` or ``x_`` in statistics keys."""
+    base = term.base
+    if isinstance(base, FeatureRef):
+        text = f"{var}{base.index}"
+    else:
+        text = f"{base.combiner}({var}{base.left},{var}{base.right})"
+    for t in reversed(term.chain):
+        text = f"{t}({text})"
+    return text
 
 
 def term_key(term: FeatureTerm) -> str:
@@ -145,20 +158,8 @@ def term_key(term: FeatureTerm) -> str:
     (``log(X_0)``); deeper chains and combinations switch to lowercase
     (``log(sin(x_0))``, ``log(ratio(x_0,x_1))``).
     """
-    if isinstance(term.base, FeatureRef):
-        if len(term.chain) <= 1:
-            inner = f"X_{term.base.index}"
-        else:
-            inner = f"x_{term.base.index}"
-    else:
-        inner = f"{term.base.combiner}(x_{term.base.left},x_{term.base.right})"
-    for t in reversed(term.chain):
-        inner = f"{t}({inner})"
-    return inner
-
-
-def _y_key(y_transform: str) -> str:
-    return "Y" if y_transform == "identity" else "log(Y)"
+    upper = isinstance(term.base, FeatureRef) and len(term.chain) <= 1
+    return _term_text(term, "X_" if upper else "x_")
 
 
 def _column_key(column: int | None) -> str:
@@ -207,26 +208,21 @@ def _parse_x_term(token: str, arity: int, line: int) -> FeatureTerm:
     return FeatureTerm(tuple(chain), FeatureRef(index))
 
 
-def _parse_y_term(token: str, line: int) -> str:
-    if token == "y":
-        return "identity"
-    if token == "log(y)":
-        return "log"
-    raise SpecError(f"target term must be y or log(y), got {token!r}", line)
-
-
-def _parse_fit_line(rest: str, arity: int, line: int) -> tuple[str, FeatureTerm]:
+def _parse_fit_line(kind: str, rest: str, arity: int, line: int) -> Fit:
     if "~" not in rest:
         raise SpecError("expected '<y-term> ~ <x-term>'", line)
     left, _, right = rest.partition("~")
-    y_transform = _parse_y_term(left.strip().replace(" ", ""), line)
-    x_term = _parse_x_term(right.strip().replace(" ", ""), arity, line)
-    return y_transform, x_term
+    y_term = left.strip().replace(" ", "")
+    if y_term not in Y_TERMS:
+        raise SpecError(f"target term must be {' or '.join(Y_TERMS)}, got {y_term!r}", line)
+    return Fit(kind, _parse_x_term(right.strip().replace(" ", ""), arity, line), y_term)
 
 
 def parse_spec(text: str, arity: int) -> AnalysisSpec:
-    """Parse directive lines into an AnalysisSpec, preserving order."""
+    """Parse directive lines into an AnalysisSpec, preserving order, and
+    build its canonical text line by line."""
     directives: list[Directive] = []
+    lines: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -238,17 +234,19 @@ def parse_spec(text: str, arity: int) -> AnalysisSpec:
         if word == "stats":
             if not rest:
                 raise SpecError("stats needs 'all' or a column list", lineno)
+            every: tuple[int | None, ...] = (None, *range(arity))
             if rest == "all":
-                columns: tuple[int | None, ...] = (None, *range(arity))
+                columns = every
             else:
-                cols: list[int | None] = []
-                for token in rest.split():
-                    if token == "y":
-                        cols.append(None)
-                    else:
-                        cols.append(_parse_feature_ref(token, arity, lineno))
-                columns = tuple(cols)
+                columns = tuple(
+                    None if token == "y" else _parse_feature_ref(token, arity, lineno)
+                    for token in rest.split()
+                )
             directives.append(DescribeStats(columns))
+            if columns == every:
+                lines.append("stats all")
+            else:
+                lines.append("stats " + " ".join("y" if c is None else f"x{c}" for c in columns))
         elif word == "sample":
             parts = rest.split()
             if not parts:
@@ -266,12 +264,12 @@ def parse_spec(text: str, arity: int) -> AnalysisSpec:
                 if not eq:
                     raise SpecError(f"expected key=value option, got {opt!r}", lineno)
                 if key == "sort":
-                    if value not in _SORT_TOKEN:
+                    if value not in SORTS:
                         raise SpecError(
-                            f"sort must be one of {'/'.join(_SORT_TOKEN)}, got {value!r}",
+                            f"sort must be one of {'/'.join(SORTS)}, got {value!r}",
                             lineno,
                         )
-                    sort = _SORT_TOKEN[value]
+                    sort = value
                 elif key == "seed":
                     try:
                         seed = int(value)
@@ -283,48 +281,19 @@ def parse_spec(text: str, arity: int) -> AnalysisSpec:
                 else:
                     raise SpecError(f"unknown sample option {key!r}", lineno)
             directives.append(SampleRows(count, sort, seed))
+            line = f"sample {count}"
+            if sort != "none":
+                line += f" sort={sort}"
+            if seed is not None:
+                line += f" seed={seed}"
+            lines.append(line)
         elif word in ("r2", "corr"):
-            y_transform, x_term = _parse_fit_line(rest, arity, lineno)
-            cls = R2Fit if word == "r2" else Correlation
-            directives.append(cls(x_term, y_transform))
+            fit = _parse_fit_line(word, rest, arity, lineno)
+            directives.append(fit)
+            lines.append(f"{word} {fit.y_term} ~ {_term_text(fit.x_term, 'x')}")
         else:
             raise SpecError(f"unknown directive {word!r}", lineno)
-    return AnalysisSpec(tuple(directives), arity)
-
-
-def format_spec(spec: AnalysisSpec) -> str:
-    """Canonical one-directive-per-line text; parses back to an equal spec."""
-
-    def term_text(term: FeatureTerm) -> str:
-        if isinstance(term.base, FeatureRef):
-            inner = f"x{term.base.index}"
-        else:
-            inner = f"{term.base.combiner}(x{term.base.left},x{term.base.right})"
-        for t in reversed(term.chain):
-            inner = f"{t}({inner})"
-        return inner
-
-    lines = []
-    for d in spec.directives:
-        if isinstance(d, DescribeStats):
-            if d.columns == (None, *range(spec.arity)):
-                lines.append("stats all")
-            else:
-                cols = " ".join("y" if c is None else f"x{c}" for c in d.columns)
-                lines.append(f"stats {cols}")
-        elif isinstance(d, SampleRows):
-            text = f"sample {d.count}"
-            if d.sort != "none":
-                token = "y_asc" if d.sort == "target_asc" else "y_desc"
-                text += f" sort={token}"
-            if d.seed is not None:
-                text += f" seed={d.seed}"
-            lines.append(text)
-        else:
-            word = "r2" if isinstance(d, R2Fit) else "corr"
-            y = "y" if d.y_transform == "identity" else "log(y)"
-            lines.append(f"{word} {y} ~ {term_text(d.x_term)}")
-    return "\n".join(lines)
+    return AnalysisSpec(tuple(directives), arity, "\n".join(lines))
 
 
 def default_hint_spec(arity: int) -> AnalysisSpec:
@@ -358,13 +327,6 @@ def _term_values(term: FeatureTerm, data: Dataset) -> np.ndarray:
         for t in reversed(term.chain):
             values = UNARY[t](values)
     return values
-
-
-def _y_values(y_transform: str, data: Dataset) -> np.ndarray:
-    if y_transform == "identity":
-        return data.target
-    with np.errstate(all="ignore"):
-        return np.log(data.target)
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float] | None:
@@ -422,11 +384,11 @@ def _run_sample(
     n = data.n_rows
     count = min(directive.count, n)
     chosen = rng.choice(n, size=count, replace=False)
-    if directive.sort == "target_asc":
+    if directive.sort == "y_asc":
         chosen = chosen[np.argsort(data.target[chosen], kind="stable")]
-    elif directive.sort == "target_desc":
+    elif directive.sort == "y_desc":
         chosen = chosen[np.argsort(-data.target[chosen], kind="stable")]
-    header = f"### {count} Random Samples (X, Y){_SORT_SUFFIX[directive.sort]}:"
+    header = f"### {count} Random Samples (X, Y){SORTS[directive.sort]}:"
     lines = []
     for j, row in enumerate(chosen):
         feats = ", ".join(f"{v:.3f}" for v in data.features[row])
@@ -434,18 +396,19 @@ def _run_sample(
     return [ReportEntry(key="samples", header=header, lines=tuple(lines))]
 
 
-def _run_fit(directive: R2Fit | Correlation, data: Dataset, targets: dict) -> list[ReportEntry]:
-    """``targets`` holds each y-transform already computed in this execute,
-    with its finite-row mask."""
-    if directive.y_transform not in targets:
-        y = _y_values(directive.y_transform, data)
-        targets[directive.y_transform] = y, np.isfinite(y)
-    y, y_finite = targets[directive.y_transform]
+def _run_fit(directive: Fit, data: Dataset, targets: dict) -> list[ReportEntry]:
+    """``targets`` holds each y-term already computed in this execute, with
+    its finite-row mask."""
+    if directive.y_term not in targets:
+        with np.errstate(all="ignore"):
+            y = data.target if directive.y_term == "y" else np.log(data.target)
+        targets[directive.y_term] = y, np.isfinite(y)
+    y, y_finite = targets[directive.y_term]
     x = _term_values(directive.x_term, data)
     valid = np.isfinite(x) & y_finite
     n_valid = int(np.count_nonzero(valid))
-    kind = "r2" if isinstance(directive, R2Fit) else "corr"
-    key = f"{kind}_{_y_key(directive.y_transform)}_{term_key(directive.x_term)}"
+    kind = directive.kind
+    key = f"{kind}_{Y_TERMS[directive.y_term]}_{term_key(directive.x_term)}"
     na = [ReportEntry(f"{key}_na", n_valid, detail={"n_valid": n_valid})]
     if n_valid < MIN_VALID_ROWS:
         return na

@@ -425,7 +425,8 @@ def _random_tree(rng: random.Random, arity: int, max_depth: int) -> Node:
 
 
 def random_expression(arity: int, rng_seed: int, max_depth: int = 4) -> Skeleton:
-    """Seeded random Skeleton; always valid (used by tests and the mutator)."""
+    """Seeded random Skeleton; always valid.  Only tests call it; the mutator
+    draws its subtrees from ``_random_tree`` directly."""
     rng = random.Random(rng_seed)
     return skeleton_from_node(_random_tree(rng, arity, max_depth), arity)
 

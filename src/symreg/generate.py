@@ -20,9 +20,20 @@ from typing import Protocol, Sequence
 
 import requests
 
-from .context import AnalysisReport, AnalysisSpec, SpecError, parse_spec, render
+from .context import (
+    COMBINERS,
+    SORTS,
+    TRANSFORMS,
+    Y_TERMS,
+    AnalysisReport,
+    AnalysisSpec,
+    SpecError,
+    parse_spec,
+    render,
+)
 from .data import Problem
 from .expr import (
+    UNARY_OPS,
     ExpressionError,
     Skeleton,
     parse,
@@ -164,8 +175,7 @@ def build_equation_prompt(
         f"THEN, AFTER THE </thought> BLOCK, output {next_version} as exactly one fenced block:\n"
         "```expr\n<your equation skeleton>\n```\n"
         f"Write one infix expression over variables x0..x{arity - 1}, parameters p0..p9, "
-        "numeric constants, operators + - * / ^, and functions "
-        "neg, log, exp, sin, cos, sqrt, abs, square, inv.\n"
+        f"numeric constants, operators + - * / ^, and functions {', '.join(UNARY_OPS)}.\n"
         f"{CAP_SENTENCE}"
     )
     return "\n\n".join(sections)
@@ -181,13 +191,13 @@ def build_analysis_prompt(problem: Problem, feedback: str | None = None) -> str:
         "Directives, one per line:\n"
         "  stats all                      summary statistics for y and every feature\n"
         f"  stats y x0                     restrict to listed columns ({var_tokens})\n"
-        "  sample <count> [sort=y_asc|y_desc|none] [seed=<int>]   show sampled rows\n"
+        f"  sample <count> [sort={'|'.join(SORTS)}] [seed=<int>]   show sampled rows\n"
         "  r2 <y-term> ~ <x-term>         R^2 of a least-squares line fit\n"
         "  corr <y-term> ~ <x-term>       Pearson correlation\n"
-        "y-term: y or log(y).  x-term: a feature with optional transforms, e.g. "
-        "x0, log(x1), log(sqrt(x0)), or a pairwise combination product/ratio/sum/"
-        "difference such as log(ratio(x0,x1)).\n"
-        "Transforms: log, exp, sin, cos, sqrt, square, inv, abs."
+        f"y-term: {' or '.join(Y_TERMS)}.  x-term: a feature with optional transforms, e.g. "
+        "x0, log(x1), log(sqrt(x0)), or a pairwise combination "
+        f"{'/'.join(COMBINERS)} such as log(ratio(x0,x1)).\n"
+        f"Transforms: {', '.join(TRANSFORMS)}."
     )
     sections = [
         "You are an assistant that writes short dataset-analysis programs whose "

@@ -3,7 +3,8 @@
 Runs |problems| x |modes| x repeats searches (seed = base seed + repeat
 index), persists every trace, and reduces the results into win-rate curves
 and median/IQR spread statistics.  Suites are resumable at run granularity:
-a run whose trace and summary files already exist is loaded, not re-run.
+a run whose trace and summary files already exist is loaded, not re-run,
+unless its summary does not parse.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ class SuiteConfig:
         for mode in self.modes:
             if mode not in MODES:
                 raise HarnessError(f"unknown mode {mode!r}")
+        if len(set(self.modes)) != len(self.modes):
+            # two jobs would share one <problem>/<mode>/<repeat> path
+            raise HarnessError(f"duplicate mode in {list(self.modes)}")
         if self.repeats < 1:
             raise HarnessError("repeats must be >= 1")
         if self.workers < 1:
@@ -88,6 +92,8 @@ def suite_config_from_json(path: str | Path) -> SuiteConfig:
     for key in ("problems", "modes", "out_dir", "generator"):
         if key not in raw:
             raise HarnessError(f"{path}: missing required key {key!r}")
+    if not raw["modes"]:
+        raise HarnessError("suite needs at least one mode")
     search_raw = dict(raw.get("search", {}))
     search_raw.setdefault("mode", raw["modes"][0])
     analysis = raw.get("analysis_generator")
@@ -306,8 +312,13 @@ def _outcome(
 
 def _run_one(config: SuiteConfig, problem: Problem, mode: str, repeat: int) -> RunOutcome:
     trace_path, summary_path = _run_paths(config, problem.name, mode, repeat)
+    summary = None
     if trace_path.exists() and summary_path.exists():
-        summary = json.loads(summary_path.read_text())
+        try:
+            summary = json.loads(summary_path.read_text())
+        except ValueError:  # the summary is written last: one cut short is an unfinished run
+            pass
+    if summary is not None:
         return _outcome(
             config,
             problem.name,
@@ -348,8 +359,10 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     """Execute (or resume) every run, then reduce to the suite report.
 
     Per-run failures are recorded and excluded from aggregates; the suite
-    itself keeps going.  Outputs under out_dir: per-run trace and summary
-    files, ``summary.json``, and ``trajectories.csv``.
+    itself keeps going.  Problems that share a name would share run files,
+    so they are rejected before any run starts.  Outputs under out_dir:
+    per-run trace and summary files, ``summary.json``, and
+    ``trajectories.csv``.
     """
     problems: list[Problem] = []
     outcomes: list[RunOutcome] = []
@@ -363,6 +376,10 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
                 for mode in config.modes
                 for repeat in range(config.repeats)
             ]
+    names = [problem.name for problem in problems]
+    shared = sorted({name for name in names if names.count(name) > 1})
+    if shared:
+        raise HarnessError(f"problems share a name: {', '.join(shared)}")
 
     jobs = [
         (problem, mode, repeat)

@@ -78,8 +78,10 @@ class SearchConfig:
             raise SearchError("k_demos must be >= 1")
         if self.island_capacity < self.k_demos:
             raise SearchError("island_capacity must be >= k_demos")
-        if self.sampling_temperature <= 0:
+        if not self.sampling_temperature > 0:  # NaN fails this too
             raise SearchError("sampling_temperature must be positive")
+        if math.isnan(self.fitness_floor):
+            raise SearchError("fitness_floor must not be NaN")
         if self.retry_budget < 0:
             raise SearchError("retry_budget must be >= 0")
 
@@ -359,7 +361,7 @@ def run(
                 )
                 spec_text, fresh, cached = None, None, False
                 if spec is not None:
-                    spec_text = ctx.format_spec(spec)
+                    spec_text = spec.text
                     cached = spec_text in seen_programs
                     seen_programs.add(spec_text)
                     fresh = last_report = ctx.execute(

@@ -6,17 +6,15 @@ from hypothesis import strategies as st
 from symreg.context import (
     MAX_DIRECTIVES,
     AnalysisSpec,
-    Correlation,
     DescribeStats,
     FeatureCombo,
     FeatureRef,
     FeatureTerm,
-    R2Fit,
+    Fit,
     SampleRows,
     SpecError,
     default_hint_spec,
     execute,
-    format_spec,
     parse_spec,
     render,
     report_to_json,
@@ -64,24 +62,24 @@ class TestParseSpec:
 
     def test_sample_options(self):
         spec = parse_spec("sample 12 sort=y_asc seed=3", arity=1)
-        assert spec.directives == (SampleRows(12, "target_asc", 3),)
+        assert spec.directives == (SampleRows(12, "y_asc", 3),)
 
     def test_sample_desc(self):
         spec = parse_spec("sample 4 sort=y_desc", arity=1)
-        assert spec.directives[0].sort == "target_desc"
+        assert spec.directives[0].sort == "y_desc"
 
     def test_r2_identity(self):
         spec = parse_spec("r2 y ~ x0", arity=1)
-        assert spec.directives == (R2Fit(FeatureTerm((), FeatureRef(0)), "identity"),)
+        assert spec.directives == (Fit("r2", FeatureTerm((), FeatureRef(0)), "y"),)
 
     def test_r2_log_log(self):
         spec = parse_spec("r2 log(y) ~ log(x0)", arity=1)
-        assert spec.directives == (R2Fit(FeatureTerm(("log",), FeatureRef(0)), "log"),)
+        assert spec.directives == (Fit("r2", FeatureTerm(("log",), FeatureRef(0)), "log(y)"),)
 
     def test_corr_with_combo(self):
         spec = parse_spec("corr y ~ ratio(x0, x1)", arity=2)
         assert spec.directives == (
-            Correlation(FeatureTerm((), FeatureCombo("ratio", 0, 1)), "identity"),
+            Fit("corr", FeatureTerm((), FeatureCombo("ratio", 0, 1)), "y"),
         )
 
     def test_nested_transform_chain(self):
@@ -160,7 +158,18 @@ class TestFormatSpec:
     def test_canonical_text(self):
         text = "sample 12 sort=y_asc\nstats all\nr2 log(y) ~ log(x0)"
         spec = parse_spec(text, arity=1)
-        assert format_spec(spec) == text
+        assert spec.text == text
+
+    def test_text_is_canonical_for_any_spelling(self):
+        text = (
+            "# header\n  stats y x0 x1\nstats x01 y\n\n"
+            "sample +05 seed=007 sort=y_desc\nsample 3 sort=none\n"
+            "r2 log( y )  ~  log(\tratio(x1, x0))\ncorr y~x0"
+        )
+        assert parse_spec(text, arity=2).text == (
+            "stats all\nstats x1 y\nsample 5 sort=y_desc seed=7\nsample 3\n"
+            "r2 log(y) ~ log(ratio(x1,x0))\ncorr y ~ x0"
+        )
 
     def test_round_trip_fixed_cases(self):
         cases = [
@@ -175,7 +184,9 @@ class TestFormatSpec:
         ]
         for text in cases:
             spec = parse_spec(text, arity=3)
-            assert parse_spec(format_spec(spec), arity=3) == spec
+            again = parse_spec(spec.text, arity=3)
+            assert again == spec
+            assert again.text == spec.text
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -224,7 +235,9 @@ class TestFormatSpec:
                 lines.append(f"{kind} {y} ~ {term_line(data.draw)}")
 
         spec = parse_spec("\n".join(lines), arity)
-        assert parse_spec(format_spec(spec), arity) == spec
+        again = parse_spec(spec.text, arity)
+        assert again == spec
+        assert again.text == spec.text
 
 
 class TestDefaultHint:
@@ -232,7 +245,7 @@ class TestDefaultHint:
         spec = default_hint_spec(2)
         # sample + stats + identity fits + log-log fits + 4 composed per feature
         assert len(spec.directives) == 2 + 2 + 2 + 8
-        assert spec.directives[0] == SampleRows(12, "target_asc", None)
+        assert spec.directives[0] == SampleRows(12, "y_asc", None)
         assert spec.directives[1] == DescribeStats((None, 0, 1))
 
     def test_composed_fit_order(self):
@@ -466,7 +479,7 @@ class TestExecuteFits:
 class TestExecuteIsolation:
     def test_bad_directive_recorded_others_run(self):
         # out-of-range index sneaks past parse only via direct construction
-        bad = R2Fit(FeatureTerm((), FeatureRef(5)), "identity")
+        bad = Fit("r2", FeatureTerm((), FeatureRef(5)), "y")
         spec = AnalysisSpec((bad, SampleRows(3)), arity=1)
         ds = make_dataset(np.linspace(1, 2, 10), np.linspace(1, 2, 10))
         report = execute(spec, ds, seed=0)
@@ -519,7 +532,7 @@ class TestExecuteMemo:
         assert list(memo) == [DescribeStats((None, 0))]
 
     def test_memoized_error_carries_index_in_each_program(self):
-        bad = R2Fit(FeatureTerm((), FeatureRef(5)), "identity")
+        bad = Fit("r2", FeatureTerm((), FeatureRef(5)), "y")
         stats = DescribeStats((None, 0))
         ds = make_dataset(np.linspace(1, 2, 10), np.linspace(1, 2, 10))
         memo: dict = {}
@@ -588,8 +601,8 @@ class TestRender:
         assert text.index("### 3 Random Samples") < text.index("Statistics: {")
 
     def test_errors_line_last_and_joined(self):
-        bad1 = R2Fit(FeatureTerm((), FeatureRef(7)), "identity")
-        bad2 = R2Fit(FeatureTerm((), FeatureRef(8)), "identity")
+        bad1 = Fit("r2", FeatureTerm((), FeatureRef(7)), "y")
+        bad2 = Fit("r2", FeatureTerm((), FeatureRef(8)), "y")
         spec = AnalysisSpec((bad1, bad2, DescribeStats((None,))), arity=1)
         ds = make_dataset(np.linspace(1, 2, 10), np.linspace(1, 2, 10))
         text = render(execute(spec, ds))

@@ -241,6 +241,27 @@ class TestConfigParsing:
         with pytest.raises(HarnessError, match="out_dir"):
             suite_config_from_json(cfg_path)
 
+    def test_suite_config_empty_modes(self, tmp_path):
+        cfg_path = tmp_path / "suite.json"
+        cfg_path.write_text(
+            json.dumps(
+                {"problems": ["a.json"], "modes": [], "out_dir": "out", "generator": {}}
+            )
+        )
+        with pytest.raises(HarnessError, match="at least one mode"):
+            suite_config_from_json(cfg_path)
+
+    def test_duplicate_modes_rejected(self, tmp_path):
+        # both copies would write, then reuse, the same run files
+        with pytest.raises(HarnessError, match="duplicate mode"):
+            SuiteConfig(
+                problems=(tmp_path / "p.json",),
+                modes=("llm-sr", "proaug", "llm-sr"),
+                out_dir=tmp_path / "out",
+                search=SearchConfig(mode="llm-sr"),
+                generator={"type": "mutation"},
+            )
+
     def test_suite_validation(self, tmp_path):
         base = dict(
             problems=(tmp_path / "p.json",),
@@ -411,6 +432,31 @@ class TestRunSuite:
         assert "broken/llm-sr" not in report.aggregates
         # the two healthy problems still aggregate
         assert "square/llm-sr" in report.aggregates
+
+    def test_problems_sharing_a_name_rejected_before_any_run(self, tmp_path):
+        X = np.linspace(1, 4, 12).reshape(-1, 1)
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            paths.append(write_problem_files(tmp_path / sub, "same", X, X[:, 0]))
+        config = dataclasses.replace(_suite(tmp_path), problems=tuple(paths))
+        with pytest.raises(HarnessError, match="share a name: same"):
+            run_suite(config)
+        assert not config.out_dir.exists()
+
+    def test_unreadable_run_summary_is_rerun(self, tmp_path):
+        config = _suite(tmp_path)
+        first = run_suite(config)
+        torn = first.outcomes[3].summary_path
+        torn.write_text(torn.read_text()[:40])
+        second = run_suite(config)
+        assert [o.reused for o in second.outcomes] == [i != 3 for i in range(8)]
+        json.loads(torn.read_text())
+        fresh = _suite(tmp_path, out="fresh")
+        run_suite(fresh)
+        assert (config.out_dir / "summary.json").read_bytes() == (
+            fresh.out_dir / "summary.json"
+        ).read_bytes()
 
     def test_workers_parallel_matches_serial(self, tmp_path):
         serial = run_suite(_suite(tmp_path, out="serial"))

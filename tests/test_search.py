@@ -123,6 +123,14 @@ class TestSearchConfig:
         with pytest.raises(SearchError, match="temperature"):
             SearchConfig(sampling_temperature=0.0)
 
+    def test_nan_temperature(self):
+        with pytest.raises(SearchError, match="sampling_temperature"):
+            SearchConfig(sampling_temperature=float("nan"))
+
+    def test_nan_fitness_floor(self):
+        with pytest.raises(SearchError, match="fitness_floor"):
+            SearchConfig(fitness_floor=float("nan"))
+
     def test_negative_retry_budget(self):
         with pytest.raises(SearchError, match="retry_budget"):
             SearchConfig(retry_budget=-1)
