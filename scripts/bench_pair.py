@@ -11,7 +11,15 @@ first flips from pair to pair.  Each run also records ``ru_minflt``, the
 minor page faults of the run and everything it started, from
 ``getrusage(RUSAGE_CHILDREN)``.  Writes ``BENCH_<pr>.json``: the machine,
 every pair's values and digests, and per metric each side's median and
-quartiles and the number of pairs the change wins (ties count for neither).
+quartiles, the number of pairs the change wins (ties count for neither) and
+the verdict, which it also prints one row per workload and metric:
+
+- ``claim``: a gain may be claimed, i.e. the change wins at least 9 in 10
+  pairs and its median is better than the parent's by more than the
+  parent's inter-quartile range;
+- ``within_bound``: the change's median is worse than the parent's by at
+  most the metric's ``BENCHMARK.json`` bound, a fraction of the parent's
+  median (``-`` for a metric without a bound).
 
 The two checkouts must have paths of equal length: heap layout follows the
 path length, and that alone has moved run_s by 10-17%.
@@ -55,16 +63,35 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     summary = {}
     for name in pairs[0]["parent"]["values"]:
         sides = {side: [p[side]["values"][name] for p in pairs] for side in SIDES}
         sign = 1 if better.get(name, "lower") == "lower" else -1
         wins = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
-        summary[name] = {**{side: quartiles(v) for side, v in sides.items()},
-                         "change_wins": wins, "pairs": len(pairs),
-                         "better": "lower" if sign == 1 else "higher"}
+        parent, change = quartiles(sides["parent"]), quartiles(sides["change"])
+        gain = sign * (parent["median"] - change["median"])
+        bound = bounds.get(name)
+        summary[name] = {
+            "parent": parent, "change": change, "change_wins": wins, "pairs": len(pairs),
+            "better": "lower" if sign == 1 else "higher",
+            "claim": 10 * wins >= 9 * len(pairs) and gain > parent["q3"] - parent["q1"],
+            "within_bound": None if bound is None else -gain <= bound * abs(parent["median"]),
+        }
     return summary
+
+
+def verdict_rows(workload: str, summary: dict) -> list[str]:
+    def side(q: dict) -> str:
+        return f"{q['median']:.4g} [{q['q1']:.4g}, {q['q3']:.4g}]"
+
+    rows = []
+    for name, m in summary.items():
+        bound = {None: "-", True: "yes", False: "NO"}[m["within_bound"]]
+        rows.append(f"{workload:<15} {name:<12} parent {side(m['parent']):<28} "
+                    f"change {side(m['change']):<28} wins {m['change_wins']}/{m['pairs']} "
+                    f"claim {'yes' if m['claim'] else 'no'} within_bound {bound}")
+    return rows
 
 
 def main() -> int:
@@ -87,6 +114,7 @@ def main() -> int:
         parser.error(f"checkout paths differ in length: {checkouts['parent']} {checkouts['change']}")
     spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     record: dict = {"pr": args.pr, "seconds": args.seconds, "workloads": {}}
     for workload in args.workload:
@@ -103,11 +131,14 @@ def main() -> int:
             print(workload, f"pair {k} seed {seed}",
                   {s: round(pair[s]["values"]["run_s"], 3) for s in SIDES},
                   "same digest" if pair["same_digest"] else "DIGESTS DIFFER", flush=True)
-        record["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
+        record["workloads"][workload] = {"pairs": pairs,
+                                         "summary": summarize(pairs, better, bounds)}
 
     out = args.out_dir / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
+    for workload, result in record["workloads"].items():
+        print("\n".join(verdict_rows(workload, result["summary"])))
     return 0
 
 

@@ -3,10 +3,10 @@
 Candidate equations are finite trees over feature variables (``x0``, ``x1``,
 ...), indexed parameter slots (``p0`` .. ``p9``) and numeric constants.  The
 module provides the infix parser, a one-pass canonicalization that also
-prints each skeleton's fully-parenthesized canonical text, a vectorized
-evaluator whose domain violations produce IEEE non-finite
-sentinels instead of exceptions, and a seeded structural mutation used by the
-offline candidate generator.
+prints each skeleton's fully-parenthesized canonical text and compiles its
+evaluator, vectorized over rows and over blocks of parameter vectors, whose
+domain violations produce IEEE non-finite sentinels instead of exceptions,
+and a seeded structural mutation used by the offline candidate generator.
 
 Surface grammar (EBNF, whitespace-insensitive)::
 
@@ -32,7 +32,7 @@ import operator
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -40,7 +40,7 @@ MAX_PARAMS = 10
 MAX_DEPTH = 100
 MAX_MUTATION_DEPTH = 12
 
-# The operator table: every evaluator dispatches through it.  Dict order is
+# The operator table: the compiled evaluator dispatches through it.  Dict order is
 # the order of UNARY_OPS/BINARY_OPS, which the seeded mutator draws from, so
 # reordering an entry changes every mutation trace.
 UNARY = {
@@ -111,20 +111,27 @@ class Binary:
 
 Node = Union[Const, Var, Param, Unary, Binary]
 
+# A compiled tree: (features, params) -> values.  A Var leaf reads its column
+# and a Param leaf indexes the params, so the one closure evaluates a single
+# parameter vector and a (k, m, 1) stack of parameter columns alike.
+Compiled = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
 
 @dataclass(frozen=True)
 class Skeleton:
     """A validated expression with parameters renumbered to ``p0..p{k-1}``.
 
     ``text`` is the canonical fully-parenthesized print, which parses back to
-    an equal tree; it is derived from the tree, so it is excluded from
-    equality.
+    an equal tree, and ``compiled`` is the tree built into nested closures
+    that ``evaluate`` runs; both are derived from the tree, so they are
+    excluded from equality.
     """
 
     expression: Node
     arity: int
     param_count: int
     text: str = field(compare=False)
+    compiled: Compiled = field(compare=False, repr=False)
 
 
 def depth(node: Node) -> int:
@@ -141,35 +148,83 @@ def _const_text(value: float) -> str:
     return f"({value!r})" if math.copysign(1.0, value) < 0 else repr(value)
 
 
+def _compile_const(value: float) -> Compiled:
+    leaf = np.float64(value)
+    return lambda X, P: leaf
+
+
+def _compile_unary(fn, child: Compiled) -> Compiled:
+    return lambda X, P: fn(child(X, P))
+
+
+def _compile_binary(fn, left: Compiled, right: Compiled) -> Compiled:
+    return lambda X, P: fn(left(X, P), right(X, P))
+
+
+# np.power computes a scalar exponent of -1, 0.5 or 2 as 1/x, sqrt(x) or
+# x*x, and every other exponent with its vector kernel, which can differ in
+# the last bit.
+_SCALAR_FAST_EXPONENTS = frozenset((-1.0, 0.5, 2.0))
+
+
+def _compile_scalar_power(base: Compiled, exponent: Compiled) -> Compiled:
+    """pow whose exponent reads no feature: a scalar for one parameter
+    vector, an (m, 1) column for a block.  A column never takes np.power's
+    scalar fast path, so the block rows whose exponent has a fast-path value
+    are recomputed with the scalar exponent each row stands for."""
+
+    def power(X, P):
+        b, e = base(X, P), exponent(X, P)
+        out = np.power(b, e)
+        if np.ndim(e) == 2:
+            for i, value in enumerate(e[:, 0].tolist()):
+                if value in _SCALAR_FAST_EXPONENTS:
+                    out[i] = np.power(b[i] if np.ndim(b) == 2 else b, e[i, 0])
+        return out
+
+    return power
+
+
+def _reads_features(node: Node) -> bool:
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Unary):
+        return _reads_features(node.child)
+    if isinstance(node, Binary):
+        return _reads_features(node.left) or _reads_features(node.right)
+    return False
+
+
 def skeleton_from_node(node: Node, arity: int) -> Skeleton:
     """Canonicalize a raw tree into a Skeleton in one pre-order pass.
 
     The pass validates each node (depth, variable range, parameter cap,
     operator names, float constants), folds ``neg(Const(v))`` into
-    ``Const(-v)``, renumbers parameters by first appearance and builds the
-    canonical text.  The depth check runs before each descent, so a tree of
-    any depth is rejected without deep recursion.
+    ``Const(-v)``, renumbers parameters by first appearance, builds the
+    canonical text and compiles the evaluator.  The depth check runs before
+    each descent, so a tree of any depth is rejected without deep recursion.
     """
     renumbered: dict[int, int] = {}
 
-    def build(n: Node, level: int) -> tuple[Node, str]:
+    def build(n: Node, level: int) -> tuple[Node, str, Compiled]:
         if isinstance(n, Const):
             if not isinstance(n.value, float):
                 raise ExpressionError(f"constant value must be float, got {n.value!r}")
-            return n, _const_text(n.value)
+            return n, _const_text(n.value), _compile_const(n.value)
         if isinstance(n, Var):
             if not 0 <= n.index < arity:
                 raise ExpressionError(
                     f"variable x{n.index} out of range for arity {arity}"
                 )
-            return n, f"x{n.index}"
+            column = n.index
+            return n, f"x{column}", lambda X, P: X[:, column]
         if isinstance(n, Param):
             if not 0 <= n.index < MAX_PARAMS:
                 raise ExpressionError(
                     f"parameter p{n.index} exceeds the {MAX_PARAMS}-slot cap"
                 )
             index = renumbered.setdefault(n.index, len(renumbered))
-            return Param(index), f"p{index}"
+            return Param(index), f"p{index}", lambda X, P: P[index]
         # a negated constant folds into a leaf, so it adds no level
         folds = isinstance(n, Unary) and n.op == "neg" and isinstance(n.child, Const)
         if level >= MAX_DEPTH and not folds:
@@ -177,20 +232,28 @@ def skeleton_from_node(node: Node, arity: int) -> Skeleton:
         if isinstance(n, Unary):
             if n.op not in UNARY:
                 raise ExpressionError(f"unknown unary operator {n.op!r}")
-            child, text = build(n.child, level + 1)
+            child, text, fn = build(n.child, level + 1)
             if n.op != "neg":
-                return Unary(n.op, child), f"{n.op}({text})"
-            if isinstance(child, Const):
-                return Const(-child.value), _const_text(-child.value)
-            return Unary("neg", child), f"(-{text})"
+                text = f"{n.op}({text})"
+            elif isinstance(child, Const):
+                value = -child.value
+                return Const(value), _const_text(value), _compile_const(value)
+            else:
+                text = f"(-{text})"
+            return Unary(n.op, child), text, _compile_unary(UNARY[n.op], fn)
         if n.op not in BINARY:
             raise ExpressionError(f"unknown binary operator {n.op!r}")
-        left, left_text = build(n.left, level + 1)
-        right, right_text = build(n.right, level + 1)
-        return Binary(n.op, left, right), f"({left_text} {_BIN_SYMBOL[n.op]} {right_text})"
+        left, left_text, left_fn = build(n.left, level + 1)
+        right, right_text, right_fn = build(n.right, level + 1)
+        if n.op == "pow" and not _reads_features(right):
+            compiled = _compile_scalar_power(left_fn, right_fn)
+        else:
+            compiled = _compile_binary(BINARY[n.op], left_fn, right_fn)
+        text = f"({left_text} {_BIN_SYMBOL[n.op]} {right_text})"
+        return Binary(n.op, left, right), text, compiled
 
-    expression, text = build(node, 1)
-    return Skeleton(expression, arity, len(renumbered), text)
+    expression, text, compiled = build(node, 1)
+    return Skeleton(expression, arity, len(renumbered), text, compiled)
 
 
 # ---------------------------------------------------------------------------
@@ -364,41 +427,39 @@ def parse(text: str, arity: int) -> Skeleton:
 # Evaluation
 
 
-def _eval_node(node: Node, X: np.ndarray, params: np.ndarray):
-    if isinstance(node, Const):
-        return np.float64(node.value)
-    if isinstance(node, Var):
-        return X[:, node.index]
-    if isinstance(node, Param):
-        return np.float64(params[node.index])
-    if isinstance(node, Unary):
-        return UNARY[node.op](_eval_node(node.child, X, params))
-    return BINARY[node.op](_eval_node(node.left, X, params), _eval_node(node.right, X, params))
-
-
 def evaluate(skeleton: Skeleton, features, params=()) -> np.ndarray:
     """Evaluate the skeleton row-wise over an ``n x arity`` feature matrix.
 
-    Pure and deterministic.  Domain violations (log/sqrt of a negative,
-    division by zero, pow with a negative base and fractional exponent,
-    overflow) leave a non-finite sentinel in the affected rows; no exception
-    escapes from arithmetic.
+    ``params`` is one parameter vector, giving ``n`` values, or an ``m x k``
+    block of vectors, giving an ``m x n`` array whose row ``i`` is bitwise
+    the evaluation at ``params[i]``.  Pure and deterministic.  Domain
+    violations (log/sqrt of a negative, division by zero, pow with a
+    negative base and fractional exponent, overflow) leave a non-finite
+    sentinel in the affected rows; no exception escapes from arithmetic.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[1] != skeleton.arity:
         raise ExpressionError(
             f"feature matrix must have {skeleton.arity} columns, got shape {X.shape}"
         )
-    p = np.asarray(params, dtype=float).ravel()
-    if p.size < skeleton.param_count:
+    p = np.asarray(params, dtype=float)
+    if p.ndim == 2:
+        # Param leaves read (m, 1) columns, which broadcast against the
+        # (n,) feature columns
+        shape = (p.shape[0], X.shape[0])
+        width, p = p.shape[1], p.T[:, :, None]
+    else:
+        p = p.ravel()
+        shape = X.shape[:1]
+        width = p.size
+    if width < skeleton.param_count:
         raise ExpressionError(
-            f"need {skeleton.param_count} parameters, got {p.size}"
+            f"need {skeleton.param_count} parameters, got {width}"
         )
     with np.errstate(all="ignore"):
-        out = np.asarray(_eval_node(skeleton.expression, X, p), dtype=float)
-    if out.ndim == 0:
-        return np.full(X.shape[0], float(out))
-    return out
+        out = skeleton.compiled(X, p)
+    # a tree without a Var leaf yields a scalar or an (m, 1) column
+    return out if out.shape == shape else np.full(shape, out)
 
 
 # ---------------------------------------------------------------------------

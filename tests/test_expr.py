@@ -299,6 +299,97 @@ class TestEvaluate:
         assert not np.isfinite(out[0]) or out[0] > 0
 
 
+# rows at the domain edges: log/sqrt of negatives, inv(0), pow with a
+# negative base, exp overflow, signed zeros and non-finite inputs
+EDGE_FEATURES = np.array(
+    [
+        [-2.0, 0.0],
+        [0.0, -0.0],
+        [-1.0, 0.5],
+        [710.0, 3.0],
+        [-710.0, -2.5],
+        [1e300, -1e-300],
+        [np.inf, -np.inf],
+        [np.nan, 1.0],
+        [2.5, -3.0],
+    ]
+)
+# -1, 0.5 and 2 are the exponents np.power computes by a scalar fast path
+PARAM_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 0.5, 2.0, -2.5, 1e3, -1e3, 1e308]),
+    st.floats(-10.0, 10.0),
+)
+
+
+def _assert_rows_match_single_vectors(s: Skeleton, X: np.ndarray, block: np.ndarray) -> None:
+    # bitwise, signed zeros included, except that numpy's scalar and vector
+    # kernels may give a nan a different sign or payload; every nan is
+    # penalized or scored inf alike, so any nan matches any nan
+    out = evaluate(s, X, block)
+    assert out.shape == (len(block), len(X))
+    for i, row in enumerate(block):
+        single = evaluate(s, X, row)
+        same = (out[i].view(np.int64) == single.view(np.int64)) | (
+            np.isnan(out[i]) & np.isnan(single)
+        )
+        assert same.all(), (s.text, row.tolist(), out[i], single)
+
+
+class TestEvaluateBlock:
+    """An m x k parameter block evaluates to m rows, each bitwise equal to
+    the evaluation at that row's parameter vector."""
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 6),
+        st.lists(
+            st.lists(PARAM_VALUES, min_size=MAX_PARAMS, max_size=MAX_PARAMS),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_single_vectors(self, seed, max_depth, block):
+        s = random_expression(2, seed, max_depth)
+        params = np.array(block)[:, : s.param_count]
+        _assert_rows_match_single_vectors(s, EDGE_FEATURES, params)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "log(x0 - p0)",
+            "sqrt(p0 * x1)",
+            "inv(x0 - p0)",
+            "x1 ^ p0",
+            "pow(p0, x0)",
+            "exp(p0 * x0) - exp(p1)",
+            "p0 * x0 ^ p1 / (x1 + p2)",
+            "(x0 + p0) ^ (p1 * p2)",
+            "p0 ^ p1 + x0 ^ (x1 * p2)",
+        ],
+    )
+    @pytest.mark.parametrize("rows", [slice(None), slice(5, 6)])
+    def test_domain_edges(self, text, rows):
+        block = np.array(
+            [[0.0, 0.5, -1.0], [-2.0, 1.5, 0.0], [1e3, -0.0, 2.0], [-0.5, 2.0, 1e308],
+             [3.0, -1.0, 0.5], [1e-3, 2.0, 1.0]]
+        )
+        s = parse(text, 2)
+        _assert_rows_match_single_vectors(s, EDGE_FEATURES[rows], block[:, : s.param_count])
+
+    @pytest.mark.parametrize("text", ["p0", "exp(p0) + log(p1)", "2.5", "inv(0.0)"])
+    def test_trees_without_variables_fill_the_block(self, text):
+        s = parse(text, 2)
+        block = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, -0.0]])[:, : s.param_count]
+        out = evaluate(s, EDGE_FEATURES, block)
+        assert out.shape == (3, len(EDGE_FEATURES))
+        _assert_rows_match_single_vectors(s, EDGE_FEATURES, block)
+
+    def test_short_block_rows_raise(self):
+        with pytest.raises(ExpressionError, match="parameters"):
+            evaluate(parse("p0+p1", 1), [[1.0]], np.ones((3, 1)))
+
+
 class TestMutation:
     def test_determinism(self):
         s = parse("p0*x0 + p1", 1)

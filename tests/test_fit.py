@@ -1,16 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
+from symreg import fit
 from symreg.data import split
-from symreg.expr import parse
+from symreg.expr import evaluate, parse
 from symreg.fit import (
     Candidate,
     DegenerateTargetError,
     FitError,
+    FitResult,
     OptimizerConfig,
     evaluate_candidate,
     fit_params,
@@ -113,6 +117,21 @@ class TestOptimizerConfig:
         with pytest.raises(FitError, match="gradient_step"):
             OptimizerConfig(gradient_step=step)
 
+    @pytest.mark.parametrize("penalty", [0.0, -1e10, float("inf"), float("nan")])
+    def test_rejects_non_positive_or_non_finite_penalty(self, penalty):
+        # a negative penalty rewards rows outside the domain; a nan one makes
+        # every objective nan
+        with pytest.raises(FitError, match="penalty"):
+            OptimizerConfig(penalty=penalty)
+
+    @pytest.mark.parametrize("tolerance", [-1e-8, float("nan")])
+    def test_rejects_negative_or_nan_gradient_tolerance(self, tolerance):
+        with pytest.raises(FitError, match="gradient_tolerance"):
+            OptimizerConfig(gradient_tolerance=tolerance)
+
+    def test_accepts_zero_gradient_tolerance(self):
+        assert OptimizerConfig(gradient_tolerance=0.0).gradient_tolerance == 0.0
+
 
 class TestFitParams:
     def test_linear_exact_recovery(self, linear_dataset):
@@ -201,6 +220,104 @@ class TestFitParams:
         ds = make_dataset(x, y)
         result = fit_params(parse("p0 * x0 ^ 2 + p1 * x0 + p2", 1), ds, seed=0)
         assert result.params == pytest.approx((1.5, -2.0, 0.5), abs=1e-5)
+
+
+def _per_probe_fit(skeleton, dataset, config, seed) -> FitResult:
+    """fit_params as it was with a sequential finite-difference gradient:
+    each probe is one evaluation of one parameter vector, counted and
+    checked against the best seen in turn.  The reference the block
+    gradient must reproduce exactly."""
+    X, y = dataset.features, dataset.target
+    k = skeleton.param_count
+    state = {"evals": 0, "best_f": math.inf, "best_x": np.ones(k)}
+
+    def counted(theta):
+        if state["evals"] >= config.max_evaluations:
+            raise fit._BudgetExceeded
+        state["evals"] += 1
+        with np.errstate(all="ignore"):
+            sq = (evaluate(skeleton, X, theta) - y) ** 2
+        f = float(np.mean(np.where(np.isfinite(sq), sq, config.penalty)))
+        if f < state["best_f"]:
+            state["best_f"] = f
+            state["best_x"] = np.array(theta, dtype=float)
+        return f
+
+    def gradient(theta):
+        g = np.empty(k)
+        for i in range(k):
+            h = config.gradient_step * max(1.0, abs(float(theta[i])))
+            up = np.array(theta, dtype=float)
+            dn = np.array(theta, dtype=float)
+            up[i] += h
+            dn[i] -= h
+            g[i] = (counted(up) - counted(dn)) / (2.0 * h)
+        return g
+
+    rng = np.random.default_rng(seed)
+    starts = [np.ones(k)] + [rng.standard_normal(k) for _ in range(config.restarts - 1)]
+    converged = False
+    restarts_used = 0
+    for x0 in starts:
+        restarts_used += 1
+        try:
+            counted(x0)
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                result = minimize(
+                    counted,
+                    x0,
+                    method="BFGS",
+                    jac=gradient,
+                    options={
+                        "maxiter": config.max_iterations,
+                        "gtol": config.gradient_tolerance,
+                    },
+                )
+            converged = converged or bool(result.success)
+        except fit._BudgetExceeded:
+            break
+    return FitResult(
+        params=tuple(float(v) for v in state["best_x"]),
+        train_mse=float(state["best_f"]),
+        converged=converged,
+        restarts_used=restarts_used,
+        evaluations=state["evals"],
+    )
+
+
+class TestBlockGradient:
+    """The block finite-difference gradient reproduces the per-probe loop,
+    including a budget that runs out inside a gradient."""
+
+    # the last skeleton is flat in p1, so probes along it tie with the best
+    # seen and only a strict < keeps the earlier point
+    @pytest.mark.parametrize(
+        "text", ["p0 * (x0 ^ p1) + p2", "p0 * log(x0 - p1) + p2", "p0 * x0 + 0.0 * p1"]
+    )
+    @pytest.mark.parametrize("rows_per_block", [1, 2, None])
+    def test_budget_sweep_matches_per_probe_loop(
+        self, kepler_dataset, monkeypatch, text, rows_per_block
+    ):
+        if rows_per_block is not None:
+            # a block of 1 or 2 probes, as on a large dataset
+            n = len(kepler_dataset.target)
+            monkeypatch.setattr(fit, "MAX_BLOCK_ELEMENTS", rows_per_block * n)
+        sk = parse(text, 1)
+        # 2k = 6 probes per gradient, so these budgets end at every offset
+        # inside one, over the first restarts
+        for budget in range(1, 61):
+            config = OptimizerConfig(restarts=3, max_evaluations=budget)
+            got = fit_params(sk, kepler_dataset, config, seed=1)
+            assert got == _per_probe_fit(sk, kepler_dataset, config, 1), budget
+            assert got.evaluations <= budget
+
+    def test_unbounded_fit_matches_per_probe_loop(self, kepler_dataset):
+        sk = parse("p0 * (x0 ^ p1) + p2 * sin(p3 * x0)", 1)
+        config = OptimizerConfig(restarts=2)
+        got = fit_params(sk, kepler_dataset, config, seed=3)
+        assert got == _per_probe_fit(sk, kepler_dataset, config, 3)
+        assert got.evaluations < config.max_evaluations
 
 
 class TestNormalEquationsOracle:
