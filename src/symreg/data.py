@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -268,7 +269,14 @@ def load_problem_data(spec: ProblemSpec) -> Problem:
 
 
 # ---------------------------------------------------------------------------
-# JSON
+# Validation and JSON
+
+
+def is_integer(value) -> bool:
+    """True for an int or numpy integer that is not a bool.  Config counts
+    check this: ``2.5`` and ``True`` compare like numbers, then fail or
+    truncate inside ``range`` and numpy much later."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def json_safe(value):

@@ -111,10 +111,15 @@ class Binary:
 
 Node = Union[Const, Var, Param, Unary, Binary]
 
-# A compiled tree: (features, params) -> values.  A Var leaf reads its column
-# and a Param leaf indexes the params, so the one closure evaluates a single
-# parameter vector and a (k, m, 1) stack of parameter columns alike.
-Compiled = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# A compiled tree runs in two stages: features -> (params -> values).  The
+# first stage computes every subtree that reads no Param once, over the rows
+# of the feature matrix, and returns the evaluator of the rest.  A Param leaf
+# indexes the params, so one evaluator takes a single parameter vector and a
+# (k, m, 1) stack of parameter columns alike.  The evaluator never writes into
+# the params or a hoisted array; a bare Param tree returns a view of the
+# params and a tree without Param leaves returns its hoisted value.
+Bound = Callable[[np.ndarray], np.ndarray]
+Compiled = Callable[[np.ndarray], Bound]
 
 
 @dataclass(frozen=True)
@@ -122,8 +127,8 @@ class Skeleton:
     """A validated expression with parameters renumbered to ``p0..p{k-1}``.
 
     ``text`` is the canonical fully-parenthesized print, which parses back to
-    an equal tree, and ``compiled`` is the tree built into nested closures
-    that ``evaluate`` runs; both are derived from the tree, so they are
+    an equal tree, and ``compiled`` is the tree built into the staged
+    closures that ``bind`` runs; both are derived from the tree, so they are
     excluded from equality.
     """
 
@@ -148,17 +153,40 @@ def _const_text(value: float) -> str:
     return f"({value!r})" if math.copysign(1.0, value) < 0 else repr(value)
 
 
-def _compile_const(value: float) -> Compiled:
+# While compiling, a subtree that reads no Param is a function of the
+# features alone, X -> values, which a bind runs once; a subtree that reads a
+# Param is a stage, X -> (params -> values).  ``reads`` says which.
+
+
+def _compile_const(value: float):
     leaf = np.float64(value)
-    return lambda X, P: leaf
+    return lambda X: leaf
 
 
-def _compile_unary(fn, child: Compiled) -> Compiled:
-    return lambda X, P: fn(child(X, P))
+def _compile_unary(fn, child, reads: bool):
+    if not reads:
+        return lambda X: fn(child(X))
+
+    def stage(X):
+        c = child(X)
+        return lambda P: fn(c(P))
+
+    return stage
 
 
-def _compile_binary(fn, left: Compiled, right: Compiled) -> Compiled:
-    return lambda X, P: fn(left(X, P), right(X, P))
+def _compile_binary(fn, left, right, left_reads: bool, right_reads: bool):
+    if not (left_reads or right_reads):
+        return lambda X: fn(left(X), right(X))
+
+    def stage(X):
+        a, b = left(X), right(X)
+        if not left_reads:
+            return lambda P: fn(a, b(P))
+        if not right_reads:
+            return lambda P: fn(a(P), b)
+        return lambda P: fn(a(P), b(P))
+
+    return stage
 
 
 # np.power computes a scalar exponent of -1, 0.5 or 2 as 1/x, sqrt(x) or
@@ -167,22 +195,38 @@ def _compile_binary(fn, left: Compiled, right: Compiled) -> Compiled:
 _SCALAR_FAST_EXPONENTS = frozenset((-1.0, 0.5, 2.0))
 
 
-def _compile_scalar_power(base: Compiled, exponent: Compiled) -> Compiled:
-    """pow whose exponent reads no feature: a scalar for one parameter
-    vector, an (m, 1) column for a block.  A column never takes np.power's
-    scalar fast path, so the block rows whose exponent has a fast-path value
-    are recomputed with the scalar exponent each row stands for."""
+def _compile_scalar_power(fn, base, exponent: Compiled, base_reads: bool) -> Compiled:
+    """pow whose exponent reads a Param and no feature: a scalar for one
+    parameter vector, an (m, 1) column for a block.  A column never takes
+    np.power's scalar fast path, so the block rows whose exponent has a
+    fast-path value are recomputed with the scalar exponent each row stands
+    for."""
 
-    def power(X, P):
-        b, e = base(X, P), exponent(X, P)
-        out = np.power(b, e)
-        if np.ndim(e) == 2:
-            for i, value in enumerate(e[:, 0].tolist()):
-                if value in _SCALAR_FAST_EXPONENTS:
-                    out[i] = np.power(b[i] if np.ndim(b) == 2 else b, e[i, 0])
-        return out
+    def stage(X):
+        b_of, e_of = base(X), exponent(X)
 
-    return power
+        def power(P):
+            b, e = (b_of(P) if base_reads else b_of), e_of(P)
+            out = fn(b, e)
+            if np.ndim(e) == 2:
+                for i, value in enumerate(e[:, 0].tolist()):
+                    if value in _SCALAR_FAST_EXPONENTS:
+                        out[i] = fn(b[i] if np.ndim(b) == 2 else b, e[i, 0])
+            return out
+
+        return power
+
+    return stage
+
+
+def _hoist(values) -> Compiled:
+    """The stage of a tree without Param leaves: its value, computed once."""
+
+    def stage(X):
+        value = values(X)
+        return lambda P: value
+
+    return stage
 
 
 def _reads_features(node: Node) -> bool:
@@ -206,25 +250,27 @@ def skeleton_from_node(node: Node, arity: int) -> Skeleton:
     """
     renumbered: dict[int, int] = {}
 
-    def build(n: Node, level: int) -> tuple[Node, str, Compiled]:
+    def build(n: Node, level: int) -> tuple[Node, str, Callable, bool]:
+        # -> (canonical node, text, compiled subtree, whether it reads a Param)
         if isinstance(n, Const):
             if not isinstance(n.value, float):
                 raise ExpressionError(f"constant value must be float, got {n.value!r}")
-            return n, _const_text(n.value), _compile_const(n.value)
+            return n, _const_text(n.value), _compile_const(n.value), False
         if isinstance(n, Var):
             if not 0 <= n.index < arity:
                 raise ExpressionError(
                     f"variable x{n.index} out of range for arity {arity}"
                 )
             column = n.index
-            return n, f"x{column}", lambda X, P: X[:, column]
+            return n, f"x{column}", lambda X: X[:, column], False
         if isinstance(n, Param):
             if not 0 <= n.index < MAX_PARAMS:
                 raise ExpressionError(
                     f"parameter p{n.index} exceeds the {MAX_PARAMS}-slot cap"
                 )
             index = renumbered.setdefault(n.index, len(renumbered))
-            return Param(index), f"p{index}", lambda X, P: P[index]
+            read = operator.itemgetter(index)
+            return Param(index), f"p{index}", lambda X: read, True
         # a negated constant folds into a leaf, so it adds no level
         folds = isinstance(n, Unary) and n.op == "neg" and isinstance(n.child, Const)
         if level >= MAX_DEPTH and not folds:
@@ -232,27 +278,30 @@ def skeleton_from_node(node: Node, arity: int) -> Skeleton:
         if isinstance(n, Unary):
             if n.op not in UNARY:
                 raise ExpressionError(f"unknown unary operator {n.op!r}")
-            child, text, fn = build(n.child, level + 1)
+            child, text, fn, reads = build(n.child, level + 1)
             if n.op != "neg":
                 text = f"{n.op}({text})"
             elif isinstance(child, Const):
                 value = -child.value
-                return Const(value), _const_text(value), _compile_const(value)
+                return Const(value), _const_text(value), _compile_const(value), False
             else:
                 text = f"(-{text})"
-            return Unary(n.op, child), text, _compile_unary(UNARY[n.op], fn)
+            return Unary(n.op, child), text, _compile_unary(UNARY[n.op], fn, reads), reads
         if n.op not in BINARY:
             raise ExpressionError(f"unknown binary operator {n.op!r}")
-        left, left_text, left_fn = build(n.left, level + 1)
-        right, right_text, right_fn = build(n.right, level + 1)
-        if n.op == "pow" and not _reads_features(right):
-            compiled = _compile_scalar_power(left_fn, right_fn)
+        left, left_text, left_fn, left_reads = build(n.left, level + 1)
+        right, right_text, right_fn, right_reads = build(n.right, level + 1)
+        fn = BINARY[n.op]
+        if n.op == "pow" and right_reads and not _reads_features(right):
+            compiled = _compile_scalar_power(fn, left_fn, right_fn, left_reads)
         else:
-            compiled = _compile_binary(BINARY[n.op], left_fn, right_fn)
+            compiled = _compile_binary(fn, left_fn, right_fn, left_reads, right_reads)
         text = f"({left_text} {_BIN_SYMBOL[n.op]} {right_text})"
-        return Binary(n.op, left, right), text, compiled
+        return Binary(n.op, left, right), text, compiled, left_reads or right_reads
 
-    expression, text, compiled = build(node, 1)
+    expression, text, compiled, reads = build(node, 1)
+    if not reads:
+        compiled = _hoist(compiled)
     return Skeleton(expression, arity, len(renumbered), text, compiled)
 
 
@@ -427,13 +476,17 @@ def parse(text: str, arity: int) -> Skeleton:
 # Evaluation
 
 
-def evaluate(skeleton: Skeleton, features, params=()) -> np.ndarray:
-    """Evaluate the skeleton row-wise over an ``n x arity`` feature matrix.
+def bind(skeleton: Skeleton, features) -> Callable[..., np.ndarray]:
+    """Bind the skeleton to an ``n x arity`` feature matrix.
 
+    Computes every subtree that reads no parameter once, over these rows,
+    and returns the evaluator of the rest, ``params -> values``.
     ``params`` is one parameter vector, giving ``n`` values, or an ``m x k``
     block of vectors, giving an ``m x n`` array whose row ``i`` is bitwise
-    the evaluation at ``params[i]``.  Pure and deterministic.  Domain
-    violations (log/sqrt of a negative, division by zero, pow with a
+    the evaluation at ``params[i]``.  Pure and deterministic: the evaluator
+    writes into neither the params nor the rows it is bound to, and the
+    values of a row do not depend on which other rows are bound with it.
+    Domain violations (log/sqrt of a negative, division by zero, pow with a
     negative base and fractional exponent, overflow) leave a non-finite
     sentinel in the affected rows; no exception escapes from arithmetic.
     """
@@ -442,24 +495,36 @@ def evaluate(skeleton: Skeleton, features, params=()) -> np.ndarray:
         raise ExpressionError(
             f"feature matrix must have {skeleton.arity} columns, got shape {X.shape}"
         )
-    p = np.asarray(params, dtype=float)
-    if p.ndim == 2:
-        # Param leaves read (m, 1) columns, which broadcast against the
-        # (n,) feature columns
-        shape = (p.shape[0], X.shape[0])
-        width, p = p.shape[1], p.T[:, :, None]
-    else:
-        p = p.ravel()
-        shape = X.shape[:1]
-        width = p.size
-    if width < skeleton.param_count:
-        raise ExpressionError(
-            f"need {skeleton.param_count} parameters, got {width}"
-        )
     with np.errstate(all="ignore"):
-        out = skeleton.compiled(X, p)
-    # a tree without a Var leaf yields a scalar or an (m, 1) column
-    return out if out.shape == shape else np.full(shape, out)
+        bound = skeleton.compiled(X)
+    rows = X.shape[0]
+
+    def evaluator(params=()) -> np.ndarray:
+        p = np.asarray(params, dtype=float)
+        if p.ndim == 2:
+            # Param leaves read (m, 1) columns, which broadcast against the
+            # (n,) feature columns
+            shape = (p.shape[0], rows)
+            width, p = p.shape[1], p.T[:, :, None]
+        else:
+            p = p.ravel()
+            shape = (rows,)
+            width = p.size
+        if width < skeleton.param_count:
+            raise ExpressionError(
+                f"need {skeleton.param_count} parameters, got {width}"
+            )
+        with np.errstate(all="ignore"):
+            out = bound(p)
+        # a tree without a Var leaf yields a scalar or an (m, 1) column
+        return out if out.shape == shape else np.full(shape, out)
+
+    return evaluator
+
+
+def evaluate(skeleton: Skeleton, features, params=()) -> np.ndarray:
+    """``bind(skeleton, features)(params)``: one evaluation, values per row."""
+    return bind(skeleton, features)(params)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .data import Dataset, SplitView
-from .expr import Skeleton, evaluate
+from .data import Dataset, SplitView, is_integer
+from .expr import Skeleton, bind, evaluate
 
 INF = float("inf")
 
-# A finite-difference block evaluates at most this many (probe, row)
-# predictions at once, so a block of probes over a large dataset stays the
-# size of a few feature columns.
-MAX_BLOCK_ELEMENTS = 1 << 16
+# The objective evaluates at most this many (probe, row) predictions in one
+# call: a block holds max(1, MAX // n) probes and a row tile min(n, MAX) rows.
+# At 8,192 float64s every temporary is 64 KiB, under glibc's default mmap
+# threshold and inside L2, so a fit over many rows neither maps, trims and
+# re-faults heap pages on each evaluation nor streams them through memory.
+MAX_BLOCK_ELEMENTS = 1 << 13
 
 
 class FitError(ValueError):
@@ -79,6 +81,9 @@ class OptimizerConfig:
     penalty: float = 1e10
 
     def __post_init__(self) -> None:
+        for name in ("restarts", "max_iterations", "max_evaluations"):
+            if not is_integer(getattr(self, name)):
+                raise FitError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.restarts < 1:
             raise FitError("need at least one restart (the all-ones start)")
         if self.max_iterations < 1 or self.max_evaluations < 1:
@@ -117,18 +122,36 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _penalized_objective(skeleton: Skeleton, X: np.ndarray, y: np.ndarray, penalty: float):
+def _penalized_objective(
+    skeleton: Skeleton, X: np.ndarray, y: np.ndarray, penalty: float, probes: int
+):
     """Mean per-row squared error with non-finite rows replaced by `penalty`:
     a scalar for one parameter vector, one value per row of an ``m x k``
-    block."""
+    block of at most `probes` vectors.
+
+    The skeleton is bound once per tile of at most MAX_BLOCK_ELEMENTS rows.
+    Each tile's squared errors land in one buffer over all rows, which the
+    penalty and the sum then run over whole, so the value does not depend on
+    the tiling."""
+    n = len(y)
+    tile_rows = min(n, MAX_BLOCK_ELEMENTS)
+    tiles = [
+        (slice(start, start + tile_rows), bind(skeleton, X[start : start + tile_rows]))
+        for start in range(0, n, tile_rows)
+    ]
+    squares = np.empty((probes, n))
 
     def objective(theta: np.ndarray):
-        pred = evaluate(skeleton, X, theta)
+        sq = squares[0] if theta.ndim == 1 else squares[: len(theta)]
         with np.errstate(all="ignore"):
-            sq = (pred - y) ** 2
-        sq = np.where(np.isfinite(sq), sq, penalty)
+            for rows, evaluator in tiles:
+                # the evaluator's output can be a view of theta: write only sq
+                tile = sq[..., rows]
+                np.subtract(evaluator(theta), y[rows], out=tile)
+                np.square(tile, out=tile)
+        np.copyto(sq, penalty, where=~np.isfinite(sq))
         # the sum and division np.mean does, without its per-call overhead
-        return np.add.reduce(sq, axis=-1) / len(y)
+        return np.add.reduce(sq, axis=-1) / n
 
     return objective
 
@@ -144,9 +167,13 @@ def fit_params(
     Start 1 is the all-ones vector; remaining starts are standard-normal
     draws from a generator seeded by `seed`.  Gradients are central finite
     differences with per-coordinate step h = gradient_step * max(1, |theta|).
-    The 2k probes of a gradient, in the order theta + h_0 e_0,
-    theta - h_0 e_0, theta + h_1 e_1, ..., are evaluated as parameter blocks
-    of at most MAX_BLOCK_ELEMENTS predictions each.  Every probe counts as
+    The skeleton is bound to tr-tr once per fit, in row tiles of at most
+    MAX_BLOCK_ELEMENTS rows, so a subtree that reads no parameter is
+    computed once per fit and no operator call covers more than
+    MAX_BLOCK_ELEMENTS predictions.  The 2k probes of a gradient, in the
+    order theta + h_0 e_0, theta - h_0 e_0, theta + h_1 e_1, ..., are
+    evaluated as parameter blocks of max(1, MAX_BLOCK_ELEMENTS // n)
+    probes each.  Every probe counts as
     one evaluation: when the budget runs out inside a gradient, the probes
     that fit are evaluated in that order, the rest are dropped, and the fit
     stops, exactly as if they had been evaluated one at a time.
@@ -171,7 +198,8 @@ def fit_params(
             evaluations=1,
         )
 
-    objective = _penalized_objective(skeleton, X, y, config.penalty)
+    probes_per_block = max(1, MAX_BLOCK_ELEMENTS // len(y))
+    objective = _penalized_objective(skeleton, X, y, config.penalty, probes_per_block)
     state = {"evals": 0, "best_f": INF, "best_x": np.ones(k)}
 
     def counted(theta: np.ndarray) -> float:
@@ -184,7 +212,6 @@ def fit_params(
             state["best_x"] = np.array(theta, dtype=float)
         return f
 
-    rows_per_block = max(1, MAX_BLOCK_ELEMENTS // len(y))
     diagonal = np.arange(k)
 
     def gradient(theta: np.ndarray) -> np.ndarray:
@@ -197,8 +224,8 @@ def fit_params(
         probes = probes.reshape(2 * k, k)
         left = config.max_evaluations - state["evals"]
         values = []
-        for start in range(0, min(2 * k, left), rows_per_block):
-            block = probes[start : min(start + rows_per_block, left)]
+        for start in range(0, min(2 * k, left), probes_per_block):
+            block = probes[start : min(start + probes_per_block, left)]
             state["evals"] += len(block)
             f = objective(block)
             best = int(np.argmin(f))  # the first minimum, as a strict < scan keeps

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .data import Problem, json_safe, load_problem, load_problem_data
+from .data import Problem, is_integer, json_safe, load_problem, load_problem_data
 from .fit import OptimizerConfig
 from .generate import (
     DEFAULT_TIMEOUT,
@@ -62,6 +62,9 @@ class SuiteConfig:
         if len(set(self.modes)) != len(self.modes):
             # two jobs would share one <problem>/<mode>/<repeat> path
             raise HarnessError(f"duplicate mode in {list(self.modes)}")
+        for name in ("repeats", "workers"):
+            if not is_integer(getattr(self, name)):
+                raise HarnessError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.repeats < 1:
             raise HarnessError("repeats must be >= 1")
         if self.workers < 1:
@@ -104,8 +107,8 @@ def suite_config_from_json(path: str | Path) -> SuiteConfig:
         search=search_config_from_json(search_raw),
         generator=generator_settings(raw["generator"]),
         analysis_generator=None if analysis is None else generator_settings(analysis),
-        repeats=int(raw.get("repeats", 3)),
-        workers=int(raw.get("workers", 1)),
+        repeats=raw.get("repeats", 3),
+        workers=raw.get("workers", 1),
     )
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import context as ctx
-from .data import DEFAULT_SPLIT_RATIO, Problem, json_safe, split
+from .data import DEFAULT_SPLIT_RATIO, Problem, is_integer, json_safe, split
 from .expr import evaluate
 from .fit import Candidate, OptimizerConfig, evaluate_candidate, nmse, DegenerateTargetError
 from .generate import (
@@ -47,6 +47,12 @@ class SearchError(ValueError):
     """Raised for invalid configurations (bad mode, missing generator)."""
 
 
+_INTEGER_FIELDS = (
+    "iterations", "samples_per_prompt", "islands", "island_capacity", "k_demos",
+    "seed", "retry_budget", "split_seed",
+)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     iterations: int = 150
@@ -68,6 +74,10 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise SearchError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not (is_integer(value) or (name == "split_seed" and value is None)):
+                raise SearchError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise SearchError("iterations must be >= 1")
         if self.samples_per_prompt < 1:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symreg import expr
 from symreg.expr import (
     MAX_DEPTH,
     MAX_PARAMS,
@@ -18,6 +19,7 @@ from symreg.expr import (
     Skeleton,
     Unary,
     Var,
+    bind,
     depth,
     evaluate,
     parse,
@@ -388,6 +390,99 @@ class TestEvaluateBlock:
     def test_short_block_rows_raise(self):
         with pytest.raises(ExpressionError, match="parameters"):
             evaluate(parse("p0+p1", 1), [[1.0]], np.ones((3, 1)))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestBind:
+    """``bind(skeleton, X)`` computes the parameter-free subtrees once and
+    returns the evaluator of the rest; ``evaluate`` is one bind and one call."""
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 6),
+        st.lists(
+            st.lists(PARAM_VALUES, min_size=MAX_PARAMS, max_size=MAX_PARAMS),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_binding_serves_every_evaluation(self, seed, max_depth, block):
+        # one bound evaluator, reused across vectors and blocks, gives what a
+        # fresh evaluation gives each time
+        s = random_expression(2, seed, max_depth)
+        params = np.array(block)[:, : s.param_count]
+        bound = bind(s, EDGE_FEATURES)
+        for p in [*params, params, params[:1], *params[::-1]]:
+            assert _same_bits(bound(p), evaluate(s, EDGE_FEATURES, p)), (s.text, p)
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 6),
+        st.lists(PARAM_VALUES, min_size=MAX_PARAMS, max_size=MAX_PARAMS),
+        st.integers(1, 9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_row_tiles_concatenate_to_the_full_evaluation(self, seed, max_depth, vector, size):
+        s = random_expression(2, seed, max_depth)
+        p = np.array(vector)[: s.param_count]
+        block = np.stack([p, -p, 0.5 * p])
+        tiles = [bind(s, EDGE_FEATURES[i : i + size]) for i in range(0, len(EDGE_FEATURES), size)]
+        for params in (p, block):
+            joined = np.concatenate([tile(params) for tile in tiles], axis=-1)
+            full = evaluate(s, EDGE_FEATURES, params)
+            same = (joined.view(np.int64) == full.view(np.int64)) | (
+                np.isnan(joined) & np.isnan(full)
+            )
+            assert joined.shape == full.shape and same.all(), (s.text, size)
+
+    def test_parameter_free_subtree_runs_once_per_bind(self, monkeypatch):
+        calls = []
+
+        def counting_sin(c):
+            calls.append(np.shape(c))
+            return np.sin(c)
+
+        monkeypatch.setitem(expr.UNARY, "sin", counting_sin)
+        s = parse("p0 * sin(x0) + p1", 1)
+        X = np.linspace(-2.0, 2.0, 7).reshape(-1, 1)
+        bound = bind(s, X)
+        assert calls == [(7,)]
+        for _ in range(3):
+            bound([1.0, 2.0])
+            bound(np.ones((4, 2)))
+        assert calls == [(7,)]
+        evaluate(s, X, [1.0, 2.0])
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "text", ["p0", "x0", "x0 + p0", "p0 * sin(x0) + cos(x0)", "x0 ^ p0", "p0 ^ p1", "exp(x0)"]
+    )
+    def test_evaluation_mutates_neither_params_nor_hoisted_arrays(self, text):
+        # 2.0 and 0.5 are np.power's fast-path exponents, whose block rows
+        # the evaluator rewrites in its own output
+        s = parse(text, 1)
+        X = np.linspace(0.5, 3.0, 6).reshape(-1, 1)
+        bound = bind(s, X)
+        vector = np.array([2.0, 0.5])[: s.param_count]
+        block = np.array([[2.0, 1.0], [0.5, 2.0], [-1.0, 3.0]])[:, : s.param_count]
+        saved = X.copy(), vector.copy(), block.copy()
+        first = bound(vector).copy(), bound(block).copy()
+        for _ in range(2):
+            assert _same_bits(bound(vector), first[0])
+            assert _same_bits(bound(block), first[1])
+        assert _same_bits(X, saved[0])
+        assert _same_bits(vector, saved[1]) and _same_bits(block, saved[2])
+
+    def test_bind_checks_features_and_the_evaluator_checks_params(self):
+        with pytest.raises(ExpressionError, match="columns"):
+            bind(parse("x0 + x1", 2), [[1.0]])
+        bound = bind(parse("p0 + p1 * x0", 1), [[1.0]])
+        with pytest.raises(ExpressionError, match="parameters"):
+            bound([1.0])
 
 
 class TestMutation:

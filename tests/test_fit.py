@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from symreg import fit
+from symreg import expr, fit
 from symreg.data import split
 from symreg.expr import evaluate, parse
 from symreg.fit import (
@@ -131,6 +131,17 @@ class TestOptimizerConfig:
 
     def test_accepts_zero_gradient_tolerance(self):
         assert OptimizerConfig(gradient_tolerance=0.0).gradient_tolerance == 0.0
+
+    # a float budget passed validation, then failed every fit in range() or
+    # reached scipy as a float
+    @pytest.mark.parametrize("name", ["restarts", "max_iterations", "max_evaluations"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+    def test_rejects_non_integer_budgets(self, name, value):
+        with pytest.raises(FitError, match=name):
+            OptimizerConfig(**{name: value})
+
+    def test_accepts_numpy_integer_budgets(self):
+        assert OptimizerConfig(restarts=np.int64(2)).restarts == 2
 
 
 class TestFitParams:
@@ -318,6 +329,78 @@ class TestBlockGradient:
         got = fit_params(sk, kepler_dataset, config, seed=3)
         assert got == _per_probe_fit(sk, kepler_dataset, config, 3)
         assert got.evaluations < config.max_evaluations
+
+
+    # kepler has 80 rows: tiles of 16 divide them, 30/30/20 do not, and a
+    # bound of 80 gives one tile
+    @pytest.mark.parametrize(
+        "text", ["p0 * sin(x0) + p1", "p0 + exp(x0 * 2.0)", "p0", "p0 * (x0 ^ p1) + p2"]
+    )
+    @pytest.mark.parametrize("tile_rows", [16, 30, 80])
+    def test_row_tiles_match_per_probe_loop(self, kepler_dataset, monkeypatch, text, tile_rows):
+        monkeypatch.setattr(fit, "MAX_BLOCK_ELEMENTS", tile_rows)
+        sk = parse(text, 1)
+        for budget in (5, 40, 5000):
+            config = OptimizerConfig(restarts=2, max_evaluations=budget)
+            got = fit_params(sk, kepler_dataset, config, seed=2)
+            assert got == _per_probe_fit(sk, kepler_dataset, config, 2), budget
+
+    def test_penalty_in_one_tile_matches_per_probe_loop(self, kepler_dataset, monkeypatch):
+        # log(x0) is non-finite on rows 30..59 only: the middle tile of 30/30/20
+        X = kepler_dataset.features.copy()
+        X[30:60] *= -1.0
+        ds = make_dataset(X, kepler_dataset.target)
+        monkeypatch.setattr(fit, "MAX_BLOCK_ELEMENTS", 30)
+        sk = parse("p0 * log(x0) + p1", 1)
+        config = OptimizerConfig(restarts=2)
+        got = fit_params(sk, ds, config, seed=1)
+        assert got == _per_probe_fit(sk, ds, config, 1)
+        assert got.train_mse > 1e10 * 30 / 80  # the penalized rows count
+
+    @pytest.mark.parametrize("text", ["p0", "x0 ^ p0", "p1 * x0 ^ p0"])
+    @pytest.mark.parametrize("tile_rows", [1, 80])
+    def test_objective_leaves_params_alone(self, kepler_dataset, monkeypatch, text, tile_rows):
+        # on one-row tiles a bare Param's block evaluates to a view of the
+        # params, and a block's pow rows at fast-path exponents are rewritten
+        # in the evaluator's output
+        monkeypatch.setattr(fit, "MAX_BLOCK_ELEMENTS", tile_rows)
+        X, y = kepler_dataset.features, kepler_dataset.target
+        sk = parse(text, 1)
+        objective = fit._penalized_objective(sk, X, y, 1e10, 4)
+        theta = np.array([2.0, 0.5])[: sk.param_count]
+        block = np.array([[2.0, 1.0], [0.5, 3.0], [-1.0, 1.0]])[:, : sk.param_count]
+        saved = theta.copy(), block.copy()
+        first = objective(theta), objective(block)
+        assert np.array_equal(theta, saved[0]) and np.array_equal(block, saved[1])
+        assert objective(theta) == first[0]
+        assert np.array_equal(objective(block), first[1])
+
+    @pytest.mark.parametrize("rows", [300, 20_000])
+    def test_no_operator_call_exceeds_the_block_bound(self, monkeypatch, rows):
+        # a call over more elements than the bound allocates arrays big enough
+        # for glibc to map and unmap, or trim and re-fault, on every evaluation
+        sizes = []
+
+        def recording(fn):
+            def wrapped(*args):
+                out = fn(*args)
+                sizes.append(np.size(out))
+                return out
+
+            return wrapped
+
+        for table in (expr.UNARY, expr.BINARY):
+            for name, fn in list(table.items()):
+                monkeypatch.setitem(table, name, recording(fn))
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0.5, 3.0, size=(rows, 2))
+        ds = make_dataset(X, 1.5 * X[:, 0] ** 1.5 + np.cos(X[:, 1]))
+        sk = parse("p0 * x0 ^ p1 + p2 * cos(x1) - sqrt(abs(x1 / p2))", 2)
+        result = fit_params(sk, ds, OptimizerConfig(restarts=1, max_evaluations=120), seed=0)
+        assert result.evaluations == 120
+        assert sizes and max(sizes) <= fit.MAX_BLOCK_ELEMENTS
+        # blocks of probes fill the bound when the rows leave room
+        assert max(sizes) > rows or rows > fit.MAX_BLOCK_ELEMENTS
 
 
 class TestNormalEquationsOracle:

@@ -22,7 +22,7 @@ from symreg.harness import (
     win_rate,
     win_rate_curve,
 )
-from symreg.search import SearchConfig
+from symreg.search import SearchConfig, SearchError
 from tests.conftest import write_problem_files
 
 INF = float("inf")
@@ -277,6 +277,31 @@ class TestConfigParsing:
             SuiteConfig(**{**base, "repeats": 0})
         with pytest.raises(HarnessError, match="problem"):
             SuiteConfig(**{**base, "problems": ()})
+
+    # int() used to turn 2.7 into 2, "2" into 2 and true into 1
+    @pytest.mark.parametrize("key", ["repeats", "workers"])
+    @pytest.mark.parametrize("value", [2.7, 2.0, "2", True])
+    def test_suite_json_rejects_non_integer_counts(self, tmp_path, key, value):
+        cfg_path = tmp_path / "suite.json"
+        cfg_path.write_text(
+            json.dumps(
+                {"problems": ["a.json"], "modes": ["llm-sr"], "out_dir": "out",
+                 "generator": {"type": "mutation"}, key: value}
+            )
+        )
+        with pytest.raises(HarnessError, match=key):
+            suite_config_from_json(cfg_path)
+
+    def test_suite_json_search_block_rejects_non_integer_counts(self, tmp_path):
+        cfg_path = tmp_path / "suite.json"
+        cfg_path.write_text(
+            json.dumps(
+                {"problems": ["a.json"], "modes": ["llm-sr"], "out_dir": "out",
+                 "generator": {"type": "mutation"}, "search": {"islands": 2.0}}
+            )
+        )
+        with pytest.raises(SearchError, match="islands"):
+            suite_config_from_json(cfg_path)
 
 
 def _suite(tmp_path, *, modes=("llm-sr", "statistical-hint"), repeats=2, out="out"):

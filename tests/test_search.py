@@ -141,6 +141,21 @@ class TestSearchConfig:
         assert cfg.mode == "proaug"
         assert cfg.iterations == 150
 
+    # a float count passed validation, then the run died in range()
+    @pytest.mark.parametrize(
+        "name",
+        ["iterations", "samples_per_prompt", "islands", "island_capacity", "k_demos",
+         "seed", "retry_budget", "split_seed"],
+    )
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_rejects_non_integer_counts(self, name, value):
+        with pytest.raises(SearchError, match=name):
+            SearchConfig(**{name: value})
+
+    def test_split_seed_may_be_none(self):
+        assert SearchConfig(split_seed=None).split_seed is None
+        assert SearchConfig(split_seed=3).split_seed == 3
+
 
 class TestExperienceBuffer:
     def test_round_robin_routing(self):
