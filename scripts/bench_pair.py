@@ -21,6 +21,10 @@ the verdict, which it also prints one row per workload and metric:
   most the metric's ``BENCHMARK.json`` bound, a fraction of the parent's
   median (``-`` for a metric without a bound).
 
+Per workload it also prints, per side, the runs that report ``correct:
+false`` and the summed ``failed`` count, and the pairs whose digests differ.
+It exits 1 when any digest differs or any run is incorrect.
+
 The two checkouts must have paths of equal length: heap layout follows the
 path length, and that alone has moved run_s by 10-17%.
 """
@@ -81,6 +85,30 @@ def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float
     return summary
 
 
+def health(pairs: list[dict]) -> dict:
+    """Per side, the runs that report ``correct: false`` and the summed
+    ``failed`` count; and the pairs whose two digests differ."""
+    return {
+        "incorrect": {side: sum(not p[side]["correct"] for p in pairs) for side in SIDES},
+        "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
+        "digests_differ": sum(p["parent"]["digest"] != p["change"]["digest"] for p in pairs),
+        "pairs": len(pairs),
+    }
+
+
+def health_row(workload: str, h: dict) -> str:
+    def per_side(counts: dict) -> str:
+        return " ".join(f"{side} {counts[side]}" for side in SIDES)
+
+    return (f"{workload:<15} incorrect runs: {per_side(h['incorrect'])}; "
+            f"failed: {per_side(h['failed'])}; "
+            f"digests differ: {h['digests_differ']}/{h['pairs']} pairs")
+
+
+def healthy(h: dict) -> bool:
+    return h["digests_differ"] == 0 and not any(h["incorrect"].values())
+
+
 def verdict_rows(workload: str, summary: dict) -> list[str]:
     def side(q: dict) -> str:
         return f"{q['median']:.4g} [{q['q1']:.4g}, {q['q3']:.4g}]"
@@ -131,7 +159,7 @@ def main() -> int:
             print(workload, f"pair {k} seed {seed}",
                   {s: round(pair[s]["values"]["run_s"], 3) for s in SIDES},
                   "same digest" if pair["same_digest"] else "DIGESTS DIFFER", flush=True)
-        record["workloads"][workload] = {"pairs": pairs,
+        record["workloads"][workload] = {"pairs": pairs, "health": health(pairs),
                                          "summary": summarize(pairs, better, bounds)}
 
     out = args.out_dir / f"BENCH_{args.pr}.json"
@@ -139,7 +167,9 @@ def main() -> int:
     print(f"wrote {out}")
     for workload, result in record["workloads"].items():
         print("\n".join(verdict_rows(workload, result["summary"])))
-    return 0
+    for workload, result in record["workloads"].items():
+        print(health_row(workload, result["health"]))
+    return 0 if all(healthy(r["health"]) for r in record["workloads"].values()) else 1
 
 
 if __name__ == "__main__":

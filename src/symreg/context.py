@@ -315,37 +315,48 @@ def default_hint_spec(arity: int) -> AnalysisSpec:
 # Execution
 
 
-def _term_values(term: FeatureTerm, data: Dataset) -> np.ndarray:
+def _term_values(term: FeatureTerm, data: Dataset, out: np.ndarray) -> np.ndarray:
+    """The x-term's value per row, written into ``out``."""
     X = data.features
     with np.errstate(all="ignore"):
         if isinstance(term.base, FeatureRef):
-            values = X[:, term.base.index]
+            np.copyto(out, X[:, term.base.index])
         else:
             # ratio by 0 and inv of 0 give non-finite rows, masked downstream
             combine = BINARY[_COMBINER_OPS[term.base.combiner]]
-            values = combine(X[:, term.base.left], X[:, term.base.right])
+            combine(X[:, term.base.left], X[:, term.base.right], out=out)
         for t in reversed(term.chain):
-            values = UNARY[t](values)
-    return values
+            UNARY[t](out, out=out)
+    return out
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float] | None:
+# The kernels take their scratch arrays (each the length of x) from the
+# caller and spell np.mean, np.sum and np.std as the ufunc steps those run,
+# in the same order, so each value is bitwise what the numpy call returns.
+
+
+def _ols(
+    x: np.ndarray, y: np.ndarray, dx: np.ndarray, dy: np.ndarray, tmp: np.ndarray
+) -> tuple[float, float, float] | None:
     """Least-squares line y ~ x: (slope, intercept, r2 clamped to [0,1]), or
     None when a sum is non-finite (finite rows whose sums overflow)."""
-    mx = float(np.mean(x))
-    my = float(np.mean(y))
-    dx = x - mx
-    dy = y - my
-    sxx = float(np.sum(dx**2))
-    sxy = float(np.sum(dx * dy))
+    n = len(x)
+    mx = float(np.add.reduce(x) / n)
+    my = float(np.add.reduce(y) / n)
+    np.subtract(x, mx, out=dx)
+    np.subtract(y, my, out=dy)
+    sxx = float(np.add.reduce(np.multiply(dx, dx, out=tmp)))
+    sxy = float(np.add.reduce(np.multiply(dx, dy, out=tmp)))
     if sxx == 0.0:
         slope, intercept = 0.0, my
     else:
         slope = sxy / sxx
         intercept = my - slope * mx
-    residuals = y - (slope * x + intercept)
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum(dy**2))
+    residuals = np.multiply(slope, x, out=tmp)
+    np.add(residuals, intercept, out=residuals)
+    np.subtract(y, residuals, out=residuals)
+    ss_res = float(np.add.reduce(np.multiply(residuals, residuals, out=tmp)))
+    ss_tot = float(np.add.reduce(np.multiply(dy, dy, out=tmp)))
     if not all(map(math.isfinite, (mx, my, sxx, sxy, ss_res, ss_tot))):
         return None
     if ss_tot == 0.0:
@@ -353,13 +364,18 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float] | None:
     return slope, intercept, float(min(1.0, max(0.0, 1.0 - ss_res / ss_tot)))
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
+def _pearson(
+    x: np.ndarray, y: np.ndarray, dx: np.ndarray, dy: np.ndarray, tmp: np.ndarray
+) -> float | None:
     """Correlation clamped to [-1, 1], or None when a sum is non-finite."""
-    sx = float(np.std(x))
-    sy = float(np.std(y))
+    n = len(x)
+    np.subtract(x, np.add.reduce(x) / n, out=dx)
+    sx = float(np.sqrt(np.add.reduce(np.square(dx, out=tmp)) / n))
+    np.subtract(y, np.add.reduce(y) / n, out=dy)
+    sy = float(np.sqrt(np.add.reduce(np.square(dy, out=tmp)) / n))
     if sx == 0.0 or sy == 0.0:
         return 0.0
-    sxy = float(np.mean((x - np.mean(x)) * (y - np.mean(y))))
+    sxy = float(np.add.reduce(np.multiply(dx, dy, out=tmp)) / n)
     scale = sx * sy
     if not (math.isfinite(sxy) and math.isfinite(scale)):
         return None
@@ -396,25 +412,33 @@ def _run_sample(
     return [ReportEntry(key="samples", header=header, lines=tuple(lines))]
 
 
-def _run_fit(directive: Fit, data: Dataset, targets: dict) -> list[ReportEntry]:
+def _run_fit(
+    directive: Fit, data: Dataset, targets: dict, scratch: np.ndarray, mask: np.ndarray
+) -> list[ReportEntry]:
     """``targets`` holds each y-term already computed in this execute, with
-    its finite-row mask."""
+    its finite-row mask.  ``scratch`` is a (6, n) buffer and ``mask`` an (n,)
+    bool buffer, both overwritten."""
     if directive.y_term not in targets:
         with np.errstate(all="ignore"):
             y = data.target if directive.y_term == "y" else np.log(data.target)
         targets[directive.y_term] = y, np.isfinite(y)
     y, y_finite = targets[directive.y_term]
-    x = _term_values(directive.x_term, data)
-    valid = np.isfinite(x) & y_finite
+    values, x_valid, y_valid, dx, dy, tmp = scratch
+    x = _term_values(directive.x_term, data, values)
+    valid = np.bitwise_and(np.isfinite(x, out=mask), y_finite, out=mask)
     n_valid = int(np.count_nonzero(valid))
     kind = directive.kind
     key = f"{kind}_{Y_TERMS[directive.y_term]}_{term_key(directive.x_term)}"
     na = [ReportEntry(f"{key}_na", n_valid, detail={"n_valid": n_valid})]
     if n_valid < MIN_VALID_ROWS:
         return na
-    xv, yv = (x, y) if n_valid == len(valid) else (x[valid], y[valid])
+    if n_valid < len(valid):
+        # compacted into buffers other than the ones read
+        x = np.compress(valid, x, out=x_valid[:n_valid])
+        y = np.compress(valid, y, out=y_valid[:n_valid])
+    kernel = _ols if kind == "r2" else _pearson
     with np.errstate(all="ignore"):
-        fit = _ols(xv, yv) if kind == "r2" else _pearson(xv, yv)
+        fit = kernel(x, y, dx[:n_valid], dy[:n_valid], tmp[:n_valid])
     if fit is None:
         return na
     if kind == "r2":
@@ -443,12 +467,19 @@ def execute(
     looked up instead of re-run.  It is only valid for that one dataset.
     Sample directives depend on their index and the seed, so they always
     run.  An error line carries the directive's index in this spec.
+
+    The r2 and corr kernels run in scratch buffers allocated once per call
+    (term values, masked x and y, deviations, a temporary and a row mask),
+    which they overwrite with ``out=``, so a directive allocates no
+    full-length temporary of its own.
     """
     if data.arity != spec.arity:
         raise ValueError(f"spec arity {spec.arity} != dataset arity {data.arity}")
     if memo is None:
         memo = {}
     targets: dict = {}
+    scratch = np.empty((6, data.n_rows))
+    mask = np.empty(data.n_rows, dtype=bool)
     entries: list[ReportEntry] = []
     errors: list[str] = []
     for i, directive in enumerate(spec.directives):
@@ -462,7 +493,7 @@ def execute(
                     rng = np.random.default_rng([entropy, i])
                     outcome = _run_sample(directive, data, rng)
                 else:
-                    outcome = _run_fit(directive, data, targets)
+                    outcome = _run_fit(directive, data, targets, scratch, mask)
             except Exception as exc:  # per-directive isolation
                 outcome = str(exc)
             if not isinstance(directive, SampleRows):  # a draw depends on its index

@@ -40,25 +40,26 @@ MAX_PARAMS = 10
 MAX_DEPTH = 100
 MAX_MUTATION_DEPTH = 12
 
-# The operator table: the compiled evaluator dispatches through it.  Dict order is
-# the order of UNARY_OPS/BINARY_OPS, which the seeded mutator draws from, so
-# reordering an entry changes every mutation trace.
+# The operator table: the compiled evaluator and the analysis kernels dispatch
+# through it.  Every entry is a numpy ufunc, so a caller can pass ``out=``.
+# Dict order is the order of UNARY_OPS/BINARY_OPS, which the seeded mutator
+# draws from, so reordering an entry changes every mutation trace.
 UNARY = {
-    "neg": operator.neg,
+    "neg": np.negative,
     "log": np.log,
     "exp": np.exp,
     "sin": np.sin,
     "cos": np.cos,
     "sqrt": np.sqrt,
     "abs": np.abs,
-    "square": lambda c: c * c,
-    "inv": lambda c: np.float64(1.0) / c,
+    "square": np.square,
+    "inv": np.reciprocal,
 }
 BINARY = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "div": operator.truediv,
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "div": np.divide,
     "pow": np.power,  # complex-valued cases yield nan
 }
 UNARY_OPS = tuple(UNARY)
@@ -112,8 +113,9 @@ class Binary:
 Node = Union[Const, Var, Param, Unary, Binary]
 
 # A compiled tree runs in two stages: features -> (params -> values).  The
-# first stage computes every subtree that reads no Param once, over the rows
-# of the feature matrix, and returns the evaluator of the rest.  A Param leaf
+# features are a tuple of contiguous columns, one per variable, which a Var
+# leaf indexes.  The first stage computes every subtree that reads no Param
+# once, over those rows, and returns the evaluator of the rest.  A Param leaf
 # indexes the params, so one evaluator takes a single parameter vector and a
 # (k, m, 1) stack of parameter columns alike.  The evaluator never writes into
 # the params or a hoisted array; a bare Param tree returns a view of the
@@ -261,8 +263,7 @@ def skeleton_from_node(node: Node, arity: int) -> Skeleton:
                 raise ExpressionError(
                     f"variable x{n.index} out of range for arity {arity}"
                 )
-            column = n.index
-            return n, f"x{column}", lambda X: X[:, column], False
+            return n, f"x{n.index}", operator.itemgetter(n.index), False
         if isinstance(n, Param):
             if not 0 <= n.index < MAX_PARAMS:
                 raise ExpressionError(
@@ -479,8 +480,10 @@ def parse(text: str, arity: int) -> Skeleton:
 def bind(skeleton: Skeleton, features) -> Callable[..., np.ndarray]:
     """Bind the skeleton to an ``n x arity`` feature matrix.
 
-    Computes every subtree that reads no parameter once, over these rows,
-    and returns the evaluator of the rest, ``params -> values``.
+    Copies each feature column once into contiguous memory, so no operator
+    reads a strided view of a row-major matrix, computes every subtree that
+    reads no parameter once, over these rows, and returns the evaluator of
+    the rest, ``params -> values``.
     ``params`` is one parameter vector, giving ``n`` values, or an ``m x k``
     block of vectors, giving an ``m x n`` array whose row ``i`` is bitwise
     the evaluation at ``params[i]``.  Pure and deterministic: the evaluator
@@ -495,8 +498,9 @@ def bind(skeleton: Skeleton, features) -> Callable[..., np.ndarray]:
         raise ExpressionError(
             f"feature matrix must have {skeleton.arity} columns, got shape {X.shape}"
         )
+    columns = tuple(np.ascontiguousarray(X[:, j]) for j in range(X.shape[1]))
     with np.errstate(all="ignore"):
-        bound = skeleton.compiled(X)
+        bound = skeleton.compiled(columns)
     rows = X.shape[0]
 
     def evaluator(params=()) -> np.ndarray:
@@ -548,13 +552,6 @@ def _random_tree(rng: random.Random, arity: int, max_depth: int) -> Node:
         _random_tree(rng, arity, max_depth - 1),
         _random_tree(rng, arity, max_depth - 1),
     )
-
-
-def random_expression(arity: int, rng_seed: int, max_depth: int = 4) -> Skeleton:
-    """Seeded random Skeleton; always valid.  Only tests call it; the mutator
-    draws its subtrees from ``_random_tree`` directly."""
-    rng = random.Random(rng_seed)
-    return skeleton_from_node(_random_tree(rng, arity, max_depth), arity)
 
 
 def _paths(node: Node, prefix: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], Node]]:

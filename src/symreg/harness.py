@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -121,7 +122,10 @@ def make_generator(settings: dict, arity: int, run_seed: int) -> Generator:
     """
     kind = settings.get("type")
     if kind == "mutation":
-        return MutationGenerator(arity, seed=int(settings.get("seed", run_seed)))
+        seed = settings.get("seed", run_seed)
+        if not is_integer(seed):
+            raise HarnessError(f"mutation seed must be an integer, got {seed!r}")
+        return MutationGenerator(arity, seed=int(seed))
     if kind == "scripted":
         if "texts" in settings:
             return ScriptedGenerator(settings["texts"])
@@ -132,10 +136,17 @@ def make_generator(settings: dict, arity: int, run_seed: int) -> Generator:
         for key in ("url", "model"):
             if key not in settings:
                 raise HarnessError(f"remote generator needs {key!r}")
+        timeout = settings.get("timeout", DEFAULT_TIMEOUT)
+        if not (
+            isinstance(timeout, numbers.Real)
+            and not isinstance(timeout, bool)
+            and 0.0 < timeout < math.inf
+        ):
+            raise HarnessError(
+                f"remote timeout must be a positive finite number, got {timeout!r}"
+            )
         return RemoteChatGenerator(
-            url=settings["url"],
-            model=settings["model"],
-            timeout=float(settings.get("timeout", DEFAULT_TIMEOUT)),
+            url=settings["url"], model=settings["model"], timeout=float(timeout)
         )
     raise HarnessError(f"unknown generator type {kind!r}")
 

@@ -1,11 +1,13 @@
 import csv
 import json
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from symreg.data import Dataset, Problem, ProblemSpec
+from symreg.expr import Skeleton, _random_tree, skeleton_from_node
 
 
 def make_dataset(X, y, names=None) -> Dataset:
@@ -14,6 +16,13 @@ def make_dataset(X, y, names=None) -> Dataset:
         X = X.reshape(-1, 1)
     names = names or tuple(f"x{i}" for i in range(X.shape[1]))
     return Dataset(features=X, target=np.asarray(y, dtype=float), feature_names=names)
+
+
+def random_expression(arity: int, rng_seed: int, max_depth: int = 4) -> Skeleton:
+    """Seeded random Skeleton; always valid.  Its subtrees come from the
+    mutator's own ``_random_tree``."""
+    rng = random.Random(rng_seed)
+    return skeleton_from_node(_random_tree(rng, arity, max_depth), arity)
 
 
 def make_problem(

@@ -21,7 +21,7 @@ import pytest
 
 from symreg.context import default_hint_spec, execute
 from symreg.data import SplitView, load_problem, load_problem_data, split
-from symreg.expr import evaluate, parse, random_expression
+from symreg.expr import evaluate, parse
 from symreg.fit import (
     OptimizerConfig,
     evaluate_candidate,
@@ -31,7 +31,7 @@ from symreg.fit import (
 from symreg.generate import REPORT_HEADER, ScriptedGenerator
 from symreg.harness import SuiteConfig, run_suite
 from symreg.search import ExperienceBuffer, SearchConfig, run, trace_lines, write_trace
-from tests.conftest import make_dataset, make_problem, write_problem_files
+from tests.conftest import make_dataset, make_problem, random_expression, write_problem_files
 from tests.test_search import GOOD_ANALYSIS, GOOD_LINEAR, GOOD_POWER, _candidate
 
 INF = float("inf")

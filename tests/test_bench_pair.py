@@ -73,3 +73,60 @@ def test_verdict_rows_print_each_side_wins_claim_and_bound():
     assert "change 9.45 [9.225, 9.675]" in run_s
     assert run_s.endswith("wins 10/10 claim yes within_bound yes")
     assert minflt.endswith("wins 0/10 claim no within_bound -")
+
+
+def _runs(digests: list[tuple[str, str]], correct=(True, True), failed=(0, 0)) -> list[dict]:
+    return [{"parent": {"digest": p, "correct": correct[0], "failed": failed[0]},
+             "change": {"digest": c, "correct": correct[1], "failed": failed[1]}}
+            for p, c in digests]
+
+
+def test_health_counts_incorrect_runs_failures_and_differing_digests():
+    bench_pair = _bench_pair()
+    pairs = _runs([("a", "a"), ("b", "c")], failed=(0, 2)) + _runs(
+        [("d", "d")], correct=(True, False), failed=(1, 0))
+    h = bench_pair.health(pairs)
+    assert h == {"incorrect": {"parent": 0, "change": 1}, "failed": {"parent": 1, "change": 4},
+                 "digests_differ": 1, "pairs": 3}
+    assert bench_pair.health_row("proaug-large", h) == (
+        "proaug-large    incorrect runs: parent 0 change 1; failed: parent 1 change 4; "
+        "digests differ: 1/3 pairs")
+    assert not bench_pair.healthy(h)
+
+
+@pytest.mark.parametrize(
+    "pairs, ok",
+    [
+        (_runs([("a", "a"), ("b", "b")]), True),
+        (_runs([("a", "a"), ("b", "b")], failed=(3, 3)), True),  # printed, not fatal
+        (_runs([("a", "a"), ("b", "x")]), False),
+        (_runs([("a", "a")], correct=(False, True)), False),
+        (_runs([("a", "a")], correct=(True, False)), False),
+    ],
+)
+def test_healthy_needs_equal_digests_and_correct_runs(pairs, ok):
+    bench_pair = _bench_pair()
+    assert bench_pair.healthy(bench_pair.health(pairs)) is ok
+
+
+def test_exits_nonzero_when_a_digest_differs(tmp_path, monkeypatch, capsys):
+    bench_pair = _bench_pair()
+    parent, change = tmp_path / "pa", tmp_path / "ch"
+    for checkout in (parent, change):
+        checkout.mkdir()
+        (checkout / "BENCHMARK.json").write_text(
+            '{"end_to_end": [{"name": "run_s", "better": "lower", "bound": 0.25}]}')
+
+    def fake_run(checkout, workload, seed, seconds):
+        return {"values": {"run_s": 1.0}, "digest": checkout.name, "correct": True,
+                "failed": 0, "machine": {}}
+
+    monkeypatch.setattr(bench_pair, "run_once", fake_run)
+    monkeypatch.setattr(sys, "argv", ["bench_pair.py", "--parent", str(parent), "--change",
+                                      str(change), "--pr", "t", "--workload", "w",
+                                      "--pairs", "2", "--out-dir", str(tmp_path)])
+    assert bench_pair.main() == 1
+    assert "digests differ: 2/2 pairs" in capsys.readouterr().out
+    monkeypatch.setattr(bench_pair, "run_once",
+                        lambda *args: {**fake_run(*args), "digest": "same"})
+    assert bench_pair.main() == 0

@@ -1,4 +1,6 @@
 import importlib.util
+import math
+import operator
 import sys
 from pathlib import Path
 
@@ -9,13 +11,18 @@ from hypothesis import strategies as st
 
 from symreg import context
 from symreg.context import (
+    COMBINERS,
     MAX_DIRECTIVES,
+    MIN_VALID_ROWS,
+    TRANSFORMS,
+    Y_TERMS,
     AnalysisSpec,
     DescribeStats,
     FeatureCombo,
     FeatureRef,
     FeatureTerm,
     Fit,
+    ReportEntry,
     SampleRows,
     SpecError,
     default_hint_spec,
@@ -578,6 +585,215 @@ class TestExecuteMemo:
         masked = execute(parse_spec(line, 1), make_dataset(rows, targets))
         assert masked.entries[0].detail["n_valid"] == 40
         assert report_to_json(masked) == report_to_json(clean)
+
+
+# The analysis kernels as they were before they ran in scratch buffers:
+# numpy's own mean, sum and std over fresh temporaries, and the operator
+# table's former lambdas and operator functions.  The buffered kernels must
+# reproduce them bit for bit.
+_REFERENCE_TRANSFORMS = {
+    "log": np.log,
+    "exp": np.exp,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sqrt": np.sqrt,
+    "square": lambda c: c * c,
+    "inv": lambda c: np.float64(1.0) / c,
+    "abs": np.abs,
+}
+_REFERENCE_COMBINERS = {
+    "product": operator.mul,
+    "ratio": operator.truediv,
+    "sum": operator.add,
+    "difference": operator.sub,
+}
+
+
+def _reference_term_values(term: FeatureTerm, data) -> np.ndarray:
+    X = data.features
+    with np.errstate(all="ignore"):
+        if isinstance(term.base, FeatureRef):
+            values = X[:, term.base.index]
+        else:
+            combine = _REFERENCE_COMBINERS[term.base.combiner]
+            values = combine(X[:, term.base.left], X[:, term.base.right])
+        for t in reversed(term.chain):
+            values = _REFERENCE_TRANSFORMS[t](values)
+    return values
+
+
+def _reference_ols(x, y):
+    mx = float(np.mean(x))
+    my = float(np.mean(y))
+    dx = x - mx
+    dy = y - my
+    sxx = float(np.sum(dx**2))
+    sxy = float(np.sum(dx * dy))
+    if sxx == 0.0:
+        slope, intercept = 0.0, my
+    else:
+        slope = sxy / sxx
+        intercept = my - slope * mx
+    residuals = y - (slope * x + intercept)
+    ss_res = float(np.sum(residuals**2))
+    ss_tot = float(np.sum(dy**2))
+    if not all(map(math.isfinite, (mx, my, sxx, sxy, ss_res, ss_tot))):
+        return None
+    if ss_tot == 0.0:
+        return slope, intercept, 0.0
+    return slope, intercept, float(min(1.0, max(0.0, 1.0 - ss_res / ss_tot)))
+
+
+def _reference_pearson(x, y):
+    sx = float(np.std(x))
+    sy = float(np.std(y))
+    if sx == 0.0 or sy == 0.0:
+        return 0.0
+    sxy = float(np.mean((x - np.mean(x)) * (y - np.mean(y))))
+    scale = sx * sy
+    if not (math.isfinite(sxy) and math.isfinite(scale)):
+        return None
+    return min(1.0, max(-1.0, sxy / scale))
+
+
+def _reference_fit_entries(directive: Fit, data) -> list[ReportEntry]:
+    with np.errstate(all="ignore"):
+        y = data.target if directive.y_term == "y" else np.log(data.target)
+    x = _reference_term_values(directive.x_term, data)
+    valid = np.isfinite(x) & np.isfinite(y)
+    n_valid = int(np.count_nonzero(valid))
+    key = f"{directive.kind}_{Y_TERMS[directive.y_term]}_{term_key(directive.x_term)}"
+    na = [ReportEntry(f"{key}_na", n_valid, detail={"n_valid": n_valid})]
+    if n_valid < MIN_VALID_ROWS:
+        return na
+    xv, yv = (x, y) if n_valid == len(valid) else (x[valid], y[valid])
+    with np.errstate(all="ignore"):
+        fit = _reference_ols(xv, yv) if directive.kind == "r2" else _reference_pearson(xv, yv)
+    if fit is None:
+        return na
+    if directive.kind == "r2":
+        slope, intercept, r2 = fit
+        detail = {"slope": slope, "intercept": intercept, "n_valid": n_valid}
+        return [ReportEntry(key, r2, detail=detail)]
+    return [ReportEntry(key, fit, detail={"n_valid": n_valid})]
+
+
+def _bits(values) -> list:
+    # repr tells -0.0 from 0.0 and round-trips every finite float exactly
+    return [repr(v) for v in values]
+
+
+# finite (datasets reject non-finite values) but at the domain edges: log and
+# sqrt of negatives and zeros, exp overflow, inv of a subnormal, sums that
+# overflow
+_EDGE_VALUES = st.sampled_from([0.0, -0.0, -1.0, 1.0, 2.5, 1e-310, 710.0, 1e300, -1e300])
+_VALUES = st.one_of(_EDGE_VALUES, st.floats(-20.0, 20.0), st.floats(0.05, 20.0))
+
+
+@st.composite
+def _columns(draw, n: int, count: int) -> list[np.ndarray]:
+    columns = []
+    for _ in range(count):
+        if draw(st.integers(0, 4)) == 0:  # a constant column: sxx or ss_tot is 0
+            columns.append(np.full(n, draw(st.floats(0.5, 3.0))))
+        else:
+            columns.append(np.array(draw(st.lists(_VALUES, min_size=n, max_size=n))))
+    return columns
+
+
+@st.composite
+def _datasets(draw, arity: int = 3):
+    n = draw(st.integers(1, 40))
+    *features, target = draw(_columns(n, arity + 1))
+    return make_dataset(np.column_stack(features), target)
+
+
+def _terms(arity: int = 3):
+    feature = st.integers(0, arity - 1)
+    base = st.one_of(
+        feature.map(FeatureRef),
+        st.builds(FeatureCombo, st.sampled_from(COMBINERS), feature, feature),
+    )
+    return st.builds(FeatureTerm, st.lists(st.sampled_from(TRANSFORMS), max_size=3).map(tuple), base)
+
+
+_FITS = st.builds(Fit, st.sampled_from(("r2", "corr")), _terms(), st.sampled_from(tuple(Y_TERMS)))
+
+
+def _assert_reports_reference_entries(spec: AnalysisSpec, data) -> None:
+    report = execute(spec, data)
+    expected = [e for d in spec.directives for e in _reference_fit_entries(d, data)]
+    assert _bits(report.entries) == _bits(expected)
+    assert report.execution_errors == ()
+
+
+class TestBufferedKernels:
+    """The kernels write into scratch buffers and must return, bit for bit,
+    what the reference kernels above compute with fresh temporaries."""
+
+    @given(_datasets(), _terms())
+    @settings(max_examples=300, deadline=None)
+    def test_term_values_match_reference(self, data, term):
+        out = np.full(data.n_rows, np.nan)
+        got = context._term_values(term, data, out)
+        want = _reference_term_values(term, data)
+        assert got is out
+        assert np.array_equal(got.view(np.int64), np.asarray(want).view(np.int64)), term
+
+    @given(st.integers(1, 40).flatmap(lambda n: _columns(n, 2)))
+    @settings(max_examples=300, deadline=None)
+    def test_ols_and_pearson_match_reference(self, columns):
+        x, y = columns
+        for kernel, reference in ((context._ols, _reference_ols),
+                                  (context._pearson, _reference_pearson)):
+            scratch = np.full((3, len(x)), np.nan)  # stale contents must not leak
+            with np.errstate(all="ignore"):
+                got, want = kernel(x, y, *scratch), reference(x, y)
+            assert repr(got) == repr(want), kernel.__name__
+
+    @given(_datasets(), st.lists(_FITS, min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_execute_matches_reference_entries(self, data, fits):
+        # several fits share one execute's buffers, masked and unmasked alike
+        _assert_reports_reference_entries(AnalysisSpec(tuple(fits), 3), data)
+
+    @pytest.mark.parametrize("transform", TRANSFORMS)
+    @pytest.mark.parametrize("combiner", [None, *COMBINERS])
+    def test_every_transform_and_combiner(self, transform, combiner):
+        rng = np.random.default_rng(3)
+        X = rng.uniform(-3.0, 3.0, size=(60, 2))
+        X[::7, 1] = 0.0  # ratio and inv by zero
+        data = make_dataset(X, np.abs(X[:, 0]) ** 1.5 + X[:, 1])
+        base = FeatureRef(0) if combiner is None else FeatureCombo(combiner, 0, 1)
+        fits = [Fit(kind, FeatureTerm(chain, base), y_term)
+                for kind in ("r2", "corr") for y_term in Y_TERMS
+                for chain in ((), (transform,), ("log", transform))]
+        _assert_reports_reference_entries(AnalysisSpec(tuple(fits), 2), data)
+
+    @pytest.mark.parametrize(
+        "x, y, outcome",
+        [
+            (np.full(20, 2.0), np.linspace(1.0, 2.0, 20), "sxx == 0"),
+            (np.linspace(1.0, 2.0, 20), np.full(20, 3.0), "ss_tot == 0"),
+            (np.linspace(1e300, 1.7e308, 20), np.linspace(1.0, 2.0, 20), "overflow"),
+            (np.r_[np.linspace(1.0, 2.0, 12), -np.ones(8)], np.linspace(1.0, 5.0, 20), "masked"),
+        ],
+    )
+    def test_edge_cases_match_reference(self, x, y, outcome):
+        data = make_dataset(x, y)
+        fits = tuple(Fit(kind, FeatureTerm(chain, FeatureRef(0)), "y")
+                     for kind in ("r2", "corr") for chain in ((), ("log",)))
+        _assert_reports_reference_entries(AnalysisSpec(fits, 1), data)
+        # the case reaches the branch it names
+        entry = _reference_fit_entries(fits[0], data)[0]
+        if outcome == "sxx == 0":
+            assert entry.detail["slope"] == 0.0
+        elif outcome == "ss_tot == 0":
+            assert entry.value == 0.0 and entry.detail["slope"] == 0.0
+        elif outcome == "overflow":
+            assert entry.key.endswith("_na") and entry.value == 20
+        else:
+            assert _reference_fit_entries(fits[1], data)[0].detail["n_valid"] == 12
 
 
 class TestRender:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import operator
 import re
 
 import numpy as np
@@ -23,12 +24,11 @@ from symreg.expr import (
     depth,
     evaluate,
     parse,
-    random_expression,
     random_mutation,
     skeleton_from_node,
 )
 from symreg.fit import OptimizerConfig, fit_params
-from tests.conftest import make_dataset
+from tests.conftest import make_dataset, random_expression
 
 
 def _param_slots(text: str) -> list[int]:
@@ -483,6 +483,114 @@ class TestBind:
         bound = bind(parse("p0 + p1 * x0", 1), [[1.0]])
         with pytest.raises(ExpressionError, match="parameters"):
             bound([1.0])
+
+
+def _layouts(X: np.ndarray) -> dict[str, np.ndarray]:
+    """The same rows as a C-order matrix, an F-order matrix, a view of every
+    other column of a wider matrix and a view of every other row of a taller
+    one."""
+    wide = np.zeros((len(X), 2 * X.shape[1]))
+    wide[:, 1::2] = X
+    tall = np.zeros((2 * len(X), X.shape[1]))
+    tall[::2] = X
+    return {"C": np.ascontiguousarray(X), "F": np.asfortranarray(X),
+            "columns": wide[:, 1::2], "rows": tall[::2]}
+
+
+class TestColumnLayout:
+    """``bind`` hands the compiled tree contiguous feature columns, whatever
+    the layout of the matrix it is given."""
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 6),
+        st.lists(
+            st.lists(PARAM_VALUES, min_size=MAX_PARAMS, max_size=MAX_PARAMS),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_values_do_not_depend_on_the_layout(self, seed, max_depth, block):
+        s = random_expression(2, seed, max_depth)
+        params = np.array(block)[:, : s.param_count]
+        layouts = _layouts(EDGE_FEATURES)
+        assert not layouts["columns"].flags.c_contiguous and not layouts["rows"].flags.f_contiguous
+        bound = {name: bind(s, X) for name, X in layouts.items()}
+        for p in [*params, params]:
+            want = bound["C"](p)
+            for name in ("F", "columns", "rows"):
+                assert _same_bits(bound[name](p), want), (s.text, name, p)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "columns", "rows"])
+    def test_operators_read_contiguous_columns(self, monkeypatch, layout):
+        seen = []
+
+        def recording(fn):
+            def wrapped(*args):
+                seen.extend(a.flags.c_contiguous for a in args if np.ndim(a) == 1)
+                return fn(*args)
+
+            return wrapped
+
+        for table in (expr.UNARY, expr.BINARY):
+            for name, fn in list(table.items()):
+                monkeypatch.setitem(table, name, recording(fn))
+        s = parse("p0 * sin(x1) + exp(x0 * p1) - x0 ^ p2", 2)
+        bound = bind(s, _layouts(np.linspace(0.5, 3.0, 20).reshape(10, 2))[layout])
+        bound([1.0, 0.5, 2.0])
+        bound(np.ones((3, 3)))
+        assert seen and all(seen)
+
+
+# the operator table's entries before they were numpy ufuncs
+_FORMER_OPERATORS = {
+    "neg": operator.neg,
+    "square": lambda c: c * c,
+    "inv": lambda c: np.float64(1.0) / c,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+}
+_SPECIAL_VALUES = np.array(
+    [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-310, 1e300, -1e300, 1.7e308, np.inf, -np.inf,
+     np.nan, -np.nan]
+)
+
+
+class TestOperatorTable:
+    def test_every_entry_is_a_ufunc_in_mutation_order(self):
+        # the mutator draws from the key order, so it must never change
+        assert expr.UNARY_OPS == tuple(expr.UNARY) == (
+            "neg", "log", "exp", "sin", "cos", "sqrt", "abs", "square", "inv")
+        assert expr.BINARY_OPS == tuple(expr.BINARY) == ("add", "sub", "mul", "div", "pow")
+        for table, arity in ((expr.UNARY, 1), (expr.BINARY, 2)):
+            for name, fn in table.items():
+                assert isinstance(fn, np.ufunc) and fn.nin == arity, name
+
+    @pytest.mark.parametrize("name", list(_FORMER_OPERATORS))
+    def test_ufunc_matches_the_former_entry_bit_for_bit(self, name):
+        ufunc = {**expr.UNARY, **expr.BINARY}[name]
+        former = _FORMER_OPERATORS[name]
+        rng = np.random.default_rng(0)
+        values = np.concatenate([_SPECIAL_VALUES, rng.normal(scale=1e3, size=40)])
+        if ufunc.nin == 1:
+            operands = [(values,), *((np.float64(v),) for v in values)]
+        else:
+            left, right = np.meshgrid(values, values)
+            operands = [(left.ravel(), right.ravel()), (values[:, None], values),
+                        *((np.float64(a), np.float64(b))
+                          for a in _SPECIAL_VALUES for b in _SPECIAL_VALUES)]
+        with np.errstate(all="ignore"):
+            for args in operands:
+                got, want = ufunc(*args), former(*args)
+                assert type(got) is type(want), (name, args)
+                # any nan matches any nan, as in the block tests above: two
+                # nan operands may propagate either one's sign
+                got, want = np.asarray(got), np.asarray(want)
+                same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+                assert same.all(), (name, args)
 
 
 class TestMutation:

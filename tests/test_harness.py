@@ -187,6 +187,31 @@ class TestMakeGenerator:
         with pytest.raises(HarnessError, match="unknown generator"):
             make_generator({"type": "oracle"}, arity=1, run_seed=0)
 
+    @pytest.mark.parametrize("seed", [2.7, 3.0, "3", True, None])
+    def test_mutation_seed_must_be_an_integer(self, seed):
+        with pytest.raises(HarnessError, match="seed must be an integer"):
+            make_generator({"type": "mutation", "seed": seed}, arity=1, run_seed=0)
+
+    def test_mutation_numpy_integer_seed_matches_int(self):
+        from symreg.generate import GeneratorRequest
+
+        req = GeneratorRequest(prompt="x", n_samples=2)
+        a = make_generator({"type": "mutation", "seed": np.int64(3)}, arity=1, run_seed=0)
+        b = make_generator({"type": "mutation", "seed": 3}, arity=1, run_seed=0)
+        assert a.generate(req).raw_texts == b.generate(req).raw_texts
+
+    @pytest.mark.parametrize("timeout", [True, "30", 0, 0.0, -1.0, INF, float("nan"), None])
+    def test_remote_timeout_must_be_positive_and_finite(self, timeout):
+        settings = {"type": "remote", "url": "http://localhost:1/x", "model": "m"}
+        with pytest.raises(HarnessError, match="timeout"):
+            make_generator({**settings, "timeout": timeout}, arity=1, run_seed=0)
+
+    @pytest.mark.parametrize("timeout", [5, 2.5, np.float64(0.25)])
+    def test_remote_timeout_accepts_positive_numbers(self, timeout):
+        settings = {"type": "remote", "url": "http://localhost:1/x", "model": "m"}
+        gen = make_generator({**settings, "timeout": timeout}, arity=1, run_seed=0)
+        assert gen._timeout == float(timeout) and type(gen._timeout) is float
+
 
 class TestConfigParsing:
     def test_search_config_nested_blocks(self):
