@@ -10,7 +10,9 @@ workload; pair k uses seed ``seeds[k % len(seeds)]``, and the side that runs
 first flips from pair to pair.  Each run also records ``ru_minflt``, the
 minor page faults of the run and everything it started, from
 ``getrusage(RUSAGE_CHILDREN)``.  Writes ``BENCH_<pr>.json``: the machine,
-every pair's values and digests, and per metric each side's median and
+every pair's values and digests, the commit each checkout is at and whether
+it has uncommitted changes (``null`` for a directory that is not the top of a
+git checkout), and per metric each side's median and
 quartiles, the number of pairs the change wins (ties count for neither) and
 the verdict, which it also prints one row per workload and metric:
 
@@ -60,6 +62,25 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     values["ru_minflt"] = minflt
     return {"values": values, "digest": digest, "correct": result["correct"],
             "failed": result["failed"], "machine": machine}
+
+
+def checkout_state(checkout: Path) -> dict:
+    """``git rev-parse HEAD`` of the checkout and whether ``git status
+    --porcelain`` lists anything; both None unless `checkout` is the top of a
+    git work tree."""
+    def git(*args: str) -> str | None:
+        try:
+            proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
+                                  check=False)
+        except OSError:
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or Path(top).resolve() != checkout.resolve():
+        return {"head": None, "dirty": None}
+    status = git("status", "--porcelain")
+    return {"head": git("rev-parse", "HEAD"), "dirty": None if status is None else status != ""}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -144,7 +165,9 @@ def main() -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
-    record: dict = {"pr": args.pr, "seconds": args.seconds, "workloads": {}}
+    record: dict = {"pr": args.pr, "seconds": args.seconds,
+                    "checkouts": {side: checkout_state(path) for side, path in checkouts.items()},
+                    "workloads": {}}
     for workload in args.workload:
         pairs = []
         for k in range(args.pairs):

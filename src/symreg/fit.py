@@ -5,15 +5,25 @@ Skeleton parameters are optimized on the fitting half of the training data
 candidate's fitness is the negative normalized MSE of the fitted skeleton on
 the scoring half (tr-val).  Test rows are never visible here: the interfaces
 only accept tr-tr / tr-val views.
+
+The BFGS loop is this module's own.  Each restart is a generator (`_BFGS`)
+that takes the steps scipy's ``minimize(method="BFGS")`` takes, with scipy's
+Moré-Thuente line search (driven through ``DCSRCH._iterate``) and its wolfe2
+fallback.  It yields the parameter vectors whose objective values it needs
+and is sent their values.  One driver (`_drive`) evaluates the pending
+requests of all restarts together, in blocks, so a line-search point, its 2k
+gradient probes and the other restarts' points share objective calls.  The
+driver caps each restart so that the result is bit for bit that of running
+the restarts one after another, one vector per call (`fit_params`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize._dcsrch import DCSRCH
+from scipy.optimize._linesearch import _cubicmin, _quadmin
 
 from .data import Dataset, SplitView, is_integer
 from .expr import Skeleton, bind, evaluate
@@ -119,7 +129,8 @@ class Candidate:
 
 
 class _BudgetExceeded(Exception):
-    pass
+    """Ends a fit whose evaluation budget ran out, in a loop that evaluates
+    one parameter vector per call."""
 
 
 def _penalized_objective(
@@ -132,7 +143,9 @@ def _penalized_objective(
     The skeleton is bound once per tile of at most MAX_BLOCK_ELEMENTS rows.
     Each tile's squared errors land in one buffer over all rows, which the
     penalty and the sum then run over whole, so the value does not depend on
-    the tiling."""
+    the tiling.  The objective does not enter ``np.errstate`` itself: the
+    caller holds ``np.errstate(all="ignore")`` around its calls, or
+    non-finite rows raise numpy's floating-point warnings."""
     n = len(y)
     tile_rows = min(n, MAX_BLOCK_ELEMENTS)
     tiles = [
@@ -143,17 +156,321 @@ def _penalized_objective(
 
     def objective(theta: np.ndarray):
         sq = squares[0] if theta.ndim == 1 else squares[: len(theta)]
-        with np.errstate(all="ignore"):
-            for rows, evaluator in tiles:
-                # the evaluator's output can be a view of theta: write only sq
-                tile = sq[..., rows]
-                np.subtract(evaluator(theta), y[rows], out=tile)
-                np.square(tile, out=tile)
+        for rows, evaluator in tiles:
+            # the evaluator's output can be a view of theta: write only sq
+            tile = sq[..., rows]
+            np.subtract(evaluator(theta), y[rows], out=tile)
+            np.square(tile, out=tile)
         np.copyto(sq, penalty, where=~np.isfinite(sq))
         # the sum and division np.mean does, without its per-call overhead
         return np.add.reduce(sq, axis=-1) / n
 
     return objective
+
+
+# scipy's BFGS settings (``minimize(method="BFGS")``): the Wolfe constants,
+# the step bounds it gives the line search, and the line searches' caps
+C1, C2 = 1e-4, 0.9
+STEP_MIN, STEP_MAX = 1e-100, 1e100
+STEP_XTOL = 1e-14
+DCSRCH_ITERATIONS = 100
+WOLFE2_ITERATIONS = ZOOM_ITERATIONS = 10
+
+
+def _first_step(phi0, old_phi0, derphi0):
+    """The first trial step of both line searches: the minimizer of the
+    quadratic through the last decrease, capped at 1."""
+    if derphi0 != 0:
+        alpha1 = min(1.0, 1.01 * 2 * (phi0 - old_phi0) / derphi0)
+        return 1.0 if alpha1 < 0 else alpha1
+    return 1.0
+
+
+class _BFGS:
+    """One BFGS restart from `x0`, step for step as scipy 1.17's
+    ``minimize(fun, x0, method="BFGS", jac=gradient)`` runs it after one
+    evaluation of ``fun(x0)``, with `gradient` the central differences of
+    `fit_params`.
+
+    ``run()`` is a generator.  It yields ``m x k`` arrays of parameter
+    vectors and is sent their ``m`` objective values; it returns whether BFGS
+    converged.  It holds scipy's one-point cache: the last point, with its
+    value and its gradient once computed.  A point ``np.array_equal`` to it
+    is not evaluated again, so ``-0.0`` hits the cache and NaN misses it.
+    """
+
+    def __init__(self, x0: np.ndarray, config: OptimizerConfig):
+        self.x0 = x0
+        self.step = config.gradient_step
+        self.gtol = config.gradient_tolerance
+        self.max_iterations = config.max_iterations
+        self.x = x0  # the cached point, its value f and its gradient g
+        self.f = self.g = None
+
+    def _rows(self, lead: int, gradient: bool):
+        """`lead` copies of the cached point, then, if `gradient`, its 2k
+        probes in the order theta + h_0 e_0, theta - h_0 e_0, theta + h_1 e_1,
+        ..., with h = gradient_step * max(1, |theta|); and h."""
+        k = len(self.x)
+        rows = np.empty((lead + 2 * k * gradient, k))
+        rows[:] = self.x
+        h = None
+        if gradient:
+            # fmax, like the builtin max, maps a nan |theta_i| to 1
+            h = self.step * np.fmax(1.0, np.abs(self.x))
+            # in the flattened probes, coordinate i of probe 2i sits at
+            # i * (2k + 1), and of probe 2i + 1 k places later
+            probes = rows[lead:].reshape(-1)
+            probes[:: 2 * k + 1] += h
+            probes[k :: 2 * k + 1] -= h
+        return rows, h
+
+    @staticmethod
+    def _central(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+        return (values[0::2] - values[1::2]) / (2.0 * h)
+
+    def _visit(self, x: np.ndarray, value: bool, gradient: bool):
+        """The value and/or gradient at x through the cache, as scipy's
+        ``fun(x)`` then ``grad(x)`` give them, in one request."""
+        # scipy compares with np.array_equal: -0.0 equals 0.0, nan equals nothing
+        if not (x == self.x).all():
+            self.x, self.f, self.g = x, None, None
+        need_f = value and self.f is None
+        need_g = gradient and self.g is None
+        if need_f or need_g:
+            rows, h = self._rows(int(need_f), need_g)
+            values = yield rows
+            if need_f:
+                self.f = float(values[0])
+            if need_g:
+                self.g = self._central(values[need_f:], h)
+        return self.f, self.g
+
+    def run(self):
+        # fit_params' own evaluation of the start, then ScalarFunction's value
+        # and gradient there
+        rows, h = self._rows(2, True)
+        values = yield rows
+        self.f, self.g = float(values[1]), self._central(values[2:], h)
+
+        old_fval, gfk = self.f, self.g
+        iteration = 0
+        # an int identity, as scipy's, so that each product below takes the
+        # dtypes and the code path it takes in scipy
+        identity = np.eye(len(self.x0), dtype=int)
+        Hk = identity
+        # sets the initial step guess to dx ~ 1
+        old_old_fval = old_fval + np.linalg.norm(gfk) / 2
+        xk = self.x0
+        failed = False
+        gnorm = np.maximum.reduce(np.abs(gfk))
+        while gnorm > self.gtol and iteration < self.max_iterations:
+            pk = -np.dot(Hk, gfk)
+            alpha_k, old_fval, old_old_fval, gfkp1 = yield from self._line_search(
+                xk, pk, gfk, old_fval, old_old_fval
+            )
+            if alpha_k is None:
+                failed = True
+                break
+            sk = alpha_k * pk
+            xk = xk + sk
+            if gfkp1 is None:
+                _, gfkp1 = yield from self._visit(xk, False, True)
+            yk = gfkp1 - gfk
+            gfk = gfkp1
+            iteration += 1
+            gnorm = np.maximum.reduce(np.abs(gfk))
+            if gnorm <= self.gtol:
+                break
+            # scipy's relative step test at its default xrtol = 0; its right
+            # side is 0 or nan, so only a zero step needs it
+            moved = alpha_k * _norm(pk)
+            if not moved > 0 and moved <= 0 * (0 + _norm(xk)):
+                break
+            if not np.isfinite(old_fval):
+                failed = True
+                break
+            rhok_inv = np.dot(yk, sk)
+            rhok = 1000.0 if rhok_inv == 0.0 else 1.0 / rhok_inv
+            A1 = identity - sk[:, np.newaxis] * yk[np.newaxis, :] * rhok
+            A2 = identity - yk[:, np.newaxis] * sk[np.newaxis, :] * rhok
+            Hk = np.dot(A1, np.dot(Hk, A2)) + (rhok * sk[:, np.newaxis] * sk[np.newaxis, :])
+
+        if failed or iteration >= self.max_iterations:
+            return False
+        return not (np.isnan(gnorm) or np.isnan(old_fval) or np.isnan(xk).any())
+
+    def _line_search(self, xk, pk, gfk, old_fval, old_old_fval):
+        """scipy's ``_line_search_wolfe12``: Moré–Thuente (MINPACK-2
+        ``dcsrch``, through scipy's reverse-communication ``DCSRCH._iterate``)
+        and, when it fails, ``line_search_wolfe2``.  Returns the step, the
+        value there, `old_fval` and the gradient there (None when wolfe2 did
+        not compute it), or a None step when both fail."""
+        derphi0 = np.dot(gfk, pk)
+        search = DCSRCH(None, None, C1, C2, STEP_XTOL, STEP_MIN, STEP_MAX)
+        stp = _first_step(old_fval, old_old_fval, derphi0)
+        phi1, derphi1, task, gval = old_fval, derphi0, b"START", gfk
+        for _ in range(DCSRCH_ITERATIONS):
+            stp, phi1, derphi1, task = search._iterate(stp, phi1, derphi1, task)
+            if not np.isfinite(stp):
+                break
+            if task[:2] != b"FG":
+                if task[:5] != b"ERROR" and task[:4] != b"WARN":
+                    return stp, phi1, old_fval, gval
+                break
+            # DCSRCH asks for the value and the derivative at each trial
+            # step: one request of 1 + 2k rows
+            phi1, gval = yield from self._visit(xk + stp * pk, True, True)
+            derphi1 = np.dot(gval, pk)
+        return (yield from self._wolfe2(xk, pk, old_fval, old_old_fval, derphi0))
+
+    def _wolfe2(self, xk, pk, phi0, old_phi0, derphi0):
+        """scipy's ``line_search_wolfe2`` (its ``scalar_search_wolfe2`` and
+        ``_zoom``) with ``amax=STEP_MAX`` and no extra condition, without its
+        warnings."""
+        gval = None
+
+        def phi(alpha):
+            f, _ = yield from self._visit(xk + alpha * pk, True, False)
+            return f
+
+        def derphi(alpha):
+            nonlocal gval
+            _, gval = yield from self._visit(xk + alpha * pk, False, True)
+            return np.dot(gval, pk)
+
+        alpha0 = 0
+        # at most 1, so STEP_MAX never caps it
+        alpha1 = _first_step(phi0, old_phi0, derphi0)
+        phi_a1 = yield from phi(alpha1)
+        phi_a0, derphi_a0 = phi0, derphi0
+        for i in range(WOLFE2_ITERATIONS):
+            if alpha1 == 0 or alpha0 > STEP_MAX:
+                return None, None, None, None
+            if phi_a1 > phi0 + C1 * alpha1 * derphi0 or (phi_a1 >= phi_a0 and i > 0):
+                alpha, f, derphi_star = yield from _zoom(
+                    alpha0, alpha1, phi_a0, phi_a1, derphi_a0, phi, derphi, phi0, derphi0
+                )
+                break
+            derphi_a1 = yield from derphi(alpha1)
+            if abs(derphi_a1) <= -C2 * derphi0:
+                alpha, f, derphi_star = alpha1, phi_a1, derphi_a1
+                break
+            if derphi_a1 >= 0:
+                alpha, f, derphi_star = yield from _zoom(
+                    alpha1, alpha0, phi_a1, phi_a0, derphi_a1, phi, derphi, phi0, derphi0
+                )
+                break
+            alpha0, alpha1 = alpha1, min(2 * alpha1, STEP_MAX)
+            phi_a0 = phi_a1
+            phi_a1 = yield from phi(alpha1)
+            derphi_a0 = derphi_a1
+        else:
+            alpha, f, derphi_star = alpha1, phi_a1, None
+        return alpha, f, phi0, None if derphi_star is None else gval
+
+
+def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
+    """scipy's ``_zoom`` as a generator over `phi` and `derphi`: the step
+    satisfying the strong Wolfe conditions inside [a_lo, a_hi], with its value
+    and derivative, or three Nones."""
+    phi_rec, a_rec = phi0, 0
+    for i in range(ZOOM_ITERATIONS + 1):
+        dalpha = a_hi - a_lo
+        a, b = (a_hi, a_lo) if dalpha < 0 else (a_lo, a_hi)
+        # a cubic, then a quadratic interpolant; bisect when either lands
+        # too near an end of the interval
+        if i > 0:
+            cchk = 0.2 * dalpha
+            a_j = _cubicmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi, a_rec, phi_rec)
+        if i == 0 or a_j is None or a_j > b - cchk or a_j < a + cchk:
+            qchk = 0.1 * dalpha
+            a_j = _quadmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
+            if a_j is None or a_j > b - qchk or a_j < a + qchk:
+                a_j = a_lo + 0.5 * dalpha
+        phi_aj = yield from phi(a_j)
+        if phi_aj > phi0 + C1 * a_j * derphi0 or phi_aj >= phi_lo:
+            phi_rec, a_rec = phi_hi, a_hi
+            a_hi, phi_hi = a_j, phi_aj
+        else:
+            derphi_aj = yield from derphi(a_j)
+            if abs(derphi_aj) <= -C2 * derphi0:
+                return a_j, phi_aj, derphi_aj
+            if derphi_aj * (a_hi - a_lo) >= 0:
+                phi_rec, a_rec = phi_hi, a_hi
+                a_hi, phi_hi = a_lo, phi_lo
+            else:
+                phi_rec, a_rec = phi_lo, a_lo
+            a_lo, phi_lo, derphi_lo = a_j, phi_aj, derphi_aj
+    return None, None, None
+
+
+def _norm(v: np.ndarray):
+    """scipy's ``vecnorm(v)``, ``np.sum(np.abs(v) ** 2, axis=0) ** 0.5``, in
+    the same operations without their wrappers."""
+    return np.add.reduce(v * v) ** 0.5
+
+
+class _Run:
+    """The driver's record of one restart: its generator, the rows it waits
+    for, the rows evaluated for it and their values, and how it ended."""
+
+    def __init__(self, steps):
+        self.steps = steps
+        self.request = next(steps)
+        self.count = 0
+        self.log: list[tuple[np.ndarray, np.ndarray]] = []
+        self.done = self.cut = self.converged = False
+
+
+def _drive(runs: list[_Run], objective, probes_per_block: int, budget: int) -> None:
+    """Evaluate the runs' requests until every run that can still count has
+    ended.  Each step gathers the pending rows of all active runs, in run
+    order, and evaluates them in blocks of at most `probes_per_block` rows.
+
+    Run r may spend at most `budget` minus the evaluations of runs 0..r-1 so
+    far.  Those only grow, so a request that does not fit ends the run (it is
+    cut): the rows that fit are evaluated, and no later run can count."""
+    while True:
+        batch = []
+        spent = 0
+        for run in runs:
+            if not run.done:
+                rows = run.request
+                room = budget - spent - run.count
+                if len(rows) > room:
+                    rows = rows[: max(room, 0)]
+                    run.done = run.cut = True
+                batch.append((run, rows))
+                run.count += len(rows)
+                if run.cut:
+                    break
+            elif run.cut:
+                break
+            spent += run.count
+        if not batch:
+            return
+        block = batch[0][1] if len(batch) == 1 else np.concatenate([rows for _, rows in batch])
+        if len(block) == 0:
+            values = np.empty(0)
+        elif len(block) <= probes_per_block:
+            values = objective(block)
+        else:
+            values = np.concatenate(
+                [
+                    objective(block[start : start + probes_per_block])
+                    for start in range(0, len(block), probes_per_block)
+                ]
+            )
+        start = 0
+        for run, rows in batch:
+            run.log.append((rows, values[start : start + len(rows)]))
+            start += len(rows)
+            if not run.done:
+                try:
+                    run.request = run.steps.send(run.log[-1][1])
+                except StopIteration as stop:
+                    run.done, run.converged = True, stop.value
 
 
 def fit_params(
@@ -165,20 +482,35 @@ def fit_params(
     """Fit the skeleton's parameters to tr-tr by multi-start BFGS.
 
     Start 1 is the all-ones vector; remaining starts are standard-normal
-    draws from a generator seeded by `seed`.  Gradients are central finite
-    differences with per-coordinate step h = gradient_step * max(1, |theta|).
-    The skeleton is bound to tr-tr once per fit, in row tiles of at most
-    MAX_BLOCK_ELEMENTS rows, so a subtree that reads no parameter is
-    computed once per fit and no operator call covers more than
-    MAX_BLOCK_ELEMENTS predictions.  The 2k probes of a gradient, in the
-    order theta + h_0 e_0, theta - h_0 e_0, theta + h_1 e_1, ..., are
-    evaluated as parameter blocks of max(1, MAX_BLOCK_ELEMENTS // n)
-    probes each.  Every probe counts as
-    one evaluation: when the budget runs out inside a gradient, the probes
-    that fit are evaluated in that order, the rest are dropped, and the fit
-    stops, exactly as if they had been evaluated one at a time.
-    The returned MSE never exceeds the all-ones start's objective value
-    (best-seen tracking), and the whole call is deterministic in its inputs.
+    draws from a generator seeded by `seed`.  Each start runs scipy's BFGS
+    (``minimize(method="BFGS")``) after one evaluation of the start point
+    itself, so the start is evaluated twice.  Gradients are central finite
+    differences with per-coordinate step h = gradient_step * max(1, |theta|),
+    its 2k probes in the order theta + h_0 e_0, theta - h_0 e_0,
+    theta + h_1 e_1, ....  The skeleton is bound to tr-tr once per fit, in
+    row tiles of at most MAX_BLOCK_ELEMENTS rows, so a subtree that reads no
+    parameter is computed once per fit.
+
+    Block protocol: every start is a generator of requests, and each step
+    evaluates the pending requests of all active starts as one block of
+    parameter vectors, in calls of at most max(1, MAX_BLOCK_ELEMENTS // n)
+    vectors.  A line-search point and its 2k gradient probes are one
+    request.
+
+    Sequential equivalence: the result is, bit for bit, that of running the
+    starts one after another and evaluating one vector per call.
+    - Every vector counts as one evaluation.  Start r may use
+      max_evaluations minus the evaluations of starts 0..r-1.  When a start
+      runs out inside a request, the vectors that fit count and the fit
+      stops; a start with no evaluation left still counts in
+      `restarts_used`.  A start evaluated past that cap, because it ran
+      ahead of the starts before it, has the rest discarded.
+    - The best point is the first minimum over the counted evaluations in
+      start order, so the returned MSE never exceeds the all-ones start's.
+    - `converged` holds if some start that ended within its cap converged.
+    The loop calls neither ``warnings.catch_warnings`` nor anything that
+    warns, and holds one ``np.errstate(all="ignore")`` for the whole fit, so
+    it is safe to run on several threads at once.
     """
     if config is None:
         config = OptimizerConfig()
@@ -198,81 +530,48 @@ def fit_params(
             evaluations=1,
         )
 
-    probes_per_block = max(1, MAX_BLOCK_ELEMENTS // len(y))
-    objective = _penalized_objective(skeleton, X, y, config.penalty, probes_per_block)
-    state = {"evals": 0, "best_f": INF, "best_x": np.ones(k)}
-
-    def counted(theta: np.ndarray) -> float:
-        if state["evals"] >= config.max_evaluations:
-            raise _BudgetExceeded
-        state["evals"] += 1
-        f = float(objective(theta))
-        if f < state["best_f"]:
-            state["best_f"] = f
-            state["best_x"] = np.array(theta, dtype=float)
-        return f
-
-    diagonal = np.arange(k)
-
-    def gradient(theta: np.ndarray) -> np.ndarray:
-        # fmax, like the builtin max, maps a nan |theta_i| to 1
-        h = config.gradient_step * np.fmax(1.0, np.abs(theta))
-        probes = np.empty((k, 2, k))  # probes[i] = (theta + h_i e_i, theta - h_i e_i)
-        probes[:] = theta
-        probes[diagonal, 0, diagonal] += h
-        probes[diagonal, 1, diagonal] -= h
-        probes = probes.reshape(2 * k, k)
-        left = config.max_evaluations - state["evals"]
-        values = []
-        for start in range(0, min(2 * k, left), probes_per_block):
-            block = probes[start : min(start + probes_per_block, left)]
-            state["evals"] += len(block)
-            f = objective(block)
-            best = int(np.argmin(f))  # the first minimum, as a strict < scan keeps
-            if f[best] < state["best_f"]:
-                state["best_f"] = float(f[best])
-                state["best_x"] = block[best].copy()
-            values.append(f)
-        if left < 2 * k:
-            raise _BudgetExceeded
-        up_dn = np.concatenate(values)
-        return (up_dn[0::2] - up_dn[1::2]) / (2.0 * h)
-
     rng = np.random.default_rng(seed)
     starts = [np.ones(k)]
     for _ in range(config.restarts - 1):
         starts.append(rng.standard_normal(k))
 
+    probes_per_block = max(1, MAX_BLOCK_ELEMENTS // len(y))
+    budget = config.max_evaluations
+    # penalized objectives legitimately push BFGS through non-finite arithmetic
+    with np.errstate(all="ignore"):
+        objective = _penalized_objective(skeleton, X, y, config.penalty, probes_per_block)
+        runs = [_Run(_BFGS(x0, config).run()) for x0 in starts]
+        _drive(runs, objective, probes_per_block, budget)
+
+    # replay the starts in order: each within its sequential cap
+    best_f, best_x = INF, starts[0]
+    used = 0
     converged = False
     restarts_used = 0
-    for x0 in starts:
+    for run in runs:
         restarts_used += 1
-        try:
-            counted(x0)  # records the start point itself
-            # penalized objectives legitimately push BFGS through non-finite
-            # arithmetic and failed line searches; neither carries signal here
-            with np.errstate(all="ignore"), warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                result = minimize(
-                    counted,
-                    x0,
-                    method="BFGS",
-                    jac=gradient,
-                    options={
-                        "maxiter": config.max_iterations,
-                        "gtol": config.gradient_tolerance,
-                    },
-                )
-            converged = converged or bool(result.success)
-        except _BudgetExceeded:
+        take = min(run.count, budget - used)
+        within = run.count <= budget - used
+        used += take
+        for rows, values in run.log:
+            if take <= 0:
+                break
+            values = values[:take]
+            take -= len(values)
+            if len(values):
+                i = int(np.argmin(values))  # the first minimum, as a strict < scan keeps
+                if values[i] < best_f:
+                    best_f, best_x = float(values[i]), rows[i]
+        if run.cut or not within:
             break
+        converged = converged or bool(run.converged)
 
     return FitResult(
-        params=tuple(float(v) for v in state["best_x"]),
-        train_mse=float(state["best_f"]),
+        params=tuple(float(v) for v in best_x),
+        train_mse=float(best_f),
         converged=converged,
         restarts_used=restarts_used,
-        evaluations=state["evals"],
+        evaluations=used,
     )
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -130,3 +131,55 @@ def test_exits_nonzero_when_a_digest_differs(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench_pair, "run_once",
                         lambda *args: {**fake_run(*args), "digest": "same"})
     assert bench_pair.main() == 0
+
+
+def _git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=cwd,
+                   check=True, capture_output=True)
+
+
+def test_checkout_state_names_the_commit_and_uncommitted_changes(tmp_path):
+    bench_pair = _bench_pair()
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "a.txt").write_text("a\n")
+    _git(repo, "add", "a.txt")
+    _git(repo, "commit", "-q", "-m", "a")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True,
+                          text=True, check=True).stdout.strip()
+    assert bench_pair.checkout_state(repo) == {"head": head, "dirty": False}
+    (repo / "a.txt").write_text("b\n")
+    assert bench_pair.checkout_state(repo) == {"head": head, "dirty": True}
+    (repo / "a.txt").write_text("a\n")
+    (repo / "new.txt").write_text("untracked\n")
+    assert bench_pair.checkout_state(repo) == {"head": head, "dirty": True}
+    # a directory inside a work tree is not a checkout of its own
+    (repo / "sub").mkdir()
+    assert bench_pair.checkout_state(repo / "sub") == {"head": None, "dirty": None}
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert bench_pair.checkout_state(plain) == {"head": None, "dirty": None}
+
+
+def test_bench_file_records_each_sides_checkout(tmp_path, monkeypatch):
+    bench_pair = _bench_pair()
+    parent, change = tmp_path / "pa", tmp_path / "ch"
+    for checkout in (parent, change):
+        checkout.mkdir()
+        (checkout / "BENCHMARK.json").write_text(
+            '{"end_to_end": [{"name": "run_s", "better": "lower", "bound": 0.25}]}')
+    _git(change, "init", "-q")
+    _git(change, "add", "BENCHMARK.json")
+    _git(change, "commit", "-q", "-m", "spec")
+    monkeypatch.setattr(bench_pair, "run_once", lambda *args: {
+        "values": {"run_s": 1.0}, "digest": "d", "correct": True, "failed": 0, "machine": {}})
+    monkeypatch.setattr(sys, "argv", ["bench_pair.py", "--parent", str(parent), "--change",
+                                      str(change), "--pr", "t", "--workload", "w",
+                                      "--pairs", "2", "--out-dir", str(tmp_path)])
+    assert bench_pair.main() == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["checkouts"]["parent"] == {"head": None, "dirty": None}
+    assert record["checkouts"]["change"] == bench_pair.checkout_state(change)
+    assert len(record["checkouts"]["change"]["head"]) == 40
+    assert record["checkouts"]["change"]["dirty"] is False

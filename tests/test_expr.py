@@ -156,7 +156,7 @@ class TestDepthBound:
         assert parse(sk.text, 1) == sk
         with pytest.raises(ExpressionError, match="deeper than"):
             skeleton_from_node(Unary("sin", node), 1)
-        # evaluation recurses once per level, inside scipy's minimize too
+        # evaluation recurses once per level, inside the fit's BFGS loop too
         X = np.linspace(0.5, 2.0, 12).reshape(-1, 1)
         config = OptimizerConfig(restarts=1, max_evaluations=400)
         result = fit_params(sk, make_dataset(X, X[:, 0]), config)

@@ -1,9 +1,10 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -21,7 +22,7 @@ from symreg.fit import (
     mse,
     nmse,
 )
-from tests.conftest import make_dataset
+from tests.conftest import make_dataset, random_expression
 
 INF = float("inf")
 
@@ -401,6 +402,165 @@ class TestBlockGradient:
         assert sizes and max(sizes) <= fit.MAX_BLOCK_ELEMENTS
         # blocks of probes fill the bound when the rows leave room
         assert max(sizes) > rows or rows > fit.MAX_BLOCK_ELEMENTS
+
+
+# a fixed problem for the property below: x0 crosses 0, so log, sqrt and inv
+# skeletons take penalty rows
+_PROPERTY_X = np.column_stack(
+    [np.random.default_rng(21).uniform(-1.0, 3.0, 40), np.random.default_rng(22).uniform(0.5, 3.0, 40)]
+)
+_PROPERTY_DATA = make_dataset(_PROPERTY_X, _PROPERTY_X[:, 1] ** 1.5 + np.sin(_PROPERTY_X[:, 0]))
+
+
+def _drive_by_hand(steps, objective):
+    """Run a _BFGS generator to its end, answering each request with
+    `objective`; return the requests and the generator's return value."""
+    requests = []
+    try:
+        rows = next(steps)
+        while True:
+            requests.append(rows)
+            rows = steps.send(np.array([objective(r) for r in rows]))
+    except StopIteration as stop:
+        return requests, stop.value
+
+
+class TestOwnLoop:
+    """The in-repo BFGS loop gives what a sequential loop of
+    scipy.optimize.minimize calls gives (_per_probe_fit), bit for bit."""
+
+    @given(
+        seed=st.integers(0, 100_000),
+        restarts=st.integers(1, 4),
+        budget=st.integers(1, 200),
+        rows_per_block=st.sampled_from([1, 2, None]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_minimize_reference(self, seed, restarts, budget, rows_per_block):
+        sk = random_expression(2, seed)
+        assume(sk.param_count > 0)
+        bound = fit.MAX_BLOCK_ELEMENTS if rows_per_block is None else rows_per_block * 40
+        config = OptimizerConfig(restarts=restarts, max_evaluations=budget)
+        with mock.patch.object(fit, "MAX_BLOCK_ELEMENTS", bound):
+            got = fit_params(sk, _PROPERTY_DATA, config, seed=seed)
+        # repr tells -0.0 from 0.0 in the params, as a trace does
+        assert repr(got) == repr(_per_probe_fit(sk, _PROPERTY_DATA, config, seed))
+
+    def test_cache_hits_negative_zero_and_misses_nan(self):
+        run = fit._BFGS(np.array([0.0, 1.0]), OptimizerConfig())
+
+        def requests(x, value, gradient):
+            return _drive_by_hand(run._visit(np.array(x), value, gradient), lambda r: 5.0)[0]
+
+        assert len(requests([0.0, 1.0], True, False)) == 1
+        # -0.0 == 0.0: the value is cached, and the gradient is taken at the
+        # cached point, +0.0, as scipy's ScalarFunction takes it
+        assert requests([-0.0, 1.0], True, False) == []
+        (probes,) = requests([-0.0, 1.0], False, True)
+        assert len(probes) == 4 and not np.signbit(probes[2:, 0]).any()
+        assert requests([-0.0, 1.0], True, True) == []
+        # nan equals nothing, itself included: every visit evaluates again
+        assert [len(r) for r in requests([np.nan, 1.0], True, True)] == [5]
+        assert [len(r) for r in requests([np.nan, 1.0], True, False)] == [1]
+        assert [len(r) for r in requests([np.nan, 1.0], False, True)] == [4]
+
+    def test_nan_parameter_vector_matches_reference(self, monkeypatch):
+        # the two squared errors sum to 90% of the largest float at the start,
+        # so the first step overflows the mean to inf, the gradient there is
+        # inf - inf = nan, and BFGS steps to a nan parameter vector
+        X = np.full((2, 1), 8.99e153)
+        ds = make_dataset(X, np.zeros(2))
+        sk = parse("p0 * x0 + p1", 1)
+        requested = []
+        make = fit._penalized_objective
+
+        def recording(*args):
+            objective = make(*args)
+
+            def wrapped(theta):
+                requested.append(np.isnan(theta).any())
+                return objective(theta)
+
+            return wrapped
+
+        monkeypatch.setattr(fit, "_penalized_objective", recording)
+        for budget in (5, 30, 5000):
+            config = OptimizerConfig(restarts=2, max_evaluations=budget)
+            got = fit_params(sk, ds, config, seed=4)
+            assert got == _per_probe_fit(sk, ds, config, 4)
+        assert any(requested)
+
+    def _natural_evaluations(self, sk, ds):
+        return fit_params(sk, ds, OptimizerConfig(restarts=1), seed=0).evaluations
+
+    def test_restart_ending_on_the_last_allowed_evaluation(self, kepler_dataset):
+        sk = parse("p0 * (x0 ^ p1) + p2", 1)
+        natural = self._natural_evaluations(sk, kepler_dataset)
+        unbounded = fit_params(sk, kepler_dataset, OptimizerConfig(restarts=1), seed=0)
+        config = OptimizerConfig(restarts=1, max_evaluations=natural)
+        got = fit_params(sk, kepler_dataset, config, seed=0)
+        assert got == unbounded == _per_probe_fit(sk, kepler_dataset, config, 0)
+        assert got.converged
+
+    def test_restart_with_no_evaluation_left_still_counts(self, kepler_dataset):
+        # restart 1 ends on the last allowed evaluation; restart 2's cap is 0
+        # and restart 3 never starts, though the loop ran both ahead
+        sk = parse("p0 * (x0 ^ p1) + p2", 1)
+        natural = self._natural_evaluations(sk, kepler_dataset)
+        config = OptimizerConfig(restarts=3, max_evaluations=natural)
+        got = fit_params(sk, kepler_dataset, config, seed=0)
+        assert got == _per_probe_fit(sk, kepler_dataset, config, 0)
+        assert (got.restarts_used, got.evaluations, got.converged) == (2, natural, True)
+        # one evaluation more, and restart 2 stops after its start point
+        config = OptimizerConfig(restarts=3, max_evaluations=natural + 1)
+        got = fit_params(sk, kepler_dataset, config, seed=0)
+        assert got == _per_probe_fit(sk, kepler_dataset, config, 0)
+        assert (got.restarts_used, got.evaluations) == (2, natural + 1)
+
+    def test_request_spanning_two_blocks(self, monkeypatch):
+        # k = 10 at n = 160: 51 vectors per call, and the three restarts'
+        # 2 + 2k = 22-row start requests make 66 rows
+        rng = np.random.default_rng(9)
+        X = rng.uniform(0.5, 2.0, size=(160, 2))
+        ds = make_dataset(X, X[:, 0] ** 2 + np.cos(X[:, 1]))
+        sk = parse(" + ".join(f"p{i} * x{i % 2} ^ {i % 3 + 1}" for i in range(10)), 2)
+        assert sk.param_count == 10
+        sizes = []
+        make = fit._penalized_objective
+
+        def recording(*args):
+            objective = make(*args)
+
+            def wrapped(theta):
+                sizes.append(len(theta))
+                return objective(theta)
+
+            return wrapped
+
+        monkeypatch.setattr(fit, "_penalized_objective", recording)
+        for budget in (5000, 130, 60):
+            config = OptimizerConfig(restarts=3, max_evaluations=budget)
+            got = fit_params(sk, ds, config, seed=5)
+            assert got == _per_probe_fit(sk, ds, config, 5), budget
+        assert sizes[:2] == [51, 15]
+
+    def test_wolfe2_fallback_raises_no_warning(self, monkeypatch):
+        fallbacks = []
+        wolfe2 = fit._BFGS._wolfe2
+
+        def counting(self, *args):
+            fallbacks.append(args)
+            return (yield from wolfe2(self, *args))
+
+        monkeypatch.setattr(fit._BFGS, "_wolfe2", counting)
+        # Moré-Thuente gives up on this skeleton once
+        sk = parse("exp(exp(x0)) - p0", 2)
+        config = OptimizerConfig(restarts=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fit_params(sk, _PROPERTY_DATA, config, seed=104)
+        assert len(fallbacks) == 1
+        assert got == _per_probe_fit(sk, _PROPERTY_DATA, config, 104)
 
 
 class TestNormalEquationsOracle:

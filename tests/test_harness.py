@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -525,6 +526,17 @@ class TestRunSuite:
         assert sorted(
             [(key(o), o.trajectory) for o in serial.outcomes]
         ) == sorted([(key(o), o.trajectory) for o in parallel.outcomes])
+
+    def test_threaded_suite_leaves_warning_filters_alone(self, tmp_path):
+        # warnings.catch_warnings swaps the process-wide filter list, so fits
+        # that entered it from two worker threads could leave an "ignore"
+        # filter behind
+        before = list(warnings.filters)
+        config = dataclasses.replace(
+            _suite(tmp_path, modes=("llm-sr", "statistical-hint", "proaug")), workers=2
+        )
+        run_suite(config)
+        assert warnings.filters == before
 
     def test_build_report_pure_reduction(self, tmp_path):
         config = _suite(tmp_path)
