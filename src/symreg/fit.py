@@ -508,9 +508,9 @@ def fit_params(
     - The best point is the first minimum over the counted evaluations in
       start order, so the returned MSE never exceeds the all-ones start's.
     - `converged` holds if some start that ended within its cap converged.
-    The loop calls neither ``warnings.catch_warnings`` nor anything that
-    warns, and holds one ``np.errstate(all="ignore")`` for the whole fit, so
-    it is safe to run on several threads at once.
+    The loop emits no warning and leaves the process-wide warning filters
+    alone; it holds one ``np.errstate(all="ignore")``, which is per thread,
+    for the whole fit.  So fits may run on several threads at once.
     """
     if config is None:
         config = OptimizerConfig()

@@ -412,17 +412,20 @@ _PROPERTY_X = np.column_stack(
 _PROPERTY_DATA = make_dataset(_PROPERTY_X, _PROPERTY_X[:, 1] ** 1.5 + np.sin(_PROPERTY_X[:, 0]))
 
 
-def _drive_by_hand(steps, objective):
-    """Run a _BFGS generator to its end, answering each request with
-    `objective`; return the requests and the generator's return value."""
-    requests = []
-    try:
-        rows = next(steps)
-        while True:
-            requests.append(rows)
-            rows = steps.send(np.array([objective(r) for r in rows]))
-    except StopIteration as stop:
-        return requests, stop.value
+def _record_blocks(monkeypatch, record):
+    """Make every objective a fit builds call `record(theta)` first."""
+    make = fit._penalized_objective
+
+    def recording(*args):
+        objective = make(*args)
+
+        def wrapped(theta):
+            record(theta)
+            return objective(theta)
+
+        return wrapped
+
+    monkeypatch.setattr(fit, "_penalized_objective", recording)
 
 
 class TestOwnLoop:
@@ -450,7 +453,15 @@ class TestOwnLoop:
         run = fit._BFGS(np.array([0.0, 1.0]), OptimizerConfig())
 
         def requests(x, value, gradient):
-            return _drive_by_hand(run._visit(np.array(x), value, gradient), lambda r: 5.0)[0]
+            """The row blocks one visit asks for; each is answered with 5s."""
+            steps, asked = run._visit(np.array(x), value, gradient), []
+            try:
+                rows = next(steps)
+                while True:
+                    asked.append(rows)
+                    rows = steps.send(np.full(len(rows), 5.0))
+            except StopIteration:
+                return asked
 
         assert len(requests([0.0, 1.0], True, False)) == 1
         # -0.0 == 0.0: the value is cached, and the gradient is taken at the
@@ -472,32 +483,17 @@ class TestOwnLoop:
         ds = make_dataset(X, np.zeros(2))
         sk = parse("p0 * x0 + p1", 1)
         requested = []
-        make = fit._penalized_objective
-
-        def recording(*args):
-            objective = make(*args)
-
-            def wrapped(theta):
-                requested.append(np.isnan(theta).any())
-                return objective(theta)
-
-            return wrapped
-
-        monkeypatch.setattr(fit, "_penalized_objective", recording)
+        _record_blocks(monkeypatch, lambda theta: requested.append(np.isnan(theta).any()))
         for budget in (5, 30, 5000):
             config = OptimizerConfig(restarts=2, max_evaluations=budget)
             got = fit_params(sk, ds, config, seed=4)
             assert got == _per_probe_fit(sk, ds, config, 4)
         assert any(requested)
 
-    def _natural_evaluations(self, sk, ds):
-        return fit_params(sk, ds, OptimizerConfig(restarts=1), seed=0).evaluations
-
     def test_restart_ending_on_the_last_allowed_evaluation(self, kepler_dataset):
         sk = parse("p0 * (x0 ^ p1) + p2", 1)
-        natural = self._natural_evaluations(sk, kepler_dataset)
         unbounded = fit_params(sk, kepler_dataset, OptimizerConfig(restarts=1), seed=0)
-        config = OptimizerConfig(restarts=1, max_evaluations=natural)
+        config = OptimizerConfig(restarts=1, max_evaluations=unbounded.evaluations)
         got = fit_params(sk, kepler_dataset, config, seed=0)
         assert got == unbounded == _per_probe_fit(sk, kepler_dataset, config, 0)
         assert got.converged
@@ -506,7 +502,7 @@ class TestOwnLoop:
         # restart 1 ends on the last allowed evaluation; restart 2's cap is 0
         # and restart 3 never starts, though the loop ran both ahead
         sk = parse("p0 * (x0 ^ p1) + p2", 1)
-        natural = self._natural_evaluations(sk, kepler_dataset)
+        natural = fit_params(sk, kepler_dataset, OptimizerConfig(restarts=1), seed=0).evaluations
         config = OptimizerConfig(restarts=3, max_evaluations=natural)
         got = fit_params(sk, kepler_dataset, config, seed=0)
         assert got == _per_probe_fit(sk, kepler_dataset, config, 0)
@@ -526,18 +522,7 @@ class TestOwnLoop:
         sk = parse(" + ".join(f"p{i} * x{i % 2} ^ {i % 3 + 1}" for i in range(10)), 2)
         assert sk.param_count == 10
         sizes = []
-        make = fit._penalized_objective
-
-        def recording(*args):
-            objective = make(*args)
-
-            def wrapped(theta):
-                sizes.append(len(theta))
-                return objective(theta)
-
-            return wrapped
-
-        monkeypatch.setattr(fit, "_penalized_objective", recording)
+        _record_blocks(monkeypatch, lambda theta: sizes.append(len(theta)))
         for budget in (5000, 130, 60):
             config = OptimizerConfig(restarts=3, max_evaluations=budget)
             got = fit_params(sk, ds, config, seed=5)
