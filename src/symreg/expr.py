@@ -491,7 +491,10 @@ def bind(skeleton: Skeleton, features) -> Callable[..., np.ndarray]:
     values of a row do not depend on which other rows are bound with it.
     Domain violations (log/sqrt of a negative, division by zero, pow with a
     negative base and fractional exponent, overflow) leave a non-finite
-    sentinel in the affected rows; no exception escapes from arithmetic.
+    sentinel in the affected rows.  ``bind`` computes its subtrees under
+    ``np.errstate(all="ignore")``; the evaluator does not enter it, so that a
+    fit enters it once rather than once per evaluation: callers hold it, or
+    domain violations raise numpy's floating-point warnings.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[1] != skeleton.arity:
@@ -518,8 +521,7 @@ def bind(skeleton: Skeleton, features) -> Callable[..., np.ndarray]:
             raise ExpressionError(
                 f"need {skeleton.param_count} parameters, got {width}"
             )
-        with np.errstate(all="ignore"):
-            out = bound(p)
+        out = bound(p)
         # a tree without a Var leaf yields a scalar or an (m, 1) column
         return out if out.shape == shape else np.full(shape, out)
 
@@ -527,8 +529,10 @@ def bind(skeleton: Skeleton, features) -> Callable[..., np.ndarray]:
 
 
 def evaluate(skeleton: Skeleton, features, params=()) -> np.ndarray:
-    """``bind(skeleton, features)(params)``: one evaluation, values per row."""
-    return bind(skeleton, features)(params)
+    """``bind(skeleton, features)(params)``: one evaluation, values per row,
+    under ``np.errstate(all="ignore")``."""
+    with np.errstate(all="ignore"):
+        return bind(skeleton, features)(params)
 
 
 # ---------------------------------------------------------------------------

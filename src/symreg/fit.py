@@ -6,9 +6,10 @@ candidate's fitness is the negative normalized MSE of the fitted skeleton on
 the scoring half (tr-val).  Test rows are never visible here: the interfaces
 only accept tr-tr / tr-val views.
 
-The BFGS loop is this module's own.  Each restart is a generator (`_BFGS`)
-that takes the steps scipy's ``minimize(method="BFGS")`` takes, with scipy's
-Moré-Thuente line search (driven through ``DCSRCH._iterate``) and its wolfe2
+The BFGS loop is this module's own, and so is its line search: no scipy
+module is imported.  Each restart is a generator (`_BFGS`) that takes the
+steps scipy 1.17's ``minimize(method="BFGS")`` takes, bit for bit, with a
+port of scipy's Moré-Thuente line search (`_dcsrch`) and of its wolfe2
 fallback.  It yields the parameter vectors whose objective values it needs
 and is sent their values.  One driver (`_drive`) evaluates the pending
 requests of all restarts together, in blocks, so a line-search point, its 2k
@@ -22,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize._dcsrch import DCSRCH
-from scipy.optimize._linesearch import _cubicmin, _quadmin
 
 from .data import Dataset, SplitView, is_integer
 from .expr import Skeleton, bind, evaluate
@@ -128,17 +127,12 @@ class Candidate:
         return bool(np.isfinite(self.fitness))
 
 
-class _BudgetExceeded(Exception):
-    """Ends a fit whose evaluation budget ran out, in a loop that evaluates
-    one parameter vector per call."""
-
-
 def _penalized_objective(
     skeleton: Skeleton, X: np.ndarray, y: np.ndarray, penalty: float, probes: int
 ):
-    """Mean per-row squared error with non-finite rows replaced by `penalty`:
-    a scalar for one parameter vector, one value per row of an ``m x k``
-    block of at most `probes` vectors.
+    """Mean squared error over the rows, each non-finite square replaced by
+    `penalty`: one value per row of an ``m x k`` block of at most `probes`
+    parameter vectors.
 
     The skeleton is bound once per tile of at most MAX_BLOCK_ELEMENTS rows.
     Each tile's squared errors land in one buffer over all rows, which the
@@ -154,16 +148,21 @@ def _penalized_objective(
     ]
     squares = np.empty((probes, n))
 
-    def objective(theta: np.ndarray):
-        sq = squares[0] if theta.ndim == 1 else squares[: len(theta)]
+    def objective(theta: np.ndarray) -> np.ndarray:
+        sq = squares[: len(theta)]
         for rows, evaluator in tiles:
             # the evaluator's output can be a view of theta: write only sq
-            tile = sq[..., rows]
+            tile = sq[:, rows]
             np.subtract(evaluator(theta), y[rows], out=tile)
             np.square(tile, out=tile)
-        np.copyto(sq, penalty, where=~np.isfinite(sq))
         # the sum and division np.mean does, without its per-call overhead
-        return np.add.reduce(sq, axis=-1) / n
+        sums = np.add.reduce(sq, axis=-1)
+        # squares are >= 0 or nan, so a finite sum has only finite terms:
+        # the penalty can change only a row whose sum is not finite
+        if not np.isfinite(sums).all():
+            np.copyto(sq, penalty, where=~np.isfinite(sq))
+            sums = np.add.reduce(sq, axis=-1)
+        return sums / n
 
     return objective
 
@@ -301,27 +300,27 @@ class _BFGS:
         return not (np.isnan(gnorm) or np.isnan(old_fval) or np.isnan(xk).any())
 
     def _line_search(self, xk, pk, gfk, old_fval, old_old_fval):
-        """scipy's ``_line_search_wolfe12``: Moré–Thuente (MINPACK-2
-        ``dcsrch``, through scipy's reverse-communication ``DCSRCH._iterate``)
-        and, when it fails, ``line_search_wolfe2``.  Returns the step, the
-        value there, `old_fval` and the gradient there (None when wolfe2 did
-        not compute it), or a None step when both fail."""
+        """scipy's ``_line_search_wolfe12``: Moré–Thuente (`_dcsrch`) and,
+        when it fails, ``line_search_wolfe2``.  Returns the step, the value
+        there, `old_fval` and the gradient there (None when wolfe2 did not
+        compute it), or a None step when both fail."""
         derphi0 = np.dot(gfk, pk)
-        search = DCSRCH(None, None, C1, C2, STEP_XTOL, STEP_MIN, STEP_MAX)
         stp = _first_step(old_fval, old_old_fval, derphi0)
-        phi1, derphi1, task, gval = old_fval, derphi0, b"START", gfk
+        search = _dcsrch(stp, old_fval, derphi0)
+        reply = None
         for _ in range(DCSRCH_ITERATIONS):
-            stp, phi1, derphi1, task = search._iterate(stp, phi1, derphi1, task)
-            if not np.isfinite(stp):
-                break
-            if task[:2] != b"FG":
-                if task[:5] != b"ERROR" and task[:4] != b"WARN":
+            try:
+                stp = search.send(reply)
+            except StopIteration as stop:
+                if stop.value == "CONVERGENCE":
                     return stp, phi1, old_fval, gval
                 break
-            # DCSRCH asks for the value and the derivative at each trial
-            # step: one request of 1 + 2k rows
+            if not np.isfinite(stp):
+                break
+            # the value and the derivative at each trial step: one request
+            # of 1 + 2k rows
             phi1, gval = yield from self._visit(xk + stp * pk, True, True)
-            derphi1 = np.dot(gval, pk)
+            reply = phi1, np.dot(gval, pk)
         return (yield from self._wolfe2(xk, pk, old_fval, old_old_fval, derphi0))
 
     def _wolfe2(self, xk, pk, phi0, old_phi0, derphi0):
@@ -403,6 +402,322 @@ def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
                 phi_rec, a_rec = phi_lo, a_lo
             a_lo, phi_lo, derphi_lo = a_j, phi_aj, derphi_aj
     return None, None, None
+
+
+# _dcsrch, _dcstep, _cubicmin and _quadmin are ported from SciPy 1.17.1
+# (scipy/optimize/_dcsrch.py and _linesearch.py), operation for operation.
+# SciPy's _dcsrch.py is its 2023 Python port of MINPACK-2's dcsrch and dcstep
+# (Fortran): MINPACK-1 Project, June 1983, Argonne National Laboratory, Jorge
+# J. More' and David J. Thuente; MINPACK-2 Project, November 1993, Argonne
+# National Laboratory and University of Minnesota, Brett M. Averick, Richard
+# G. Carter and Jorge J. More'.  SciPy's notice:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+#
+# The ports keep SciPy's operand order, its np.sqrt, np.sign and np.clip on
+# scalars and its mix of Python floats and numpy scalars, so each step is
+# bit for bit SciPy's: an operation on numpy scalars that divides by zero,
+# overflows or is invalid gives inf or nan, as in SciPy, and the fit's
+# np.errstate(all="ignore") keeps it silent.  SciPy's dcsrch holds its own
+# errstate around each dcstep; the fit's makes that redundant.
+
+
+def _dcsrch(stp, f, g):
+    """MINPACK-2's ``dcsrch`` (Moré and Thuente, ACM TOMS 20(3), 1994) with
+    scipy's BFGS settings, as scipy's ``DCSRCH._iterate`` runs it, as a
+    generator in the style of `_zoom`.
+
+    Start it with the value `f` and the derivative `g` of phi at step 0 and
+    a positive first trial step `stp`.  It yields each trial step and is
+    sent ``(phi, derphi)`` there.  It returns its final task as scipy words
+    it: "CONVERGENCE" when the last trial step satisfies the strong Wolfe
+    conditions, else "WARNING: ..." or "ERROR: ...".  The caller caps the
+    number of steps and treats a non-finite one as a failure."""
+    # scipy's checks of the settings are constant here: only these can fail
+    task = None
+    if stp < STEP_MIN:
+        task = "ERROR: STP .LT. STPMIN"
+    if stp > STEP_MAX:
+        task = "ERROR: STP .GT. STPMAX"
+    if g >= 0:
+        task = "ERROR: INITIAL G .GE. ZERO"
+    if task is not None:
+        return task
+
+    brackt = False
+    stage = 1
+    finit = f
+    ginit = g
+    gtest = C1 * ginit
+    width = STEP_MAX - STEP_MIN
+    width1 = width / 0.5
+    # (stx, fx, gx): the step with the least value so far, its value and
+    # derivative; (sty, fy, gy): the other end of the interval
+    stx, fx, gx = 0.0, finit, ginit
+    sty, fy, gy = 0.0, finit, ginit
+    stmin = 0
+    stmax = stp + 4.0 * stp
+    while True:
+        f, g = yield stp
+
+        # If psi(stp) <= 0 and f'(stp) >= 0 for some step, the search enters
+        # its second stage
+        ftest = finit + stp * gtest
+        if stage == 1 and f <= ftest and g >= 0:
+            stage = 2
+
+        if brackt and (stp <= stmin or stp >= stmax):
+            task = "WARNING: ROUNDING ERRORS PREVENT PROGRESS"
+        if brackt and stmax - stmin <= STEP_XTOL * stmax:
+            task = "WARNING: XTOL TEST SATISFIED"
+        if stp == STEP_MAX and f <= ftest and g <= gtest:
+            task = "WARNING: STP = STPMAX"
+        if stp == STEP_MIN and (f > ftest or g >= gtest):
+            task = "WARNING: STP = STPMIN"
+        if f <= ftest and abs(g) <= C2 * -ginit:
+            task = "CONVERGENCE"
+        if task is not None:
+            return task
+
+        if stage == 1 and f <= fx and f > ftest:
+            # a lower value without sufficient decrease: step on the modified
+            # function psi in the first stage
+            fm = f - stp * gtest
+            fxm = fx - stx * gtest
+            fym = fy - sty * gtest
+            gm = g - gtest
+            gxm = gx - gtest
+            gym = gy - gtest
+            stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
+                stx, fxm, gxm, sty, fym, gym, stp, fm, gm, brackt, stmin, stmax
+            )
+            fx = fxm + stx * gtest
+            fy = fym + sty * gtest
+            gx = gxm + gtest
+            gy = gym + gtest
+        else:
+            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                stx, fx, gx, sty, fy, gy, stp, f, g, brackt, stmin, stmax
+            )
+
+        # bisect when the bracket did not shrink enough
+        if brackt:
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1 = width
+            width = abs(sty - stx)
+
+        if brackt:
+            stmin = min(stx, sty)
+            stmax = max(stx, sty)
+        else:
+            stmin = stp + 1.1 * (stp - stx)
+            stmax = stp + 4.0 * (stp - stx)
+
+        stp = np.clip(stp, STEP_MIN, STEP_MAX)
+
+        # when no further progress is possible, try the best step so far
+        if (
+            brackt
+            and (stp <= stmin or stp >= stmax)
+            or (brackt and stmax - stmin <= STEP_XTOL * stmax)
+        ):
+            stp = stx
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """MINPACK-2's ``dcstep``: a safeguarded trial step from the interval
+    with ends `stx` (the best step) and `sty` and the current step `stp`,
+    each with its value and derivative.  Returns the updated ends, the new
+    step and whether a minimizer is bracketed."""
+    sgn_dp = np.sign(dp)
+    sgn_dx = np.sign(dx)
+    sgnd = sgn_dp * sgn_dx
+
+    if fp > fx:
+        # a higher value: the minimum is bracketed; take the cubic step if
+        # it is closer to stx than the quadratic one, else their mean
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * np.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+        if stp < stx:
+            gamma *= -1
+        p = (gamma - dx) + theta
+        q = ((gamma - dx) + gamma) + dp
+        r = p / q
+        stpc = stx + r * (stp - stx)
+        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+        if abs(stpc - stx) <= abs(stpq - stx):
+            stpf = stpc
+        else:
+            stpf = stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif sgnd < 0.0:
+        # a lower value and derivatives of opposite sign: the minimum is
+        # bracketed; take the cubic step if it is farther from stp than the
+        # secant step, else the secant step
+        theta = 3 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * np.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+        if stp > stx:
+            gamma *= -1
+        p = (gamma - dp) + theta
+        q = ((gamma - dp) + gamma) + dx
+        r = p / q
+        stpc = stp + r * (stx - stp)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if abs(stpc - stp) > abs(stpq - stp):
+            stpf = stpc
+        else:
+            stpf = stpq
+        brackt = True
+    elif abs(dp) < abs(dx):
+        # a lower value, derivatives of the same sign, and a derivative that
+        # shrinks: the cubic step only where the cubic tends to infinity in
+        # the step's direction or its minimum lies beyond stp, else the
+        # secant step
+        theta = 3 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * np.sqrt(max(0, (theta / s) ** 2 - (dx / s) * (dp / s)))
+        if stp > stx:
+            gamma = -gamma
+        p = (gamma - dp) + theta
+        q = (gamma + (dx - dp)) + gamma
+        r = p / q
+        if r < 0 and gamma != 0:
+            stpc = stp + r * (stx - stp)
+        elif stp > stx:
+            stpc = stpmax
+        else:
+            stpc = stpmin
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+
+        if brackt:
+            # the step closer to stp, kept inside the bracket
+            if abs(stpc - stp) < abs(stpq - stp):
+                stpf = stpc
+            else:
+                stpf = stpq
+            if stp > stx:
+                stpf = min(stp + 0.66 * (sty - stp), stpf)
+            else:
+                stpf = max(stp + 0.66 * (sty - stp), stpf)
+        else:
+            # the step farther from stp, inside the step bounds
+            if abs(stpc - stp) > abs(stpq - stp):
+                stpf = stpc
+            else:
+                stpf = stpq
+            stpf = np.clip(stpf, stpmin, stpmax)
+    else:
+        # a lower value, derivatives of the same sign, and a derivative that
+        # does not shrink: the cubic step once bracketed, else a bound
+        if brackt:
+            theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+            s = max(abs(theta), abs(dy), abs(dp))
+            gamma = s * np.sqrt((theta / s) ** 2 - (dy / s) * (dp / s))
+            if stp > sty:
+                gamma = -gamma
+            p = (gamma - dp) + theta
+            q = ((gamma - dp) + gamma) + dy
+            r = p / q
+            stpc = stp + r * (sty - stp)
+            stpf = stpc
+        elif stp > stx:
+            stpf = stpmax
+        else:
+            stpf = stpmin
+
+    # update the interval that contains a minimizer
+    if fp > fx:
+        sty = stp
+        fy = fp
+        dy = dp
+    else:
+        if sgnd < 0:
+            sty = stx
+            fy = fx
+            dy = dx
+        stx = stp
+        fx = fp
+        dx = dp
+
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
+
+
+def _cubicmin(a, fa, fpa, b, fb, c, fc):
+    """The minimizer of the cubic through (a, fa), (b, fb) and (c, fc) with
+    slope `fpa` at a, or None where there is none or the arithmetic divides
+    by zero, overflows or goes invalid."""
+    # f(x) = A *(x-a)^3 + B*(x-a)^2 + C*(x-a) + D
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            C = fpa
+            db = b - a
+            dc = c - a
+            denom = (db * dc) ** 2 * (db - dc)
+            d1 = np.empty((2, 2))
+            d1[0, 0] = dc**2
+            d1[0, 1] = -(db**2)
+            d1[1, 0] = -(dc**3)
+            d1[1, 1] = db**3
+            [A, B] = np.dot(d1, np.asarray([fb - fa - C * db, fc - fa - C * dc]).flatten())
+            A /= denom
+            B /= denom
+            radical = B * B - 3 * A * C
+            xmin = a + (-B + np.sqrt(radical)) / (3 * A)
+        except ArithmeticError:
+            return None
+    if not np.isfinite(xmin):
+        return None
+    return xmin
+
+
+def _quadmin(a, fa, fpa, b, fb):
+    """The minimizer of the quadratic through (a, fa) and (b, fb) with slope
+    `fpa` at a, or None as for `_cubicmin`."""
+    # f(x) = B*(x-a)^2 + C*(x-a) + D
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            D = fa
+            C = fpa
+            db = b - a * 1.0
+            B = (fb - D - C * db) / (db * db)
+            xmin = a - C / (2.0 * B)
+        except ArithmeticError:
+            return None
+    if not np.isfinite(xmin):
+        return None
+    return xmin
 
 
 def _norm(v: np.ndarray):

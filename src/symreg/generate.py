@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, Sequence
 
-import requests
-
 from .context import (
     COMBINERS,
     SORTS,
@@ -363,6 +361,9 @@ class RemoteChatGenerator:
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
+        # imported here, so offline runs do not load requests, urllib3 and certifi
+        import requests
+
         body = {
             "model": self._model,
             "messages": [{"role": "user", "content": request.prompt}],

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,3 +228,21 @@ class TestHintCommand:
         first = capsys.readouterr().out
         main(["hint", "--data", str(csv_path), "--seed", "5"])
         assert capsys.readouterr().out == first
+
+
+def test_importing_the_cli_loads_neither_scipy_nor_requests():
+    # each would add to the start-up of every command: scipy.optimize about
+    # 0.6 s, requests with urllib3 and certifi about 0.07 s
+    src = Path(__file__).resolve().parent.parent / "src"
+    # the modules the import adds: the interpreter's site hooks may load
+    # some of these before it
+    code = (
+        "import sys; before = set(sys.modules); import symreg.cli; "
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in "
+        "('scipy', 'requests', 'urllib3', 'certifi')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

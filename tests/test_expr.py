@@ -416,8 +416,10 @@ class TestBind:
         s = random_expression(2, seed, max_depth)
         params = np.array(block)[:, : s.param_count]
         bound = bind(s, EDGE_FEATURES)
-        for p in [*params, params, params[:1], *params[::-1]]:
-            assert _same_bits(bound(p), evaluate(s, EDGE_FEATURES, p)), (s.text, p)
+        # the evaluator leaves np.errstate to its caller, as a fit holds it
+        with np.errstate(all="ignore"):
+            for p in [*params, params, params[:1], *params[::-1]]:
+                assert _same_bits(bound(p), evaluate(s, EDGE_FEATURES, p)), (s.text, p)
 
     @given(
         st.integers(0, 10**6),
@@ -432,7 +434,8 @@ class TestBind:
         block = np.stack([p, -p, 0.5 * p])
         tiles = [bind(s, EDGE_FEATURES[i : i + size]) for i in range(0, len(EDGE_FEATURES), size)]
         for params in (p, block):
-            joined = np.concatenate([tile(params) for tile in tiles], axis=-1)
+            with np.errstate(all="ignore"):
+                joined = np.concatenate([tile(params) for tile in tiles], axis=-1)
             full = evaluate(s, EDGE_FEATURES, params)
             same = (joined.view(np.int64) == full.view(np.int64)) | (
                 np.isnan(joined) & np.isnan(full)
@@ -477,6 +480,18 @@ class TestBind:
         assert _same_bits(X, saved[0])
         assert _same_bits(vector, saved[1]) and _same_bits(block, saved[2])
 
+    def test_evaluator_leaves_errstate_to_its_caller(self):
+        # a fit holds np.errstate once around all of its evaluations;
+        # evaluate holds it around its own
+        s = parse("log(x0 - p0)", 1)
+        bound = bind(s, [[1.0], [2.0]])
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            bound([3.0])
+        with np.errstate(all="ignore"):
+            held = bound([3.0])
+        assert _same_bits(evaluate(s, [[1.0], [2.0]], [3.0]), held)
+        assert np.isnan(held).all()
+
     def test_bind_checks_features_and_the_evaluator_checks_params(self):
         with pytest.raises(ExpressionError, match="columns"):
             bind(parse("x0 + x1", 2), [[1.0]])
@@ -517,10 +532,11 @@ class TestColumnLayout:
         layouts = _layouts(EDGE_FEATURES)
         assert not layouts["columns"].flags.c_contiguous and not layouts["rows"].flags.f_contiguous
         bound = {name: bind(s, X) for name, X in layouts.items()}
-        for p in [*params, params]:
-            want = bound["C"](p)
-            for name in ("F", "columns", "rows"):
-                assert _same_bits(bound[name](p), want), (s.text, name, p)
+        with np.errstate(all="ignore"):
+            for p in [*params, params]:
+                want = bound["C"](p)
+                for name in ("F", "columns", "rows"):
+                    assert _same_bits(bound[name](p), want), (s.text, name, p)
 
     @pytest.mark.parametrize("layout", ["C", "F", "columns", "rows"])
     def test_operators_read_contiguous_columns(self, monkeypatch, layout):

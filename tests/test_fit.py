@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -7,6 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.optimize._dcsrch import DCSRCH
+from scipy.optimize._linesearch import _cubicmin, _quadmin
+from scipy.optimize._optimize import _line_search_wolfe12
 
 from symreg import expr, fit
 from symreg.data import split
@@ -243,9 +247,12 @@ def _per_probe_fit(skeleton, dataset, config, seed) -> FitResult:
     k = skeleton.param_count
     state = {"evals": 0, "best_f": math.inf, "best_x": np.ones(k)}
 
+    class BudgetExceeded(Exception):
+        pass
+
     def counted(theta):
         if state["evals"] >= config.max_evaluations:
-            raise fit._BudgetExceeded
+            raise BudgetExceeded
         state["evals"] += 1
         with np.errstate(all="ignore"):
             sq = (evaluate(skeleton, X, theta) - y) ** 2
@@ -287,7 +294,7 @@ def _per_probe_fit(skeleton, dataset, config, seed) -> FitResult:
                     },
                 )
             converged = converged or bool(result.success)
-        except fit._BudgetExceeded:
+        except BudgetExceeded:
             break
     return FitResult(
         params=tuple(float(v) for v in state["best_x"]),
@@ -368,12 +375,12 @@ class TestBlockGradient:
         X, y = kepler_dataset.features, kepler_dataset.target
         sk = parse(text, 1)
         objective = fit._penalized_objective(sk, X, y, 1e10, 4)
-        theta = np.array([2.0, 0.5])[: sk.param_count]
+        theta = np.array([[2.0, 0.5]])[:, : sk.param_count]
         block = np.array([[2.0, 1.0], [0.5, 3.0], [-1.0, 1.0]])[:, : sk.param_count]
         saved = theta.copy(), block.copy()
         first = objective(theta), objective(block)
         assert np.array_equal(theta, saved[0]) and np.array_equal(block, saved[1])
-        assert objective(theta) == first[0]
+        assert np.array_equal(objective(theta), first[0])
         assert np.array_equal(objective(block), first[1])
 
     @pytest.mark.parametrize("rows", [300, 20_000])
@@ -546,6 +553,284 @@ class TestOwnLoop:
             got = fit_params(sk, _PROPERTY_DATA, config, seed=104)
         assert len(fallbacks) == 1
         assert got == _per_probe_fit(sk, _PROPERTY_DATA, config, 104)
+
+
+def _penalty_first(skeleton, X, y, penalty, block):
+    """The objective as it was: every non-finite square penalized, then the
+    rows summed."""
+    with np.errstate(all="ignore"):
+        sq = (evaluate(skeleton, X, block) - y) ** 2
+        np.copyto(sq, penalty, where=~np.isfinite(sq))
+        return np.add.reduce(sq, axis=-1) / len(y)
+
+
+class TestObjectiveFastPath:
+    """The objective sums the squares first and penalizes only a block with a
+    non-finite row sum; its values are the penalty-first values bit for bit."""
+
+    # sqrt(x0 + p0) is nan on the rows where x0 < -p0 only; |p1| = 1.2e154
+    # squares to near the largest float, so a row's sum overflows while
+    # every square stays finite
+    SKELETON = "sqrt(x0 + p0) + p1 * x0"
+    X = np.array([[1.0], [0.9], [-0.5], [1.1], [0.2]])
+    Y = np.array([1.0, -2.0, 0.25, 4.0, 1e-3])
+    VALUES = st.one_of(
+        st.floats(-10.0, 10.0),
+        st.sampled_from([0.0, -0.0, 1.2e154, -1.2e154, 1e200, INF, -INF, math.nan]),
+    )
+
+    @given(
+        st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=6),
+        st.sampled_from([1, 2, 5]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_penalty_first_reference(self, rows, tile_rows):
+        sk = parse(self.SKELETON, 1)
+        block = np.array(rows)
+        with mock.patch.object(fit, "MAX_BLOCK_ELEMENTS", tile_rows):
+            objective = fit._penalized_objective(sk, self.X, self.Y, 1e10, len(block))
+        with np.errstate(all="ignore"):
+            got = objective(block)
+        want = _penalty_first(sk, self.X, self.Y, 1e10, block)
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+
+    def test_examples_cover_every_kind_of_row(self):
+        sk = parse(self.SKELETON, 1)
+        block = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, INF], [1.0, 1.2e154]])
+        with np.errstate(all="ignore"):
+            sq = (evaluate(sk, self.X, block) - self.Y) ** 2
+            sums = np.add.reduce(sq, axis=-1)
+        assert np.isfinite(sums[0])  # finite
+        assert np.isnan(sq[1, 2]) and np.isfinite(np.delete(sq[1], 2)).all()  # one nan
+        assert not np.isfinite(sq[2]).any()  # every square inf
+        assert np.isfinite(sq[3]).all() and sums[3] == INF  # finite squares overflow
+        objective = fit._penalized_objective(sk, self.X, self.Y, 1e10, 4)
+        with np.errstate(all="ignore"):
+            got = objective(block)
+        want = _penalty_first(sk, self.X, self.Y, 1e10, block)
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+        assert got[1] > 1e10 / 5 and got[3] == INF
+
+
+# 1-D functions for the line-search oracle: a random quartic, which may turn
+# non-finite past a cliff, or a sequence of arbitrary replies
+_ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e-100, 1e100, 1e308, -1e308, 5e-324]),
+)
+_COEFFICIENT = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, 1e150, -1e150]))
+
+
+@st.composite
+def _line_functions(draw):
+    if draw(st.booleans()):
+        c = draw(st.lists(_COEFFICIENT, min_size=5, max_size=5))
+        cliff = draw(st.one_of(st.just(INF), st.floats(0.0, 100.0)))
+        beyond = draw(st.sampled_from([(INF, math.nan), (math.nan, math.nan), (INF, 1.0)]))
+        # descent at 0 unless c[1] is drawn otherwise
+        if draw(st.booleans()):
+            c[1] = -abs(c[1]) - 1.0
+
+        def phi(a):
+            if a > cliff:
+                return beyond
+            f = c[0] + a * (c[1] + a * (c[2] + a * (c[3] + a * c[4])))
+            g = c[1] + a * (2 * c[2] + a * (3 * c[3] + a * 4 * c[4]))
+            return float(f), g
+
+        return (lambda: phi), c[0], c[1]
+    replies = draw(st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT), min_size=1, max_size=12))
+
+    def fresh():
+        """The replies in a cycle, from the first, for one search."""
+        it = itertools.cycle(replies)
+        return lambda a: next(it)
+
+    return fresh, draw(_ANY_FLOAT), draw(_ANY_FLOAT)
+
+
+def _trial_steps(search, phi, stp, f, g):
+    """(repr(step), task) after each step of a search, driven as the fit
+    drives its line search; an exception ends the record with its type."""
+    seen = []
+    try:
+        seen.extend(search(phi, stp, f, g))
+    except ArithmeticError as exc:
+        seen.append(type(exc).__name__)
+    return seen
+
+
+def _scipy_steps(phi, stp, f, g):
+    search = DCSRCH(None, None, fit.C1, fit.C2, fit.STEP_XTOL, fit.STEP_MIN, fit.STEP_MAX)
+    task = b"START"
+    for _ in range(fit.DCSRCH_ITERATIONS):
+        stp, f, g, task = search._iterate(stp, f, g, task)
+        yield repr(stp), task.decode()
+        if not np.isfinite(stp) or task != b"FG":
+            return
+        f, g = phi(stp)
+
+
+def _own_steps(phi, stp, f, g):
+    search = fit._dcsrch(stp, f, g)
+    reply = None
+    try:
+        for _ in range(fit.DCSRCH_ITERATIONS):
+            stp = search.send(reply)
+            yield repr(stp), "FG"
+            if not np.isfinite(stp):
+                return
+            reply = phi(stp)
+    except StopIteration as stop:
+        yield repr(stp), stop.value
+
+
+class TestLineSearchPort:
+    """The ported Moré-Thuente search and interpolants are scipy 1.17's, bit
+    for bit: the same steps, the same exits, the same -0.0 and nan."""
+
+    @given(
+        _line_functions(),
+        st.one_of(
+            st.floats(1e-3, 10.0),
+            _ANY_FLOAT,
+            st.sampled_from([1e-101, 1e-100, 1e100, 2e100, 1e99]),
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_dcsrch_takes_scipys_steps(self, function, stp, numpy_step):
+        make_phi, f0, g0 = function
+        f0, g0 = float(f0), np.float64(g0)
+        if numpy_step:
+            stp = np.float64(stp)
+        with np.errstate(all="ignore"):
+            want = _trial_steps(_scipy_steps, make_phi(), stp, f0, g0)
+            got = _trial_steps(_own_steps, make_phi(), stp, f0, g0)
+        assert got == want
+
+    def test_oracle_reaches_every_exit(self):
+        # each exit the fit's settings allow, on a hand-made function
+        def quartic(*c):
+            def phi(a):
+                f = c[0] + a * (c[1] + a * (c[2] + a * (c[3] + a * c[4])))
+                return float(f), np.float64(c[1] + a * (2 * c[2] + a * (3 * c[3] + a * 4 * c[4])))
+
+            return phi
+
+        quadratic = quartic(4.0, -4.0, 1.0, 0.0, 0.0)  # (a - 2) ** 2
+        linear = quartic(0.0, -1.0, 0.0, 0.0, 0.0)
+        steep = quartic(4.0, 1e200, 0.0, 0.0, 0.0)
+        rounding = quartic(
+            -0.00021948618138221146, -0.0017288528325296077, 0.14777407893679356,
+            -184.09106965471292, 0.00033231713154985304,
+        )
+        xtol = quartic(
+            -35.41716800463659, -0.0021371284362290397, 0.004101846928339126,
+            -133.900823449798, 0.001151470497726105,
+        )
+        cases = {
+            "CONVERGENCE": (quadratic, 1.0, 4.0, -4.0),
+            "ERROR: STP .LT. STPMIN": (quadratic, 1e-101, 4.0, -4.0),
+            "ERROR: STP .GT. STPMAX": (quadratic, 2e100, 4.0, -4.0),
+            "ERROR: INITIAL G .GE. ZERO": (quadratic, 1.0, 4.0, 4.0),
+            "WARNING: STP = STPMAX": (linear, 1e99, 0.0, -1.0),
+            "WARNING: STP = STPMIN": (steep, 1e-100, 4.0, -1.0),
+            "WARNING: ROUNDING ERRORS PREVENT PROGRESS": (
+                rounding, 676.2152275926338, -0.00021948618138221146, -0.0017288528325296077,
+            ),
+            "WARNING: XTOL TEST SATISFIED": (
+                xtol, 577.7443239616518, -35.41716800463659, -0.0021371284362290397,
+            ),
+        }
+        for task, (phi, stp, f0, g0) in cases.items():
+            g0 = np.float64(g0)
+            with np.errstate(all="ignore"):
+                want = _trial_steps(_scipy_steps, phi, stp, f0, g0)
+                got = _trial_steps(_own_steps, phi, stp, f0, g0)
+            assert got == want and got[-1][1] == task, task
+
+    def test_fallback_after_scipys_cap_of_trial_steps(self):
+        # phi(alpha) = -alpha never meets the curvature condition, so the
+        # search extrapolates until scipy's cap of 100 trial steps and then
+        # hands over to wolfe2
+        config = OptimizerConfig()
+
+        def F(x):
+            return float(-x[0])
+
+        def gradient(x):
+            h = config.gradient_step * max(1.0, abs(float(x[0])))
+            return np.array([(F(x + h) - F(x - h)) / (2.0 * h)])
+
+        xk = np.zeros(1)
+        gfk = gradient(xk)
+        pk = -gfk
+        old_fval, old_old_fval = F(xk), F(xk) + 1.0
+        run = fit._BFGS(xk, config)
+        run.f, run.g = old_fval, gfk
+        requests = []
+        steps = run._line_search(xk, pk, gfk, old_fval, old_old_fval)
+        try:
+            rows = next(steps)
+            while True:
+                requests.append(rows)
+                rows = steps.send(np.array([F(r) for r in rows]))
+        except StopIteration as stop:
+            got = stop.value
+        # each Moré-Thuente trial step asks for its value and gradient at once
+        own_trials = [float(rows[0, 0]) for rows in requests if len(rows) == 3]
+
+        scipy_trials = []
+
+        def phi(alpha):
+            scipy_trials.append(float(alpha))
+            return F(xk + alpha * pk)
+
+        derphi0 = np.dot(gfk, pk)
+        search = DCSRCH(
+            phi, lambda alpha: np.dot(gradient(xk + alpha * pk), pk),
+            fit.C1, fit.C2, fit.STEP_XTOL, fit.STEP_MIN, fit.STEP_MAX,
+        )
+        with np.errstate(all="ignore"):
+            stp, *_ = search(fit._first_step(old_fval, old_old_fval, derphi0), old_fval, derphi0)
+            want = _line_search_wolfe12(F, gradient, xk, pk, gfk, old_fval, old_old_fval)
+        assert stp is None and len(scipy_trials) == fit.DCSRCH_ITERATIONS
+        assert own_trials == scipy_trials
+        alpha, fval, old, gfkp1 = got
+        assert repr((alpha, fval, old, gfkp1)) == repr((want[0], *want[3:]))
+
+    # the line search passes a mix of Python floats and numpy scalars: on
+    # the one, division by zero raises; on the other, np.errstate decides
+    @given(
+        st.lists(
+            st.tuples(_ANY_FLOAT, st.booleans()).map(lambda v: np.float64(v[0]) if v[1] else v[0]),
+            min_size=7,
+            max_size=7,
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_interpolants_match_scipy(self, values):
+        a, fa, fpa, b, fb, c, fc = values
+        assert repr(fit._quadmin(a, fa, fpa, b, fb)) == repr(_quadmin(a, fa, fpa, b, fb))
+        assert repr(fit._cubicmin(a, fa, fpa, b, fb, c, fc)) == repr(
+            _cubicmin(a, fa, fpa, b, fb, c, fc)
+        )
+
+    def test_interpolants_on_hand_cases(self):
+        cases = [
+            (0, 1.0, -1.0, 1.0, 0.5, 0.5, 0.6),  # an int end, as _zoom passes a_rec
+            (0.0, 1.0, -1.0, 0.0, 0.5, 0.0, 0.6),  # coincident points divide by zero
+            (0.0, 1e308, -1e308, 1e308, 1e308, -1e308, 1e308),  # overflow
+            (-0.0, 0.0, -0.0, 1.0, 0.0, 2.0, 0.0),  # a flat line
+            # numpy scalars: a zero divisor goes through np.errstate
+            (0.0, 1.0, np.float64(-1.0), 0.0, 0.5, np.float64(0.0), 0.6),
+        ]
+        for a, fa, fpa, b, fb, c, fc in cases:
+            assert repr(fit._quadmin(a, fa, fpa, b, fb)) == repr(_quadmin(a, fa, fpa, b, fb))
+            assert repr(fit._cubicmin(a, fa, fpa, b, fb, c, fc)) == repr(
+                _cubicmin(a, fa, fpa, b, fb, c, fc)
+            )
 
 
 class TestNormalEquationsOracle:

@@ -7,7 +7,7 @@ reply, a fully failed analysis phase and a cache hit.  The sha256 digests
 were taken before the operator table, the JSON writer and the run-outcome
 construction were consolidated, so a refactor that changes any byte of a
 trace, a run summary (minus its wall-clock timings) or the suite report
-fails here.  The digests depend on the float results of numpy/scipy and the
+fails here.  The digests depend on the float results of numpy and the
 platform libm; a deliberate numerics change re-pins them and says so.
 """
 
