@@ -28,7 +28,10 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0, help="base seed; repeat r runs with seed+r")
     parser.add_argument("--modes", nargs="+", default=list(MODES), choices=list(MODES))
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="runs at once on threads; fits hold the GIL, so offline suites run fastest on one",
+    )
     args = parser.parse_args()
 
     problem_files = sorted(Path(args.problems).glob("*.json"))

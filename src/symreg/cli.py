@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage error, 2 run failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -22,8 +21,10 @@ from .fit import fit_params, nmse
 from .generate import REPORT_HEADER
 from .harness import (
     SuiteConfig,
-    search_config_from_json,
-    make_generator,
+    load_settings,
+    make_generators,
+    read_config,
+    run_paths,
     run_suite,
     suite_config_from_json,
 )
@@ -75,31 +76,20 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    overrides: dict = {}
+    raw, base = {}, Path()
     if args.config:
-        overrides = json.loads(Path(args.config).read_text())
-    search_raw = dict(overrides.get("search", {}))
-    search_raw["mode"] = args.mode
-    search_raw["seed"] = args.seed
+        raw, base = read_config(args.config), Path(args.config).parent
+    # the flags override the file's search block; --generator is only a default type
+    raw["search"] = {**raw.get("search", {}), "mode": args.mode, "seed": args.seed}
     if args.iterations is not None:
-        search_raw["iterations"] = args.iterations
-    config = search_config_from_json(search_raw)
+        raw["search"]["iterations"] = args.iterations
+    raw["generator"] = {"type": args.generator, **raw.get("generator", {})}
+    config, generator_settings, analysis_settings = load_settings(raw, base)
 
     problem = load_problem_data(load_problem(args.problem))
-    generator_settings = dict(overrides.get("generator", {}))
-    generator_settings.setdefault("type", args.generator)
-    generator = make_generator(generator_settings, problem.arity, args.seed)
-    analysis_settings = overrides.get("analysis_generator")
-    analysis_generator = (
-        make_generator(dict(analysis_settings), problem.arity, args.seed)
-        if analysis_settings is not None
-        else None
-    )
-
-    trace = run(config, problem, generator, analysis_generator)
-    run_dir = Path(args.out) / problem.name / config.mode
-    trace_path = run_dir / f"{args.seed}.trace.jsonl"
-    summary_path = run_dir / f"{args.seed}.summary.json"
+    generators = make_generators(generator_settings, analysis_settings, problem.arity, args.seed)
+    trace = run(config, problem, *generators)
+    trace_path, summary_path = run_paths(args.out, problem.name, config.mode, args.seed)
     write_trace(trace, trace_path, summary_path)
 
     best = trace.best

@@ -6,7 +6,8 @@ task instructions, per-variable descriptions) plus paths to a training CSV
 and an optional held-out test CSV.  The training data is further partitioned
 into a fitting half (tr-tr) and a scoring half (tr-val) by a seeded shuffle.
 ``json_safe`` is the one sanitizer traces, summaries and reports pass through
-before they are serialized.
+before they are serialized, and ``write_json`` the one writer of run summaries
+and suite reports.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -233,15 +235,22 @@ def load_problem(path: str | Path) -> ProblemSpec:
     for key in ("name", "instructions", "data_path"):
         if key not in raw:
             raise DataError(f"{path}: missing required key {key!r}")
+    name = str(raw["name"])
+    # runs are written under <out_dir>/<name>/, so the name must stay inside it
+    if name in ("", ".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+        raise DataError(f"{path}: problem name {name!r} must be one path component")
+    descriptions = raw.get("variable_descriptions", [])
+    if not isinstance(descriptions, list):
+        raise DataError(f"{path}: variable_descriptions must be a list, got {descriptions!r}")
     base = path.parent
     test_path = raw.get("test_path")
     gt = raw.get("ground_truth")
     return ProblemSpec(
-        name=str(raw["name"]),
+        name=name,
         instructions=str(raw["instructions"]),
         data_path=base / str(raw["data_path"]),
         test_path=base / str(test_path) if test_path else None,
-        variable_descriptions=tuple(str(v) for v in raw.get("variable_descriptions", [])),
+        variable_descriptions=tuple(str(v) for v in descriptions),
         target_description=str(raw.get("target_description", "")),
         ground_truth=str(gt) if gt is not None else None,
     )
@@ -295,3 +304,10 @@ def json_safe(value):
     if is_dataclass(value):
         return {f.name: json_safe(getattr(value, f.name)) for f in fields(value)}
     return value
+
+
+def write_json(path: str | Path, value) -> None:
+    """Write a value as sorted, indented strict JSON, after ``json_safe``."""
+    Path(path).write_text(
+        json.dumps(json_safe(value), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    )

@@ -10,6 +10,8 @@ blocks back out of raw generator text.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import random
 import re
@@ -29,8 +31,9 @@ from .context import (
     parse_spec,
     render,
 )
-from .data import Problem
+from .data import Problem, is_integer
 from .expr import (
+    MAX_PARAMS,
     UNARY_OPS,
     ExpressionError,
     Skeleton,
@@ -44,7 +47,7 @@ DEFAULT_TIMEOUT = 120.0
 
 PURPOSES = ("equation", "analysis")
 
-CAP_SENTENCE = "Note: DO NOT use more than 10 params"
+CAP_SENTENCE = f"Note: DO NOT use more than {MAX_PARAMS} params"
 REPORT_HEADER = (
     "The information of (X, Y) dataset including random sample points "
     "and simple basis fit scores are as follows:"
@@ -65,6 +68,17 @@ class DecodingConfig:
     temperature: float = 0.8
     max_output_tokens: int = 2048
     stop: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.stop, tuple) and all(isinstance(s, str) and s for s in self.stop)):
+            raise ValueError(f"stop must be a tuple of non-empty strings, got {self.stop!r}")
+        t = self.temperature
+        if not (isinstance(t, numbers.Real) and not isinstance(t, bool) and 0 <= t < math.inf):
+            raise ValueError(f"temperature must be finite and >= 0, got {t!r}")
+        if not (is_integer(self.max_output_tokens) and self.max_output_tokens >= 1):
+            raise ValueError(
+                f"max_output_tokens must be a positive integer, got {self.max_output_tokens!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -111,8 +125,9 @@ class Generator(Protocol):
 
 def default_seed_skeleton(arity: int) -> Skeleton:
     """Linear form used as equation_v0 before the buffer has candidates."""
-    terms = [f"p{i}*x{i}" for i in range(min(arity, 9))]
-    terms.append(f"p{min(arity, 9)}")
+    n = min(arity, MAX_PARAMS - 1)  # one slot stays for the intercept
+    terms = [f"p{i}*x{i}" for i in range(n)]
+    terms.append(f"p{n}")
     return parse(" + ".join(terms), arity)
 
 
@@ -172,7 +187,8 @@ def build_equation_prompt(
         f"{THOUGHT_SENTENCE}\n"
         f"THEN, AFTER THE </thought> BLOCK, output {next_version} as exactly one fenced block:\n"
         "```expr\n<your equation skeleton>\n```\n"
-        f"Write one infix expression over variables x0..x{arity - 1}, parameters p0..p9, "
+        f"Write one infix expression over variables x0..x{arity - 1}, "
+        f"parameters p0..p{MAX_PARAMS - 1}, "
         f"numeric constants, operators + - * / ^, and functions {', '.join(UNARY_OPS)}.\n"
         f"{CAP_SENTENCE}"
     )

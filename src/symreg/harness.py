@@ -4,7 +4,8 @@ Runs |problems| x |modes| x repeats searches (seed = base seed + repeat
 index), persists every trace, and reduces the results into win-rate curves
 and median/IQR spread statistics.  Suites are resumable at run granularity:
 a run whose trace and summary files already exist is loaded, not re-run,
-unless its summary does not parse.
+unless they do not parse.  Fresh or loaded, a run's outcome is read from
+those files, so the report depends only on what is on disk.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .data import Problem, is_integer, json_safe, load_problem, load_problem_data
+from .data import Problem, is_integer, load_problem, load_problem_data, write_json
 from .fit import OptimizerConfig
 from .generate import (
     DEFAULT_TIMEOUT,
@@ -27,10 +28,18 @@ from .generate import (
     RemoteChatGenerator,
     ScriptedGenerator,
 )
-from .search import MODES, RunTrace, SearchConfig, run, write_trace
+from .search import MODES, SearchConfig, run, write_trace
 
 INF = float("inf")
 LOG10_FLOOR = 1e-300
+
+_SETTINGS_BLOCKS = ("search", "generator", "analysis_generator")
+_SUITE_KEYS = ("problems", "modes", "out_dir", "repeats", "workers")
+_GENERATOR_KEYS = {
+    "mutation": {"type", "seed"},
+    "scripted": {"type", "texts", "path"},
+    "remote": {"type", "url", "model", "timeout"},
+}
 
 
 class HarnessError(ValueError):
@@ -74,40 +83,63 @@ class SuiteConfig:
 
 def search_config_from_json(raw: dict) -> SearchConfig:
     optimizer = OptimizerConfig(**raw.pop("optimizer", {}))
-    decoding_raw = raw.pop("decoding", {})
+    decoding_raw = dict(raw.pop("decoding", {}))
     if "stop" in decoding_raw:
-        decoding_raw["stop"] = tuple(decoding_raw["stop"])
+        stop = decoding_raw["stop"]
+        if not isinstance(stop, list):
+            raise HarnessError(f"decoding stop must be a list of strings, got {stop!r}")
+        decoding_raw["stop"] = tuple(stop)
     decoding = DecodingConfig(**decoding_raw)
     return SearchConfig(optimizer=optimizer, decoding=decoding, **raw)
+
+
+def read_config(path: str | Path, keys: tuple[str, ...] = ()) -> dict:
+    """Read a JSON config object.  A top-level key other than the ``search``,
+    ``generator`` and ``analysis_generator`` blocks and ``keys`` is refused."""
+    path = Path(path)
+    raw = json.loads(path.read_text())
+    if not isinstance(raw, dict):
+        raise HarnessError(f"{path}: top level must be an object")
+    for key in raw:
+        if key not in _SETTINGS_BLOCKS + keys:
+            raise HarnessError(f"{path}: unknown key {key!r}")
+    return raw
+
+
+def load_settings(raw: dict, base: Path) -> tuple[SearchConfig, dict | None, dict | None]:
+    """The search config and the generator and analysis-generator settings
+    of a JSON config whose file is in directory ``base``; a scripted
+    generator's relative ``path`` resolves against ``base``."""
+    generators = []
+    for block in ("generator", "analysis_generator"):
+        settings = raw.get(block)
+        if settings is not None and settings.get("type") == "scripted" and "path" in settings:
+            settings = {**settings, "path": str(base / settings["path"])}
+        generators.append(settings)
+    return search_config_from_json(dict(raw.get("search", {}))), *generators
 
 
 def suite_config_from_json(path: str | Path) -> SuiteConfig:
     """Load a suite description; relative paths resolve against the JSON dir."""
     path = Path(path)
-    raw = json.loads(path.read_text())
-    base = path.parent
-
-    def generator_settings(settings: dict) -> dict:
-        settings = dict(settings)
-        if settings.get("type") == "scripted" and "path" in settings:
-            settings["path"] = str(base / settings["path"])
-        return settings
-
+    raw = read_config(path, _SUITE_KEYS)
     for key in ("problems", "modes", "out_dir", "generator"):
         if key not in raw:
             raise HarnessError(f"{path}: missing required key {key!r}")
+    for key in ("problems", "modes"):
+        if not isinstance(raw[key], list):
+            raise HarnessError(f"{path}: {key} must be a list, got {raw[key]!r}")
     if not raw["modes"]:
         raise HarnessError("suite needs at least one mode")
-    search_raw = dict(raw.get("search", {}))
-    search_raw.setdefault("mode", raw["modes"][0])
-    analysis = raw.get("analysis_generator")
+    raw["search"] = {"mode": raw["modes"][0], **raw.get("search", {})}
+    search, generator, analysis_generator = load_settings(raw, path.parent)
     return SuiteConfig(
-        problems=tuple(base / p for p in raw["problems"]),
+        problems=tuple(path.parent / p for p in raw["problems"]),
         modes=tuple(raw["modes"]),
-        out_dir=base / raw["out_dir"],
-        search=search_config_from_json(search_raw),
-        generator=generator_settings(raw["generator"]),
-        analysis_generator=None if analysis is None else generator_settings(analysis),
+        out_dir=path.parent / raw["out_dir"],
+        search=search,
+        generator=generator,
+        analysis_generator=analysis_generator,
         repeats=raw.get("repeats", 3),
         workers=raw.get("workers", 1),
     )
@@ -118,9 +150,14 @@ def make_generator(settings: dict, arity: int, run_seed: int) -> Generator:
 
     Types: ``mutation`` (seed defaults to the run seed), ``scripted``
     (``texts`` inline or ``path`` to a JSON array file), ``remote``
-    (``url``, ``model``, optional ``timeout``).
+    (``url``, ``model``, optional ``timeout``).  Any other key is refused.
     """
     kind = settings.get("type")
+    if kind not in _GENERATOR_KEYS:
+        raise HarnessError(f"unknown generator type {kind!r}")
+    unknown = sorted(set(settings) - _GENERATOR_KEYS[kind])
+    if unknown:
+        raise HarnessError(f"unknown key {unknown[0]!r} in {kind} generator settings")
     if kind == "mutation":
         seed = settings.get("seed", run_seed)
         if not is_integer(seed):
@@ -132,23 +169,32 @@ def make_generator(settings: dict, arity: int, run_seed: int) -> Generator:
         if "path" in settings:
             return ScriptedGenerator(settings["path"])
         raise HarnessError("scripted generator needs 'texts' or 'path'")
-    if kind == "remote":
-        for key in ("url", "model"):
-            if key not in settings:
-                raise HarnessError(f"remote generator needs {key!r}")
-        timeout = settings.get("timeout", DEFAULT_TIMEOUT)
-        if not (
-            isinstance(timeout, numbers.Real)
-            and not isinstance(timeout, bool)
-            and 0.0 < timeout < math.inf
-        ):
-            raise HarnessError(
-                f"remote timeout must be a positive finite number, got {timeout!r}"
-            )
-        return RemoteChatGenerator(
-            url=settings["url"], model=settings["model"], timeout=float(timeout)
+    for key in ("url", "model"):
+        if key not in settings:
+            raise HarnessError(f"remote generator needs {key!r}")
+    timeout = settings.get("timeout", DEFAULT_TIMEOUT)
+    if not (
+        isinstance(timeout, numbers.Real)
+        and not isinstance(timeout, bool)
+        and 0.0 < timeout < math.inf
+    ):
+        raise HarnessError(
+            f"remote timeout must be a positive finite number, got {timeout!r}"
         )
-    raise HarnessError(f"unknown generator type {kind!r}")
+    return RemoteChatGenerator(
+        url=settings["url"], model=settings["model"], timeout=float(timeout)
+    )
+
+
+def make_generators(
+    settings: dict, analysis_settings: dict | None, arity: int, seed: int
+) -> tuple[Generator, Generator | None]:
+    """A run's equation generator, built first, and its analysis generator,
+    None unless it has settings of its own."""
+    generator = make_generator(settings, arity, seed)
+    if analysis_settings is None:
+        return generator, None
+    return generator, make_generator(analysis_settings, arity, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +335,11 @@ def load_trajectory(trace_path: str | Path) -> list[float]:
     return values
 
 
-def _run_paths(config: SuiteConfig, problem: str, mode: str, repeat: int) -> tuple[Path, Path]:
-    run_dir = config.out_dir / problem / mode
-    return run_dir / f"{repeat}.trace.jsonl", run_dir / f"{repeat}.summary.json"
+def run_paths(out_dir: str | Path, problem: str, mode: str, index: int) -> tuple[Path, Path]:
+    """The trace and summary files of one run:
+    ``<out_dir>/<problem>/<mode>/<index>.{trace.jsonl,summary.json}``."""
+    run_dir = Path(out_dir) / problem / mode
+    return run_dir / f"{index}.trace.jsonl", run_dir / f"{index}.summary.json"
 
 
 def _outcome(
@@ -300,15 +348,17 @@ def _outcome(
     mode: str,
     repeat: int,
     *,
-    trajectory=(),
-    final_val_nmse: float | None = None,
-    test_nmse: float | None = None,
     reused: bool = False,
     error: Exception | None = None,
 ) -> RunOutcome:
-    """The outcome of one run; a missing final NMSE (no valid candidate, or
-    null in a summary file) reads as inf."""
-    trace_path, summary_path = _run_paths(config, problem, mode, repeat)
+    """The outcome of one run, read from its trace and summary files unless
+    the run failed.  A null final NMSE (no valid candidate) reads as inf."""
+    trace_path, summary_path = run_paths(config.out_dir, problem, mode, repeat)
+    trajectory, summary = [], {}
+    if error is None:
+        summary = json.loads(summary_path.read_text())
+        trajectory = load_trajectory(trace_path)
+    final_val_nmse = summary.get("best_val_nmse")
     return RunOutcome(
         problem=problem,
         mode=mode,
@@ -318,55 +368,27 @@ def _outcome(
         summary_path=summary_path,
         trajectory=tuple(trajectory),
         final_val_nmse=INF if final_val_nmse is None else float(final_val_nmse),
-        test_nmse=test_nmse,
+        test_nmse=summary.get("test_nmse"),
         reused=reused,
         error=None if error is None else f"{type(error).__name__}: {error}",
     )
 
 
 def _run_one(config: SuiteConfig, problem: Problem, mode: str, repeat: int) -> RunOutcome:
-    trace_path, summary_path = _run_paths(config, problem.name, mode, repeat)
-    summary = None
+    trace_path, summary_path = run_paths(config.out_dir, problem.name, mode, repeat)
     if trace_path.exists() and summary_path.exists():
         try:
-            summary = json.loads(summary_path.read_text())
+            return _outcome(config, problem.name, mode, repeat, reused=True)
         except ValueError:  # the summary is written last: one cut short is an unfinished run
             pass
-    if summary is not None:
-        return _outcome(
-            config,
-            problem.name,
-            mode,
-            repeat,
-            trajectory=load_trajectory(trace_path),
-            final_val_nmse=summary.get("best_val_nmse"),
-            test_nmse=summary.get("test_nmse"),
-            reused=True,
-        )
-
     seed = config.search.seed + repeat
-    search_config = replace(config.search, mode=mode, seed=seed)
-    generator = make_generator(config.generator, problem.arity, seed)
-    analysis_settings = config.analysis_generator
-    analysis_generator = (
-        make_generator(analysis_settings, problem.arity, seed)
-        if analysis_settings is not None
-        else None
-    )
+    generators = make_generators(config.generator, config.analysis_generator, problem.arity, seed)
     try:
-        trace: RunTrace = run(search_config, problem, generator, analysis_generator)
+        trace = run(replace(config.search, mode=mode, seed=seed), problem, *generators)
     except Exception as exc:
         return _outcome(config, problem.name, mode, repeat, error=exc)
     write_trace(trace, trace_path, summary_path)
-    return _outcome(
-        config,
-        problem.name,
-        mode,
-        repeat,
-        trajectory=(r.best_nmse for r in trace.records),
-        final_val_nmse=None if trace.best is None else -trace.best.fitness,
-        test_nmse=trace.test_nmse,
-    )
+    return _outcome(config, problem.name, mode, repeat)
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
@@ -466,14 +488,6 @@ def build_report(outcomes, modes) -> SuiteReport:
     )
 
 
-def _relative_to_out(path: Path, out: Path) -> str:
-    # machine-independent report: paths are recorded relative to out_dir
-    try:
-        return path.relative_to(out).as_posix()
-    except ValueError:
-        return path.name
-
-
 def _write_report(config: SuiteConfig, report: SuiteReport) -> None:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -488,7 +502,8 @@ def _write_report(config: SuiteConfig, report: SuiteReport) -> None:
                 "mode": o.mode,
                 "repeat": o.repeat,
                 "seed": o.seed,
-                "trace": _relative_to_out(o.trace_path, out),
+                # relative to out_dir, so the report is machine-independent
+                "trace": o.trace_path.relative_to(out).as_posix(),
                 "final_val_nmse": o.final_val_nmse,
                 "test_nmse": o.test_nmse,
                 "error": o.error,
@@ -498,9 +513,7 @@ def _write_report(config: SuiteConfig, report: SuiteReport) -> None:
         "aggregates": report.aggregates,
         "win_rate": report.win_curves,
     }
-    (out / "summary.json").write_text(
-        json.dumps(json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
+    write_json(out / "summary.json", payload)
 
     with open(out / "trajectories.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import context as ctx
-from .data import DEFAULT_SPLIT_RATIO, Problem, is_integer, json_safe, split
+from .data import DEFAULT_SPLIT_RATIO, Problem, is_integer, json_safe, split, write_json
 from .expr import evaluate
 from .fit import Candidate, OptimizerConfig, evaluate_candidate, nmse, DegenerateTargetError
 from .generate import (
@@ -479,9 +479,6 @@ def run(
 
 def write_trace(trace: RunTrace, trace_path, summary_path) -> None:
     trace_path = Path(trace_path)
-    summary_path = Path(summary_path)
     trace_path.parent.mkdir(parents=True, exist_ok=True)
     trace_path.write_text("\n".join(trace_lines(trace)) + "\n")
-    summary_path.write_text(
-        json.dumps(trace_summary(trace), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
+    write_json(summary_path, trace_summary(trace))

@@ -137,6 +137,42 @@ class TestRunCommand:
         assert summary["iterations"] == 2
 
 
+    def test_config_scripted_path_resolves_against_the_config_dir(
+        self, kepler_files, tmp_path, monkeypatch
+    ):
+        # as in a suite JSON; it used to resolve against the working directory
+        problem, _ = kepler_files
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "replies.json").write_text(json.dumps([GOOD_POWER]))
+        (sub / "cfg.json").write_text(
+            json.dumps(
+                {
+                    "search": {"iterations": 2, "samples_per_prompt": 1},
+                    "generator": {"type": "scripted", "path": "replies.json"},
+                }
+            )
+        )
+        monkeypatch.chdir(tmp_path)
+        rc = main(
+            ["run", str(problem), "--mode", "llm-sr", "--config", "sub/cfg.json", "--out", "runs"]
+        )
+        assert rc == 0
+        summary_path = tmp_path / "runs" / "orbit" / "llm-sr" / "0.summary.json"
+        summary = json.loads(summary_path.read_text())
+        assert summary["generator"] == "scripted"
+        assert summary["best_val_nmse"] < 1e-8
+
+    def test_config_unknown_key_is_refused(self, kepler_files, tmp_path, capsys):
+        problem, _ = kepler_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"search": {"iterations": 2}, "generatr": {"type": "mutation"}}))
+        out = tmp_path / "runs"
+        assert main(["run", str(problem), "--config", str(cfg), "--out", str(out)]) == 2
+        assert "unknown key 'generatr'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSuiteCommand:
     def test_end_to_end(self, tmp_path, capsys):
         X = np.linspace(1, 5, 30).reshape(-1, 1)

@@ -301,3 +301,34 @@ class TestProblems:
             )
         )
         assert load_problem(path).ground_truth == "x0"
+
+    # a suite writes a problem's runs under <out_dir>/<name>/
+    @pytest.mark.parametrize("name", ["", ".", "..", "/tmp/evil", "../up", "a/b", "up/"])
+    def test_name_must_be_one_path_component(self, tmp_path, name):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"name": name, "instructions": "i", "data_path": "p.csv"}))
+        with pytest.raises(DataError, match="one path component"):
+            load_problem(path)
+
+    @pytest.mark.parametrize("name", ["kepler", "a.b", "..a", "x y"])
+    def test_single_component_names_load(self, tmp_path, name):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"name": name, "instructions": "i", "data_path": "p.csv"}))
+        assert load_problem(path).name == name
+
+    @pytest.mark.parametrize("descriptions", ["ab", {"x0": "a"}, 3])
+    def test_variable_descriptions_must_be_a_list(self, tmp_path, descriptions):
+        # a string used to become one description per character
+        path = tmp_path / "p.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "name": "p",
+                    "instructions": "i",
+                    "data_path": "p.csv",
+                    "variable_descriptions": descriptions,
+                }
+            )
+        )
+        with pytest.raises(DataError, match="variable_descriptions must be a list"):
+            load_problem(path)

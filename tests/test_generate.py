@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symreg.context import default_hint_spec, execute, parse_spec, render
-from symreg.expr import MAX_DEPTH, depth, parse
+from symreg.expr import MAX_DEPTH, MAX_PARAMS, ExpressionError, depth, parse
 from symreg.fit import Candidate, FitResult
 from symreg.generate import (
     CAP_SENTENCE,
@@ -61,6 +61,25 @@ class TestRequestValidation:
         assert cfg.max_output_tokens == 2048
         assert cfg.stop == ()
 
+    @pytest.mark.parametrize("stop", ["###", ["END"], ("END", ""), ("END", 3)])
+    def test_decoding_stop_is_a_tuple_of_non_empty_strings(self, stop):
+        with pytest.raises(ValueError, match="stop"):
+            DecodingConfig(stop=stop)
+
+    @pytest.mark.parametrize("temperature", [-0.1, float("inf"), float("nan"), "0.5", True, None])
+    def test_decoding_temperature_is_finite_and_non_negative(self, temperature):
+        with pytest.raises(ValueError, match="temperature"):
+            DecodingConfig(temperature=temperature)
+
+    @pytest.mark.parametrize("tokens", [0, -1, 2.0, True, "10", None])
+    def test_decoding_max_output_tokens_is_a_positive_integer(self, tokens):
+        with pytest.raises(ValueError, match="max_output_tokens"):
+            DecodingConfig(max_output_tokens=tokens)
+
+    def test_decoding_accepts_edge_values(self):
+        cfg = DecodingConfig(temperature=0, max_output_tokens=np.int64(1), stop=("END", "###"))
+        assert cfg.max_output_tokens == 1 and cfg.stop == ("END", "###")
+
 
 class TestSeedSkeleton:
     def test_linear_form(self):
@@ -71,6 +90,16 @@ class TestSeedSkeleton:
     def test_param_cap_respected_at_high_arity(self):
         sk = default_seed_skeleton(15)
         assert sk.param_count == 10
+
+    def test_prompt_cap_matches_the_parser_cap(self, problem):
+        # the prompt's slots, its cap sentence and the seed skeleton all follow MAX_PARAMS
+        prompt = build_equation_prompt(problem, demos=[])
+        assert f"parameters p0..p{MAX_PARAMS - 1}, " in prompt
+        assert CAP_SENTENCE == f"Note: DO NOT use more than {MAX_PARAMS} params"
+        parse(f"p{MAX_PARAMS - 1} * x0", 1)
+        with pytest.raises(ExpressionError):
+            parse(f"p{MAX_PARAMS} * x0", 1)
+        assert default_seed_skeleton(MAX_PARAMS + 5).param_count == MAX_PARAMS
 
 
 class TestEquationPrompt:

@@ -15,7 +15,9 @@ from symreg.harness import (
     average_trajectories,
     build_report,
     load_trajectory,
+    load_settings,
     make_generator,
+    read_config,
     run_suite,
     search_config_from_json,
     suite_config_from_json,
@@ -207,6 +209,19 @@ class TestMakeGenerator:
         with pytest.raises(HarnessError, match="timeout"):
             make_generator({**settings, "timeout": timeout}, arity=1, run_seed=0)
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"type": "mutation", "seeed": 3},
+            {"type": "scripted", "texts": ["a"], "seeed": 3},
+            {"type": "remote", "url": "http://localhost:1/x", "model": "m", "seeed": 3},
+        ],
+    )
+    def test_unknown_key_refused(self, settings):
+        # a misspelled key used to be ignored: "seeed" ran with the run seed
+        with pytest.raises(HarnessError, match="unknown key 'seeed' in"):
+            make_generator(settings, arity=1, run_seed=0)
+
     @pytest.mark.parametrize("timeout", [5, 2.5, np.float64(0.25)])
     def test_remote_timeout_accepts_positive_numbers(self, timeout):
         settings = {"type": "remote", "url": "http://localhost:1/x", "model": "m"}
@@ -330,6 +345,71 @@ class TestConfigParsing:
             suite_config_from_json(cfg_path)
 
 
+    def _suite_json(self, tmp_path, **entries):
+        cfg_path = tmp_path / "suite.json"
+        cfg_path.write_text(
+            json.dumps(
+                {"problems": ["a.json"], "modes": ["llm-sr"], "out_dir": "out",
+                 "generator": {"type": "mutation"}, **entries}
+            )
+        )
+        return cfg_path
+
+    def test_suite_json_rejects_unknown_top_level_key(self, tmp_path):
+        # "repeat" used to be ignored, running the default 3 repeats
+        with pytest.raises(HarnessError, match="unknown key 'repeat'"):
+            suite_config_from_json(self._suite_json(tmp_path, repeat=5))
+
+    @pytest.mark.parametrize("key", ["problems", "modes"])
+    def test_suite_json_lists_must_be_lists(self, tmp_path, key):
+        value = "a.json" if key == "problems" else "llm-sr"
+        with pytest.raises(HarnessError, match=f"{key} must be a list"):
+            suite_config_from_json(self._suite_json(tmp_path, **{key: value}))
+
+    def test_decoding_stop_must_be_a_list(self, tmp_path):
+        # "###" used to become the stop sequences ('#', '#', '#')
+        with pytest.raises(HarnessError, match="stop must be a list"):
+            search_config_from_json({"decoding": {"stop": "###"}})
+        with pytest.raises(HarnessError, match="stop must be a list"):
+            suite_config_from_json(self._suite_json(tmp_path, search={"decoding": {"stop": "#"}}))
+
+    def test_decoding_stop_entries_must_be_non_empty_strings(self):
+        with pytest.raises(ValueError, match="stop"):
+            search_config_from_json({"decoding": {"stop": ["END", ""]}})
+        with pytest.raises(ValueError, match="stop"):
+            search_config_from_json({"decoding": {"stop": [3]}})
+
+    def test_suite_and_run_configs_share_one_loader(self, tmp_path):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        raw = {
+            "search": {"iterations": 4, "decoding": {"stop": ["END"]}},
+            "generator": {"type": "scripted", "path": "replies.json"},
+            "analysis_generator": {"type": "scripted", "path": "analyses.json"},
+        }
+        search, generator, analysis = load_settings(raw, sub)
+        assert search.iterations == 4 and search.decoding.stop == ("END",)
+        assert generator == {"type": "scripted", "path": str(sub / "replies.json")}
+        assert analysis == {"type": "scripted", "path": str(sub / "analyses.json")}
+        # the raw blocks are left as they were
+        assert raw["generator"]["path"] == "replies.json"
+        cfg = suite_config_from_json(self._suite_json(sub, **raw))
+        assert (cfg.search, cfg.generator, cfg.analysis_generator) == (
+            dataclasses.replace(search, mode="llm-sr"), generator, analysis
+        )
+
+    def test_read_config_refuses_unknown_keys_and_non_objects(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"search": {}, "generator": {}, "analysis_generator": None}))
+        assert read_config(path)["search"] == {}
+        path.write_text(json.dumps({"serach": {}}))
+        with pytest.raises(HarnessError, match="unknown key 'serach'"):
+            read_config(path)
+        path.write_text(json.dumps([{"search": {}}]))
+        with pytest.raises(HarnessError, match="object"):
+            read_config(path)
+
+
 def _suite(tmp_path, *, modes=("llm-sr", "statistical-hint"), repeats=2, out="out"):
     rng = np.random.default_rng(8)
     X1 = rng.uniform(1, 5, size=(30, 1))
@@ -408,12 +488,15 @@ class TestRunSuite:
 
     def test_resumed_summary_byte_identical(self, tmp_path):
         config = _suite(tmp_path)
-        run_suite(config)
+        fresh = run_suite(config)
         before = (config.out_dir / "summary.json").read_bytes()
         before_csv = (config.out_dir / "trajectories.csv").read_bytes()
-        run_suite(config)
+        resumed = run_suite(config)
         assert (config.out_dir / "summary.json").read_bytes() == before
         assert (config.out_dir / "trajectories.csv").read_bytes() == before_csv
+        assert [dataclasses.replace(o, reused=True) for o in fresh.outcomes] == list(
+            resumed.outcomes
+        )
 
     def test_deterministic_across_out_dirs(self, tmp_path):
         a = run_suite(_suite(tmp_path, out="out_a"))
@@ -483,6 +566,24 @@ class TestRunSuite:
         assert "broken/llm-sr" not in report.aggregates
         # the two healthy problems still aggregate
         assert "square/llm-sr" in report.aggregates
+
+    @pytest.mark.parametrize("escape", ["absolute", "../up"])
+    def test_problem_name_outside_out_dir_recorded_as_failed(self, tmp_path, escape):
+        X = np.linspace(1, 4, 12).reshape(-1, 1)
+        path = write_problem_files(tmp_path, "evil", X, X[:, 0])
+        name = str(tmp_path / "evil_target") if escape == "absolute" else escape
+        raw = json.loads(path.read_text())
+        path.write_text(json.dumps({**raw, "name": name}))
+        config = _suite(tmp_path)
+        config = dataclasses.replace(config, problems=config.problems + (path,))
+        report = run_suite(config)
+        failed = [o for o in report.outcomes if o.failed]
+        assert len(failed) == 2 * 2 and {o.problem for o in failed} == {"evil"}
+        assert all("one path component" in o.error for o in failed)
+        assert not (tmp_path / "evil_target").exists() and not (tmp_path / "up").exists()
+        assert sorted(p.name for p in config.out_dir.iterdir()) == [
+            "cube", "square", "summary.json", "trajectories.csv"
+        ]
 
     def test_problems_sharing_a_name_rejected_before_any_run(self, tmp_path):
         X = np.linspace(1, 4, 12).reshape(-1, 1)
