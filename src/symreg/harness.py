@@ -357,6 +357,8 @@ def _outcome(
     trajectory, summary = [], {}
     if error is None:
         summary = json.loads(summary_path.read_text())
+        if not isinstance(summary, dict):
+            raise ValueError(f"{summary_path} is not a run summary")
         trajectory = load_trajectory(trace_path)
     final_val_nmse = summary.get("best_val_nmse")
     return RunOutcome(

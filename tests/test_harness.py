@@ -344,7 +344,6 @@ class TestConfigParsing:
         with pytest.raises(SearchError, match="islands"):
             suite_config_from_json(cfg_path)
 
-
     def _suite_json(self, tmp_path, **entries):
         cfg_path = tmp_path / "suite.json"
         cfg_path.write_text(
@@ -609,6 +608,15 @@ class TestRunSuite:
         assert (config.out_dir / "summary.json").read_bytes() == (
             fresh.out_dir / "summary.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize("text", ["null", "[1, 2]", "3"])
+    def test_run_summary_that_is_not_an_object_is_rerun(self, tmp_path, text):
+        config = _suite(tmp_path)
+        first = run_suite(config)
+        first.outcomes[3].summary_path.write_text(text)
+        second = run_suite(config)
+        assert [o.reused for o in second.outcomes] == [i != 3 for i in range(8)]
+        assert second.outcomes[3] == first.outcomes[3]
 
     def test_workers_parallel_matches_serial(self, tmp_path):
         serial = run_suite(_suite(tmp_path, out="serial"))
