@@ -46,11 +46,11 @@ def _build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="search one problem in one mode")
     p_run.add_argument("problem", help="problem JSON path")
-    p_run.add_argument("--mode", choices=MODES, default="proaug")
+    p_run.add_argument("--mode", choices=MODES, default=None)
     p_run.add_argument(
         "--generator", choices=("remote", "scripted", "mutation"), default="mutation"
     )
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--iterations", type=int, default=None)
     p_run.add_argument("--out", default="runs", help="output directory")
     p_run.add_argument("--config", default=None, help="JSON overrides (search/generator)")
@@ -79,17 +79,19 @@ def _cmd_run(args) -> int:
     raw, base = {}, Path()
     if args.config:
         raw, base = read_config(args.config), Path(args.config).parent
-    # the flags override the file's search block; --generator is only a default type
-    raw["search"] = {**raw.get("search", {}), "mode": args.mode, "seed": args.seed}
-    if args.iterations is not None:
-        raw["search"]["iterations"] = args.iterations
+    # the flags given override the file's search block; --generator is only a default type
+    flags = {"mode": args.mode, "seed": args.seed, "iterations": args.iterations}
+    raw["search"] = {
+        **raw.get("search", {}),
+        **{key: value for key, value in flags.items() if value is not None},
+    }
     raw["generator"] = {"type": args.generator, **raw.get("generator", {})}
     config, generator_settings, analysis_settings = load_settings(raw, base)
 
     problem = load_problem_data(load_problem(args.problem))
-    generators = make_generators(generator_settings, analysis_settings, problem.arity, args.seed)
+    generators = make_generators(generator_settings, analysis_settings, problem.arity, config.seed)
     trace = run(config, problem, *generators)
-    trace_path, summary_path = run_paths(args.out, problem.name, config.mode, args.seed)
+    trace_path, summary_path = run_paths(args.out, problem.name, config.mode, config.seed)
     write_trace(trace, trace_path, summary_path)
 
     best = trace.best

@@ -13,6 +13,7 @@ and suite reports.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -86,19 +87,65 @@ def load_csv(path: str | Path) -> Dataset:
     The target is the column literally named ``target`` if present, else the
     last column.  All cells must parse as finite floats; errors name the
     offending column and 1-based data row.
+
+    numpy's C reader parses the data rows.  Where it refuses the text, finds
+    another column count than the header's or reads a non-finite cell, the
+    row pass ``_load_csv_by_rows`` decides instead: it alone defines the
+    accepted format and every error.
     """
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if len(header) < 2:
-            raise DataError(f"{path}: need at least one feature column and a target")
-        if len(set(header)) != len(header):
-            raise DataError(f"{path}: duplicate column names in header")
+        header = _read_header(reader, path)
+        table = _loadtxt_rows(fh, len(header))
+    if table is None:
+        return _load_csv_by_rows(path)
+    return _table_dataset(header, table)
+
+
+def _read_header(reader, path: Path) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: file is empty") from None
+    header = [h.strip() for h in header]
+    if len(header) < 2:
+        raise DataError(f"{path}: need at least one feature column and a target")
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: duplicate column names in header")
+    return header
+
+
+def _loadtxt_rows(lines, width: int) -> np.ndarray | None:
+    """The data rows after the header as a table, or None for the row pass
+    to decide.  Blank lines before the first data line are skipped here:
+    with no line left, ``np.loadtxt`` would warn that it read no data."""
+    try:
+        first = next((line for line in lines if line.strip()), None)
+        if first is None:
+            return None
+        table = np.loadtxt(
+            itertools.chain((first,), lines),
+            dtype=float,
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            ndmin=2,
+        )
+    except ValueError:
+        return None
+    if table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _load_csv_by_rows(path: Path) -> Dataset:
+    """``load_csv`` record by record, one ``float()`` call per cell: the
+    reference definition of the accepted format and of every error, which
+    names the first fault in file order."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = _read_header(reader, path)
         rows: list[list[float]] = []
         for lineno, raw in enumerate(reader, start=1):
             if not raw or all(not cell.strip() for cell in raw):
@@ -124,7 +171,10 @@ def load_csv(path: str | Path) -> Dataset:
             rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    table = np.array(rows, dtype=float)
+    return _table_dataset(header, np.array(rows, dtype=float))
+
+
+def _table_dataset(header: list[str], table: np.ndarray) -> Dataset:
     t = header.index(TARGET_COLUMN) if TARGET_COLUMN in header else len(header) - 1
     feat_cols = [i for i in range(len(header)) if i != t]
     return Dataset(

@@ -328,10 +328,10 @@ class SuiteReport:
 def load_trajectory(trace_path: str | Path) -> list[float]:
     """Best-so-far tr-val NMSE per iteration from a trace file (null -> inf)."""
     values = []
-    for line in Path(trace_path).read_text().splitlines():
-        record = json.loads(line)
-        value = record.get("best_nmse")
-        values.append(INF if value is None else float(value))
+    with open(trace_path) as fh:
+        for line in fh:
+            value = json.loads(line).get("best_nmse")
+            values.append(INF if value is None else float(value))
     return values
 
 

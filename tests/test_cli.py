@@ -136,6 +136,28 @@ class TestRunCommand:
         summary = json.loads((out / "orbit" / "llm-sr" / "0.summary.json").read_text())
         assert summary["iterations"] == 2
 
+    def test_config_mode_and_seed_stand_unless_flags_are_given(self, kepler_files, tmp_path):
+        problem, _ = kepler_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"search": {"mode": "llm-sr", "seed": 5, "iterations": 1}}))
+        from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+        assert main(["run", str(problem), "--config", str(cfg), "--out", str(from_file)]) == 0
+        trace = from_file / "orbit" / "llm-sr" / "5.trace.jsonl"
+        assert sorted(p.relative_to(from_file) for p in from_file.rglob("*.jsonl")) == [
+            trace.relative_to(from_file)
+        ]
+        # the generator is seeded from the resolved seed too
+        args = ["run", str(problem), "--mode", "llm-sr", "--seed", "5", "--iterations", "1"]
+        assert main([*args, "--out", str(from_flags)]) == 0
+        assert (from_flags / "orbit" / "llm-sr" / "5.trace.jsonl").read_bytes() == trace.read_bytes()
+
+        overridden = tmp_path / "overridden"
+        args = ["--mode", "statistical-hint", "--seed", "2", "--out", str(overridden)]
+        assert main(["run", str(problem), "--config", str(cfg), *args]) == 0
+        summary_path = overridden / "orbit" / "statistical-hint" / "2.summary.json"
+        summary = json.loads(summary_path.read_text())
+        assert (summary["mode"], summary["seed"]) == ("statistical-hint", 2)
+
 
     def test_config_scripted_path_resolves_against_the_config_dir(
         self, kepler_files, tmp_path, monkeypatch

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,15 +9,76 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symreg import data
 from symreg.data import (
     DataError,
     Dataset,
+    _load_csv_by_rows,
     load_csv,
     load_problem,
     load_problem_data,
     split,
 )
 from tests.conftest import make_dataset, write_csv, write_problem_files
+
+
+BUNDLED = Path(__file__).resolve().parent.parent / "problems"
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(lambda v: f"{v:+.3e}"),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(
+        ["1_0", "nan", "-inf", "Infinity", "#", "#1", "", " ", "1e", ".5", "-0", "0x1", '"', "1 2"]
+    ),
+)
+
+
+def _cell(draw) -> str:
+    cell = draw(_CELLS)
+    pad = draw(st.sampled_from(["", " ", "\t", "  "]))
+    cell = draw(st.sampled_from([cell, pad + cell, cell + pad, pad + cell + pad]))
+    if draw(st.booleans()):
+        cell = '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+@st.composite
+def _csv_texts(draw) -> str:
+    """CSV texts near the accepted format: padded and quoted numbers, blank,
+    whitespace-only and all-blank rows, cells numpy and float() read
+    differently, CRLF endings, ragged rows and a consistent extra column."""
+    header = draw(st.sampled_from(["a,y", "a,b,target", "target,a", " a , b ,c"]))
+    width = header.count(",") + 1 + draw(st.sampled_from([0, 0, 0, 1]))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "commas", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", " \t "])))
+        elif kind == "commas":
+            lines.append("," * (width - 1))
+        else:
+            n = width + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+            lines.append(",".join(_cell(draw) for _ in range(n)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join([header, *lines]) + draw(st.sampled_from(["", end]))
+
+
+def _outcome(load, path):
+    """Names and bytes of the arrays a loader returns, or its error text."""
+    try:
+        ds = load(path)
+    except DataError as exc:
+        return str(exc)
+    return (
+        ds.feature_names,
+        ds.target_name,
+        ds.features.shape,
+        ds.features.tobytes(),
+        ds.target.tobytes(),
+    )
 
 
 class TestLoadCsv:
@@ -100,6 +162,45 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_text("a,y\n5,1\n3,2\n9,3\n")
         assert load_csv(path).features[:, 0].tolist() == [5.0, 3.0, 9.0]
+
+    # numpy's reader refuses these rows; the row pass reads them
+    @pytest.mark.parametrize(
+        "text, features, target",
+        [
+            ("a,y\n1,2\n \t \n3,4\n", [1.0, 3.0], [2.0, 4.0]),  # whitespace-only row
+            ("a,y\n1,2\n,\n3,4\n", [1.0, 3.0], [2.0, 4.0]),  # all-blank row
+            ("a,y\n1_0,2\n3,4_5\n", [10.0, 3.0], [2.0, 45.0]),  # float() reads underscores
+        ],
+    )
+    def test_rows_numpy_refuses_load(self, tmp_path, text, features, target):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        ds = load_csv(path)
+        assert ds.features[:, 0].tolist() == features
+        assert ds.target.tolist() == target
+
+    @pytest.mark.parametrize("text", ["a,y\n", "a,y\n\n\r\n"])
+    def test_header_only_raises_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match="no data rows"):
+                load_csv(path)
+        assert caught == []
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in BUNDLED.glob("*.csv")))
+    def test_bundled_files_load_without_the_row_pass(self, name, monkeypatch):
+        expected = _load_csv_by_rows(BUNDLED / name)
+        monkeypatch.setattr(data, "_load_csv_by_rows", None)
+        assert _outcome(load_csv, BUNDLED / name) == _outcome(lambda p: expected, BUNDLED / name)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_csv_texts())
+    def test_matches_the_row_pass(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(load_csv, path) == _outcome(_load_csv_by_rows, path)
 
 
 class TestDataset:
