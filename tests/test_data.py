@@ -191,9 +191,9 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("name", sorted(p.name for p in BUNDLED.glob("*.csv")))
     def test_bundled_files_load_without_the_row_pass(self, name, monkeypatch):
-        expected = _load_csv_by_rows(BUNDLED / name)
+        expected = _outcome(_load_csv_by_rows, BUNDLED / name)
         monkeypatch.setattr(data, "_load_csv_by_rows", None)
-        assert _outcome(load_csv, BUNDLED / name) == _outcome(lambda p: expected, BUNDLED / name)
+        assert _outcome(load_csv, BUNDLED / name) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(text=_csv_texts())
