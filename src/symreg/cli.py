@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 run failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .fit import fit_params, nmse
 from .generate import REPORT_HEADER
 from .harness import (
     SuiteConfig,
+    SuiteReport,
     load_settings,
     make_generators,
     read_config,
@@ -110,8 +112,31 @@ def _cmd_suite(args) -> int:
     config: SuiteConfig = suite_config_from_json(args.config)
     report = run_suite(config)
     print(f"runs: {len(report.outcomes)} (failures: {report.failures})")
+    _print_mode_table(report)
     print(f"report: {config.out_dir / 'summary.json'}")
     return 0
+
+
+def _print_mode_table(report: SuiteReport) -> None:
+    """Median and IQR of final NMSE per problem and mode, then each mode
+    pair's win rate at the final iteration."""
+    print()
+    print(f"{'problem':<22}{'mode':<18}{'median NMSE':>14}{'IQR':>12}")
+    for key, entry in sorted(report.aggregates.items()):
+        problem, mode = key.rsplit("/", 1)
+        stats = entry["final_val_nmse"]
+        median, iqr = (
+            f"{stats[k]:.3g}" if math.isfinite(stats[k]) else "inf" for k in ("median", "iqr")
+        )
+        print(f"{problem:<22}{mode:<18}{median:>14}{iqr:>12}")
+    if report.win_curves:
+        print()
+        print("win rate at the final iteration:")
+        for key, curve in sorted(report.win_curves.items()):
+            if curve:
+                a, b = key.split("_vs_")
+                print(f"  {a} vs {b}: {curve[-1]:.3f}")
+    print()
 
 
 def _cmd_analyze(args) -> int:

@@ -108,6 +108,8 @@ def _read_header(reader, path: Path) -> list[str]:
         header = next(reader)
     except StopIteration:
         raise DataError(f"{path}: file is empty") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc} in header") from None
     header = [h.strip() for h in header]
     if len(header) < 2:
         raise DataError(f"{path}: need at least one feature column and a target")
@@ -147,28 +149,32 @@ def _load_csv_by_rows(path: Path) -> Dataset:
         reader = csv.reader(fh)
         header = _read_header(reader, path)
         rows: list[list[float]] = []
-        for lineno, raw in enumerate(reader, start=1):
-            if not raw or all(not cell.strip() for cell in raw):
-                continue
-            if len(raw) != len(header):
-                raise DataError(
-                    f"{path}: data row {lineno} has {len(raw)} cells, expected {len(header)}"
-                )
-            parsed = []
-            for col, cell in zip(header, raw):
-                try:
-                    value = float(cell)
-                except ValueError:
+        lineno = 0
+        try:
+            for lineno, raw in enumerate(reader, start=1):
+                if not raw or all(not cell.strip() for cell in raw):
+                    continue
+                if len(raw) != len(header):
                     raise DataError(
-                        f"{path}: non-numeric value {cell.strip()!r} in column "
-                        f"{col!r} at data row {lineno}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}: non-finite value in column {col!r} at data row {lineno}"
+                        f"{path}: data row {lineno} has {len(raw)} cells, expected {len(header)}"
                     )
-                parsed.append(value)
-            rows.append(parsed)
+                parsed = []
+                for col, cell in zip(header, raw):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: non-numeric value {cell.strip()!r} in column "
+                            f"{col!r} at data row {lineno}"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise DataError(
+                            f"{path}: non-finite value in column {col!r} at data row {lineno}"
+                        )
+                    parsed.append(value)
+                rows.append(parsed)
+        except csv.Error as exc:  # raised reading the record after row lineno
+            raise DataError(f"{path}: {exc} at data row {lineno + 1}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return _table_dataset(header, np.array(rows, dtype=float))

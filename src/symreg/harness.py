@@ -81,7 +81,14 @@ class SuiteConfig:
             raise HarnessError("workers must be >= 1")
 
 
+def _check_object(value, name: str) -> None:
+    if not isinstance(value, dict):
+        raise HarnessError(f"{name} must be a JSON object, got {value!r}")
+
+
 def search_config_from_json(raw: dict) -> SearchConfig:
+    for block in ("optimizer", "decoding"):
+        _check_object(raw.get(block, {}), f"search.{block}")
     optimizer = OptimizerConfig(**raw.pop("optimizer", {}))
     decoding_raw = dict(raw.pop("decoding", {}))
     if "stop" in decoding_raw:
@@ -95,14 +102,22 @@ def search_config_from_json(raw: dict) -> SearchConfig:
 
 def read_config(path: str | Path, keys: tuple[str, ...] = ()) -> dict:
     """Read a JSON config object.  A top-level key other than the ``search``,
-    ``generator`` and ``analysis_generator`` blocks and ``keys`` is refused."""
+    ``generator`` and ``analysis_generator`` blocks and ``keys`` is refused,
+    and so is a block that is not an object (``analysis_generator`` may be
+    null)."""
     path = Path(path)
-    raw = json.loads(path.read_text())
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise HarnessError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise HarnessError(f"{path}: top level must be an object")
     for key in raw:
         if key not in _SETTINGS_BLOCKS + keys:
             raise HarnessError(f"{path}: unknown key {key!r}")
+    for block in _SETTINGS_BLOCKS:
+        if block in raw and not (block == "analysis_generator" and raw[block] is None):
+            _check_object(raw[block], f"{path}: {block}")
     return raw
 
 
@@ -113,8 +128,10 @@ def load_settings(raw: dict, base: Path) -> tuple[SearchConfig, dict | None, dic
     generators = []
     for block in ("generator", "analysis_generator"):
         settings = raw.get(block)
-        if settings is not None and settings.get("type") == "scripted" and "path" in settings:
-            settings = {**settings, "path": str(base / settings["path"])}
+        path = None if settings is None else settings.get("path")
+        # a path that is not a string is left for make_generator to refuse
+        if settings is not None and settings.get("type") == "scripted" and isinstance(path, str):
+            settings = {**settings, "path": str(base / path)}
         generators.append(settings)
     return search_config_from_json(dict(raw.get("search", {}))), *generators
 
@@ -164,11 +181,18 @@ def make_generator(settings: dict, arity: int, run_seed: int) -> Generator:
             raise HarnessError(f"mutation seed must be an integer, got {seed!r}")
         return MutationGenerator(arity, seed=int(seed))
     if kind == "scripted":
-        if "texts" in settings:
-            return ScriptedGenerator(settings["texts"])
-        if "path" in settings:
-            return ScriptedGenerator(settings["path"])
-        raise HarnessError("scripted generator needs 'texts' or 'path'")
+        texts, path = settings.get("texts"), settings.get("path")
+        if "texts" in settings and not (
+            isinstance(texts, list) and texts and all(isinstance(t, str) for t in texts)
+        ):
+            raise HarnessError(
+                f"scripted texts must be a non-empty list of strings, got {texts!r}"
+            )
+        if "path" in settings and not isinstance(path, str):
+            raise HarnessError(f"scripted path must be a string, got {path!r}")
+        if texts is None and path is None:
+            raise HarnessError("scripted generator needs 'texts' or 'path'")
+        return ScriptedGenerator(path if texts is None else texts)
     for key in ("url", "model"):
         if key not in settings:
             raise HarnessError(f"remote generator needs {key!r}")

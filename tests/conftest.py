@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import json
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 
 from symreg.data import Dataset, Problem, ProblemSpec
 from symreg.expr import Skeleton, _random_tree, skeleton_from_node
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def make_dataset(X, y, names=None) -> Dataset:
@@ -68,6 +72,19 @@ def write_problem_files(tmp: Path, name: str, X, y, X_test=None, y_test=None) ->
     path = tmp / f"{name}.json"
     path.write_text(json.dumps(spec))
     return path
+
+
+@pytest.fixture
+def perfbench_workloads(monkeypatch):
+    """``perfbench/workloads.py``, which keeps its own copies of some of the
+    program's settings, loaded as a module without perfbench on the path."""
+    path = REPO / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 @pytest.fixture

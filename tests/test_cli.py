@@ -221,6 +221,36 @@ class TestSuiteCommand:
         assert "runs: 1 (failures: 0)" in out
         assert (tmp_path / "out" / "summary.json").exists()
 
+    def test_prints_the_mode_table(self, tmp_path, capsys):
+        X = np.linspace(1, 5, 30).reshape(-1, 1)
+        write_problem_files(tmp_path, "square", X, X[:, 0] ** 2)
+        write_problem_files(tmp_path, "cube", X, X[:, 0] ** 3)
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "problems": ["square.json", "cube.json"],
+                    "modes": ["llm-sr", "proaug"],
+                    "out_dir": "out",
+                    "generator": {"type": "mutation"},
+                    "search": {"iterations": 2, "samples_per_prompt": 1},
+                    "repeats": 1,
+                }
+            )
+        )
+        assert main(["suite", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "runs: 4 (failures: 0)"
+        assert lines[-1] == f"report: {tmp_path / 'out' / 'summary.json'}"
+        assert f"{'problem':<22}{'mode':<18}{'median NMSE':>14}{'IQR':>12}" in lines
+        rows = [line.split() for line in lines if line.startswith(("square ", "cube "))]
+        assert [row[:2] for row in rows] == [
+            ["cube", "llm-sr"], ["cube", "proaug"], ["square", "llm-sr"], ["square", "proaug"]
+        ]
+        assert all(len(row) == 4 for row in rows)
+        wins = [line for line in lines if " vs " in line]
+        assert [line.split(":")[0] for line in wins] == ["  llm-sr vs proaug", "  proaug vs llm-sr"]
+
 
 class TestAnalyzeCommand:
     def test_prints_rendered_report(self, kepler_files, tmp_path, capsys):

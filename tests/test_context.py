@@ -1,8 +1,5 @@
-import importlib.util
 import math
 import operator
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,17 +163,11 @@ class TestParseSpec:
         assert parse_spec("", arity=2) == AnalysisSpec((), 2)
 
 
-def test_benchmark_draws_the_grammar_words(monkeypatch):
+def test_benchmark_draws_the_grammar_words(perfbench_workloads):
     # perfbench/workloads.py keeps its own copy of the directive words to
     # generate the proaug-large programs; it must name the same ones
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclasses resolve their annotations through sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    assert workloads.TRANSFORMS == context.TRANSFORMS
-    assert workloads.COMBINERS == context.COMBINERS
+    assert perfbench_workloads.TRANSFORMS == context.TRANSFORMS
+    assert perfbench_workloads.COMBINERS == context.COMBINERS
 
 
 class TestFormatSpec:

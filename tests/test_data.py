@@ -146,6 +146,23 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="non-finite"):
             load_csv(path)
 
+    def test_header_cell_over_the_csv_field_limit(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,{'y' * 140_000}\n1,2\n")
+        with pytest.raises(DataError, match=r"d\.csv: field larger than .* in header$"):
+            load_csv(path)
+
+    def test_data_cell_over_the_csv_field_limit(self, tmp_path):
+        long_four = "0" * 139_999 + "4"
+        path = tmp_path / "d.csv"
+        # the non-numeric cell sends the file to the row pass, which reads rows in order
+        path.write_text(f"a,y\n1,2\n3,{long_four}\nabc,4\n")
+        with pytest.raises(DataError, match=r"d\.csv: field larger than .* at data row 2$"):
+            load_csv(path)
+        # numpy's reader has no field limit, so a file it reads whole keeps the cell
+        path.write_text(f"a,y\n1,2\n3,{long_four}\n")
+        assert load_csv(path).target.tolist() == [2.0, 4.0]
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,y\n1,2\n\n3,4\n")

@@ -25,8 +25,8 @@ from symreg.harness import (
     win_rate,
     win_rate_curve,
 )
-from symreg.search import SearchConfig, SearchError
-from tests.conftest import write_problem_files
+from symreg.search import MODES, SearchConfig, SearchError
+from tests.conftest import REPO, write_problem_files
 
 INF = float("inf")
 
@@ -169,6 +169,21 @@ class TestMakeGenerator:
         path.write_text(json.dumps(["a", "b"]))
         gen = make_generator({"type": "scripted", "path": str(path)}, arity=1, run_seed=0)
         assert isinstance(gen, ScriptedGenerator)
+
+    @pytest.mark.parametrize(
+        "texts", ["replies.json", [1, 2], ["a", None], [], None, {"a": "b"}]
+    )
+    def test_scripted_texts_must_be_a_non_empty_list_of_strings(self, texts):
+        # a string used to be read as a file path, and [1, 2] failed every run mid-search
+        with pytest.raises(HarnessError, match="scripted texts"):
+            make_generator({"type": "scripted", "texts": texts}, arity=1, run_seed=0)
+
+    @pytest.mark.parametrize("path", [["a.json"], 3, None])
+    def test_scripted_path_must_be_a_string(self, path, tmp_path):
+        # a config's path reaches the check unresolved, not as a TypeError from the join
+        _, settings, _ = load_settings({"generator": {"type": "scripted", "path": path}}, tmp_path)
+        with pytest.raises(HarnessError, match="scripted path"):
+            make_generator(settings, arity=1, run_seed=0)
 
     def test_scripted_missing_source(self):
         with pytest.raises(HarnessError, match="texts.*path|path.*texts"):
@@ -407,6 +422,53 @@ class TestConfigParsing:
         path.write_text(json.dumps([{"search": {}}]))
         with pytest.raises(HarnessError, match="object"):
             read_config(path)
+        path.write_text('{"search": {"iterations": 3,}}')
+        with pytest.raises(HarnessError, match=r"cfg\.json: invalid JSON"):
+            read_config(path)
+        for block in ("search", "generator", "analysis_generator"):
+            path.write_text(json.dumps({block: [{"type": "mutation"}]}))
+            with pytest.raises(HarnessError, match=f"{block} must be a JSON object"):
+                read_config(path)
+        path.write_text(json.dumps({"generator": None}))
+        with pytest.raises(HarnessError, match="generator must be a JSON object"):
+            read_config(path)
+        for block in ("optimizer", "decoding"):
+            with pytest.raises(HarnessError, match=f"search.{block} must be a JSON object"):
+                search_config_from_json({block: [1]})
+
+
+class TestBundledMutationSuite:
+    """``configs/mutation_suite.json`` is the offline three-mode suite."""
+
+    PATH = REPO / "configs" / "mutation_suite.json"
+
+    def test_search_block_matches_the_benchmark_copy(self, perfbench_workloads):
+        # perfbench's suite-parallel workload keeps its own copy of the settings
+        search = json.loads(self.PATH.read_text())["search"]
+        for key, value in perfbench_workloads.MUTATION_SEARCH.items():
+            assert search[key] == value, key
+
+    def test_lists_every_bundled_problem(self):
+        bundled = sorted((REPO / "problems").glob("*.json"))
+        problems = json.loads(self.PATH.read_text())["problems"]
+        assert problems == [f"../problems/{p.name}" for p in bundled]
+
+    def test_loads(self):
+        config = suite_config_from_json(self.PATH)
+        assert [p.resolve() for p in config.problems] == sorted((REPO / "problems").glob("*.json"))
+        assert config.out_dir.resolve() == REPO / "runs" / "mutation_suite"
+        assert (config.modes, config.repeats, config.workers) == (MODES, 3, 1)
+        assert config.generator == {"type": "mutation"}
+        assert config.search == SearchConfig(
+            iterations=100,
+            samples_per_prompt=2,
+            mode=MODES[0],
+            islands=4,
+            island_capacity=16,
+            seed=0,
+            retry_budget=1,
+            optimizer=OptimizerConfig(restarts=3, max_iterations=120, max_evaluations=1200),
+        )
 
 
 def _suite(tmp_path, *, modes=("llm-sr", "statistical-hint"), repeats=2, out="out"):
