@@ -291,24 +291,31 @@ def load_problem(path: str | Path) -> ProblemSpec:
     for key in ("name", "instructions", "data_path"):
         if key not in raw:
             raise DataError(f"{path}: missing required key {key!r}")
-    name = str(raw["name"])
+    for key in ("name", "instructions", "data_path", "target_description"):
+        if key in raw and not isinstance(raw[key], str):
+            raise DataError(f"{path}: {key} must be a string, got {raw[key]!r}")
+    for key in ("test_path", "ground_truth"):
+        if not isinstance(raw.get(key), (str, type(None))):
+            raise DataError(f"{path}: {key} must be a string or null, got {raw[key]!r}")
+    name = raw["name"]
     # runs are written under <out_dir>/<name>/, so the name must stay inside it
     if name in ("", ".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
         raise DataError(f"{path}: problem name {name!r} must be one path component")
     descriptions = raw.get("variable_descriptions", [])
-    if not isinstance(descriptions, list):
-        raise DataError(f"{path}: variable_descriptions must be a list, got {descriptions!r}")
+    if not (isinstance(descriptions, list) and all(isinstance(v, str) for v in descriptions)):
+        raise DataError(
+            f"{path}: variable_descriptions must be a list of strings, got {descriptions!r}"
+        )
     base = path.parent
     test_path = raw.get("test_path")
-    gt = raw.get("ground_truth")
     return ProblemSpec(
         name=name,
-        instructions=str(raw["instructions"]),
-        data_path=base / str(raw["data_path"]),
-        test_path=base / str(test_path) if test_path else None,
-        variable_descriptions=tuple(str(v) for v in descriptions),
-        target_description=str(raw.get("target_description", "")),
-        ground_truth=str(gt) if gt is not None else None,
+        instructions=raw["instructions"],
+        data_path=base / raw["data_path"],
+        test_path=base / test_path if test_path else None,
+        variable_descriptions=tuple(descriptions),
+        target_description=raw.get("target_description", ""),
+        ground_truth=raw.get("ground_truth"),
     )
 
 

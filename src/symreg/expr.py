@@ -501,10 +501,15 @@ def bind(skeleton: Skeleton, features) -> Callable[..., np.ndarray]:
         raise ExpressionError(
             f"feature matrix must have {skeleton.arity} columns, got shape {X.shape}"
         )
+    rows = X.shape[0]
+    if rows == 1:
+        # in a block, a one-row feature column reaches np.power with stride
+        # 0, which takes its scalar fast path (0.5 as sqrt, so -0.0 ^ 0.5 is
+        # -0.0): a lone row is bound twice, to take every other row's kernel
+        X = np.concatenate([X, X])
     columns = tuple(np.ascontiguousarray(X[:, j]) for j in range(X.shape[1]))
     with np.errstate(all="ignore"):
         bound = skeleton.compiled(columns)
-    rows = X.shape[0]
 
     def evaluator(params=()) -> np.ndarray:
         p = np.asarray(params, dtype=float)
@@ -522,6 +527,8 @@ def bind(skeleton: Skeleton, features) -> Callable[..., np.ndarray]:
                 f"need {skeleton.param_count} parameters, got {width}"
             )
         out = bound(p)
+        if rows == 1 and out.shape[-1:] == (2,):
+            out = out[..., :1]
         # a tree without a Var leaf yields a scalar or an (m, 1) column
         return out if out.shape == shape else np.full(shape, out)
 

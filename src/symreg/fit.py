@@ -78,16 +78,20 @@ def nmse(predicted, actual) -> float:
     return float(np.sum((p - a) ** 2) / denom)
 
 
+# Every fit's central-difference step scale, BFGS gradient-norm tolerance and
+# the squared error that replaces a non-finite one in the objective
+GRADIENT_STEP = 1e-6
+GRADIENT_TOLERANCE = 1e-8
+PENALTY = 1e10
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multi-start BFGS settings; defaults recorded in every run trace."""
+    """Multi-start BFGS budgets; defaults recorded in every run summary."""
 
     restarts: int = 4
     max_iterations: int = 500
     max_evaluations: int = 5000
-    gradient_step: float = 1e-6
-    gradient_tolerance: float = 1e-8
-    penalty: float = 1e10
 
     def __post_init__(self) -> None:
         for name in ("restarts", "max_iterations", "max_evaluations"):
@@ -97,12 +101,6 @@ class OptimizerConfig:
             raise FitError("need at least one restart (the all-ones start)")
         if self.max_iterations < 1 or self.max_evaluations < 1:
             raise FitError("iteration and evaluation budgets must be positive")
-        if not 0.0 < self.gradient_step < INF:
-            raise FitError("gradient_step must be positive and finite")
-        if not 0.0 <= self.gradient_tolerance:
-            raise FitError("gradient_tolerance must be non-negative")
-        if not 0.0 < self.penalty < INF:
-            raise FitError("penalty must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -200,8 +198,6 @@ class _BFGS:
 
     def __init__(self, x0: np.ndarray, config: OptimizerConfig):
         self.x0 = x0
-        self.step = config.gradient_step
-        self.gtol = config.gradient_tolerance
         self.max_iterations = config.max_iterations
         self.x = x0  # the cached point, its value f and its gradient g
         self.f = self.g = None
@@ -209,14 +205,14 @@ class _BFGS:
     def _rows(self, lead: int, gradient: bool):
         """`lead` copies of the cached point, then, if `gradient`, its 2k
         probes in the order theta + h_0 e_0, theta - h_0 e_0, theta + h_1 e_1,
-        ..., with h = gradient_step * max(1, |theta|); and h."""
+        ..., with h = GRADIENT_STEP * max(1, |theta|); and h."""
         k = len(self.x)
         rows = np.empty((lead + 2 * k * gradient, k))
         rows[:] = self.x
         h = None
         if gradient:
             # fmax, like the builtin max, maps a nan |theta_i| to 1
-            h = self.step * np.fmax(1.0, np.abs(self.x))
+            h = GRADIENT_STEP * np.fmax(1.0, np.abs(self.x))
             # in the flattened probes, coordinate i of probe 2i sits at
             # i * (2k + 1), and of probe 2i + 1 k places later
             probes = rows[lead:].reshape(-1)
@@ -263,7 +259,7 @@ class _BFGS:
         xk = self.x0
         failed = False
         gnorm = np.maximum.reduce(np.abs(gfk))
-        while gnorm > self.gtol and iteration < self.max_iterations:
+        while gnorm > GRADIENT_TOLERANCE and iteration < self.max_iterations:
             pk = -np.dot(Hk, gfk)
             alpha_k, old_fval, old_old_fval, gfkp1 = yield from self._line_search(
                 xk, pk, gfk, old_fval, old_old_fval
@@ -279,7 +275,7 @@ class _BFGS:
             gfk = gfkp1
             iteration += 1
             gnorm = np.maximum.reduce(np.abs(gfk))
-            if gnorm <= self.gtol:
+            if gnorm <= GRADIENT_TOLERANCE:
                 break
             # scipy's relative step test at its default xrtol = 0; its right
             # side is 0 or nan, so only a zero step needs it
@@ -800,7 +796,7 @@ def fit_params(
     draws from a generator seeded by `seed`.  Each start runs scipy's BFGS
     (``minimize(method="BFGS")``) after one evaluation of the start point
     itself, so the start is evaluated twice.  Gradients are central finite
-    differences with per-coordinate step h = gradient_step * max(1, |theta|),
+    differences with per-coordinate step h = GRADIENT_STEP * max(1, |theta|),
     its 2k probes in the order theta + h_0 e_0, theta - h_0 e_0,
     theta + h_1 e_1, ....  The skeleton is bound to tr-tr once per fit, in
     row tiles of at most MAX_BLOCK_ELEMENTS rows, so a subtree that reads no
@@ -854,7 +850,7 @@ def fit_params(
     budget = config.max_evaluations
     # penalized objectives legitimately push BFGS through non-finite arithmetic
     with np.errstate(all="ignore"):
-        objective = _penalized_objective(skeleton, X, y, config.penalty, probes_per_block)
+        objective = _penalized_objective(skeleton, X, y, PENALTY, probes_per_block)
         runs = [_Run(_BFGS(x0, config).run()) for x0 in starts]
         _drive(runs, objective, probes_per_block, budget)
 

@@ -4,7 +4,8 @@ Runs |problems| x |modes| x repeats searches (seed = base seed + repeat
 index), persists every trace, and reduces the results into win-rate curves
 and median/IQR spread statistics.  Suites are resumable at run granularity:
 a run whose trace and summary files already exist is loaded, not re-run,
-unless they do not parse.  Fresh or loaded, a run's outcome is read from
+unless they do not parse or the summary records other search settings than
+the run's.  Fresh or loaded, a run's outcome is read from
 those files, so the report depends only on what is on disk.
 """
 
@@ -18,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .data import Problem, is_integer, load_problem, load_problem_data, write_json
+from .data import Problem, is_integer, json_safe, load_problem, load_problem_data, write_json
 from .fit import OptimizerConfig
 from .generate import (
     DEFAULT_TIMEOUT,
@@ -148,6 +149,12 @@ def suite_config_from_json(path: str | Path) -> SuiteConfig:
             raise HarnessError(f"{path}: {key} must be a list, got {raw[key]!r}")
     if not raw["modes"]:
         raise HarnessError("suite needs at least one mode")
+    if not all(isinstance(p, str) for p in raw["problems"]):
+        raise HarnessError(f"{path}: problems must be a list of strings, got {raw['problems']!r}")
+    if not isinstance(raw["out_dir"], str):
+        raise HarnessError(f"{path}: out_dir must be a string, got {raw['out_dir']!r}")
+    if "mode" in raw.get("search", {}):
+        raise HarnessError(f"{path}: search.mode is not a suite setting; modes sets each run's")
     raw["search"] = {"mode": raw["modes"][0], **raw.get("search", {})}
     search, generator, analysis_generator = load_settings(raw, path.parent)
     return SuiteConfig(
@@ -376,20 +383,26 @@ def _outcome(
     error: Exception | None = None,
 ) -> RunOutcome:
     """The outcome of one run, read from its trace and summary files unless
-    the run failed.  A null final NMSE (no valid candidate) reads as inf."""
+    the run failed.  A null final NMSE (no valid candidate) reads as inf.
+    A summary that records other search settings than the run's raises
+    ValueError, as one that does not parse does."""
     trace_path, summary_path = run_paths(config.out_dir, problem, mode, repeat)
+    seed = config.search.seed + repeat
     trajectory, summary = [], {}
     if error is None:
         summary = json.loads(summary_path.read_text())
         if not isinstance(summary, dict):
             raise ValueError(f"{summary_path} is not a run summary")
+        settings = json_safe(replace(config.search, mode=mode, seed=seed))
+        if any(name not in summary or summary[name] != value for name, value in settings.items()):
+            raise ValueError(f"{summary_path} records other search settings")
         trajectory = load_trajectory(trace_path)
     final_val_nmse = summary.get("best_val_nmse")
     return RunOutcome(
         problem=problem,
         mode=mode,
         repeat=repeat,
-        seed=config.search.seed + repeat,
+        seed=seed,
         trace_path=trace_path,
         summary_path=summary_path,
         trajectory=tuple(trajectory),
@@ -405,7 +418,9 @@ def _run_one(config: SuiteConfig, problem: Problem, mode: str, repeat: int) -> R
     if trace_path.exists() and summary_path.exists():
         try:
             return _outcome(config, problem.name, mode, repeat, reused=True)
-        except ValueError:  # the summary is written last: one cut short is an unfinished run
+        # the summary is written last: one cut short is an unfinished run, and
+        # one that records other search settings is another run's
+        except ValueError:
             pass
     seed = config.search.seed + repeat
     generators = make_generators(config.generator, config.analysis_generator, problem.arity, seed)
@@ -422,7 +437,9 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
     Per-run failures are recorded and excluded from aggregates; the suite
     itself keeps going.  Problems that share a name would share run files,
-    so they are rejected before any run starts.  Outputs under out_dir:
+    so they are rejected before any run starts.  An exception while the
+    results are collected, an interrupt included, cancels the runs not yet
+    started before it propagates.  Outputs under out_dir:
     per-run trace and summary files, ``summary.json``, and
     ``trajectories.csv``.
     """
@@ -454,7 +471,12 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             futures = [pool.submit(_run_one, config, p, mode, rep) for p, mode, rep in jobs]
-            outcomes += [f.result() for f in futures]
+            try:
+                outcomes += [f.result() for f in futures]
+            except BaseException:
+                # else leaving the pool runs every queued run first
+                pool.shutdown(cancel_futures=True)
+                raise
 
     report = build_report(outcomes, config.modes)
     _write_report(config, report)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -49,7 +50,7 @@ class SearchError(ValueError):
 
 _INTEGER_FIELDS = (
     "iterations", "samples_per_prompt", "islands", "island_capacity", "k_demos",
-    "seed", "retry_budget", "split_seed",
+    "seed", "retry_budget",
 )
 
 
@@ -65,10 +66,7 @@ class SearchConfig:
     seed: int = 0
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     retry_budget: int = 3
-    split_ratio: float = DEFAULT_SPLIT_RATIO
-    split_seed: int | None = None
     inject_report: bool = True
-    fitness_floor: float = FITNESS_FLOOR
     decoding: DecodingConfig = field(default_factory=DecodingConfig)
 
     def __post_init__(self) -> None:
@@ -76,7 +74,7 @@ class SearchConfig:
             raise SearchError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in _INTEGER_FIELDS:
             value = getattr(self, name)
-            if not (is_integer(value) or (name == "split_seed" and value is None)):
+            if not is_integer(value):
                 raise SearchError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise SearchError("iterations must be >= 1")
@@ -88,10 +86,13 @@ class SearchConfig:
             raise SearchError("k_demos must be >= 1")
         if self.island_capacity < self.k_demos:
             raise SearchError("island_capacity must be >= k_demos")
-        if not self.sampling_temperature > 0:  # NaN fails this too
+        temperature = self.sampling_temperature
+        if not isinstance(temperature, numbers.Real) or isinstance(temperature, bool):
+            raise SearchError(f"sampling_temperature must be a number, got {temperature!r}")
+        if not temperature > 0:  # NaN fails this too
             raise SearchError("sampling_temperature must be positive")
-        if math.isnan(self.fitness_floor):
-            raise SearchError("fitness_floor must not be NaN")
+        if not isinstance(self.inject_report, bool):
+            raise SearchError(f"inject_report must be true or false, got {self.inject_report!r}")
         if self.retry_budget < 0:
             raise SearchError("retry_budget must be >= 0")
 
@@ -321,8 +322,7 @@ def run(
     timings = {"analysis": 0.0, "generation": 0.0, "evaluation": 0.0, "total": 0.0}
     t_start = time.monotonic()
 
-    split_seed = config.split_seed if config.split_seed is not None else config.seed
-    view = split(problem.train, split_seed, config.split_ratio)
+    view = split(problem.train, config.seed, DEFAULT_SPLIT_RATIO)
     buffer = ExperienceBuffer(config.islands, config.island_capacity)
     if analysis_generator is None:
         analysis_generator = generator
@@ -333,7 +333,7 @@ def run(
         hint_report = ctx.execute(
             ctx.default_hint_spec(problem.arity),
             view.tr_tr,
-            seed=split_seed,
+            seed=config.seed,
             source="statistical-hint",
         )
         timings["analysis"] += time.monotonic() - t0
@@ -375,7 +375,7 @@ def run(
                     cached = spec_text in seen_programs
                     seen_programs.add(spec_text)
                     fresh = last_report = ctx.execute(
-                        spec, view.tr_tr, seed=split_seed, source="proaug", memo=analysis_memo
+                        spec, view.tr_tr, seed=config.seed, source="proaug", memo=analysis_memo
                     )
                 analysis_record = AnalysisRecord(
                     prompt=analysis_prompt,
@@ -394,7 +394,6 @@ def run(
             config.k_demos,
             config.sampling_temperature,
             derive_seed(config.seed, _DEMO, t),
-            floor=config.fitness_floor,
         )
         prompt = build_equation_prompt(problem, demos, report)
 

@@ -278,7 +278,6 @@ def test_criterion_10_no_validation_or_test_leakage(kepler_dataset):
         islands=2,
         island_capacity=8,
         seed=0,
-        split_seed=split_seed,
         optimizer=OptimizerConfig(restarts=2, max_evaluations=400),
     )
     trace_a = run(

@@ -450,3 +450,31 @@ class TestProblems:
         )
         with pytest.raises(DataError, match="variable_descriptions must be a list"):
             load_problem(path)
+
+    # str() used to read a file named None, prompt with "Problem: None" and
+    # drop the test set of a test_path such as 0
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("name", 3),
+            ("instructions", None),
+            ("data_path", None),
+            ("target_description", 1),
+            ("variable_descriptions", ["a", None]),
+            ("test_path", 0),
+            ("ground_truth", 1.5),
+        ],
+    )
+    def test_text_values_must_be_strings(self, tmp_path, key, value):
+        path = tmp_path / "p.json"
+        raw = {"name": "p", "instructions": "i", "data_path": "p.csv", key: value}
+        path.write_text(json.dumps(raw))
+        with pytest.raises(DataError, match=key):
+            load_problem(path)
+
+    def test_test_path_and_ground_truth_may_be_null(self, tmp_path):
+        path = tmp_path / "p.json"
+        raw = {"name": "p", "instructions": "i", "data_path": "p.csv"}
+        path.write_text(json.dumps({**raw, "test_path": None, "ground_truth": None}))
+        spec = load_problem(path)
+        assert spec.test_path is None and spec.ground_truth is None

@@ -442,6 +442,18 @@ class TestBind:
             )
             assert joined.shape == full.shape and same.all(), (s.text, size)
 
+    def test_a_lone_row_takes_the_kernel_of_every_row(self):
+        # a one-row bind used to compute -0.0 ^ 0.5 as sqrt(-0.0) = -0.0 in a
+        # block, where a bind of more rows gives np.power's 0.0
+        s = parse("p0 ^ x0", 1)
+        block = np.array([[-0.0], [2.0], [-0.0]])
+        with np.errstate(all="ignore"):
+            alone = bind(s, [[0.5]])
+            joined = np.concatenate([alone(block), alone(block)], axis=-1)
+            full = bind(s, [[0.5], [0.5]])(block)
+            assert (joined.view(np.int64) == full.view(np.int64)).all()
+            assert alone(block[0]).shape == (1,) and alone(block).shape == (3, 1)
+
     def test_parameter_free_subtree_runs_once_per_bind(self, monkeypatch):
         calls = []
 

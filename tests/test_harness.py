@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from symreg import harness
 from symreg.fit import OptimizerConfig
 from symreg.generate import MutationGenerator, RemoteChatGenerator, ScriptedGenerator
 from symreg.harness import (
@@ -380,6 +381,19 @@ class TestConfigParsing:
         with pytest.raises(HarnessError, match=f"{key} must be a list"):
             suite_config_from_json(self._suite_json(tmp_path, **{key: value}))
 
+    # a number used to fail as "unsupported operand type(s) for /"
+    @pytest.mark.parametrize(
+        "key, value", [("problems", [3]), ("problems", ["a.json", None]), ("out_dir", 3)]
+    )
+    def test_suite_json_paths_must_be_strings(self, tmp_path, key, value):
+        with pytest.raises(HarnessError, match=f"{key} must be"):
+            suite_config_from_json(self._suite_json(tmp_path, **{key: value}))
+
+    def test_suite_json_refuses_search_mode(self, tmp_path):
+        # it used to be accepted and ignored: each run takes its mode from modes
+        with pytest.raises(HarnessError, match="search.mode"):
+            suite_config_from_json(self._suite_json(tmp_path, search={"mode": "proaug"}))
+
     def test_decoding_stop_must_be_a_list(self, tmp_path):
         # "###" used to become the stop sequences ('#', '#', '#')
         with pytest.raises(HarnessError, match="stop must be a list"):
@@ -469,6 +483,16 @@ class TestBundledMutationSuite:
             retry_budget=1,
             optimizer=OptimizerConfig(restarts=3, max_iterations=120, max_evaluations=1200),
         )
+
+    def test_benchmark_suites_load(self, tmp_path, perfbench_workloads):
+        # a key the benchmark writes and the loader refuses would fail every pass
+        paths = [self.PATH]
+        for name, workload in perfbench_workloads.WORKLOADS.items():
+            settings = perfbench_workloads.prepare(workload, REPO, tmp_path / name, 0, "tiny")
+            paths.append(tmp_path / f"{name}.json")
+            perfbench_workloads.write_suite(settings["suite"], paths[-1], tmp_path / "out")
+        for path in paths:
+            assert suite_config_from_json(path).search.iterations > 0
 
 
 def _suite(tmp_path, *, modes=("llm-sr", "statistical-hint"), repeats=2, out="out"):
@@ -679,6 +703,43 @@ class TestRunSuite:
         second = run_suite(config)
         assert [o.reused for o in second.outcomes] == [i != 3 for i in range(8)]
         assert second.outcomes[3] == first.outcomes[3]
+
+    def test_resume_reruns_a_run_of_other_search_settings(self, tmp_path):
+        # a run recorded at 2 iterations used to be reused at 3
+        config = _suite(tmp_path)
+        short = dataclasses.replace(config, search=dataclasses.replace(config.search, iterations=2))
+        run_suite(short)
+        longer = run_suite(config)
+        assert not any(o.reused for o in longer.outcomes)
+        for o in longer.outcomes:
+            assert len(o.trace_path.read_text().splitlines()) == 3
+            assert json.loads(o.summary_path.read_text())["iterations"] == 3
+        assert all(o.reused for o in run_suite(config).outcomes)
+
+    def test_interrupt_cancels_queued_runs(self, tmp_path, monkeypatch):
+        # leaving the pool on the exception used to run every queued run first
+        class Interrupting:
+            tag = "interrupting"
+
+            def generate(self, request):
+                raise KeyboardInterrupt
+
+        started = []
+        original = harness.run
+
+        def run(config, problem, generator, analysis_generator=None):
+            started.append(config.seed)
+            if config.seed == 0:
+                generator = Interrupting()
+            return original(config, problem, generator, analysis_generator)
+
+        monkeypatch.setattr(harness, "run", run)
+        workers = 2
+        config = _suite(tmp_path, modes=("llm-sr",), repeats=8)
+        config = dataclasses.replace(config, problems=config.problems[:1], workers=workers)
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(config)
+        assert 0 in started and len(started) <= 1 + 2 * workers
 
     def test_workers_parallel_matches_serial(self, tmp_path):
         serial = run_suite(_suite(tmp_path, out="serial"))

@@ -56,7 +56,7 @@ MALFORMED = "```analysis\nr2 y ~ tan(x0)\n```"
 ANALYSIS_REPLIES = [PROGRAM_A, MALFORMED, PROGRAM_B, MALFORMED, MALFORMED, PROGRAM_A]
 
 TRACES_SHA256 = "fc016c3d9e3a1fac57354d957925b83fd565bcae1558ad84a301d783d4b62515"
-RUN_SUMMARIES_SHA256 = "5f6baac05cd2978d678aa4bf4eed8533546aa6a51ada764687e3e5499c403310"
+RUN_SUMMARIES_SHA256 = "180d8104aac9faebeb49bc26221d18ebdbde20dae153210fc2dab4ce254f1c2b"
 SUITE_REPORT_SHA256 = "1f7e0c0a9dae1dccec47f2d9e9080ea543ecdf28ebe3e58a8479131fecf021d0"
 
 

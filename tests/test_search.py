@@ -127,9 +127,17 @@ class TestSearchConfig:
         with pytest.raises(SearchError, match="sampling_temperature"):
             SearchConfig(sampling_temperature=float("nan"))
 
-    def test_nan_fitness_floor(self):
-        with pytest.raises(SearchError, match="fitness_floor"):
-            SearchConfig(fitness_floor=float("nan"))
+    # "1.0" used to fail in a comparison that named no setting
+    @pytest.mark.parametrize("value", ["1.0", True, None])
+    def test_sampling_temperature_must_be_a_number(self, value):
+        with pytest.raises(SearchError, match="sampling_temperature"):
+            SearchConfig(sampling_temperature=value)
+
+    # "no" used to be accepted, and is truthy
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_inject_report_must_be_a_bool(self, value):
+        with pytest.raises(SearchError, match="inject_report"):
+            SearchConfig(inject_report=value)
 
     def test_negative_retry_budget(self):
         with pytest.raises(SearchError, match="retry_budget"):
@@ -145,16 +153,12 @@ class TestSearchConfig:
     @pytest.mark.parametrize(
         "name",
         ["iterations", "samples_per_prompt", "islands", "island_capacity", "k_demos",
-         "seed", "retry_budget", "split_seed"],
+         "seed", "retry_budget"],
     )
     @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
     def test_rejects_non_integer_counts(self, name, value):
         with pytest.raises(SearchError, match=name):
             SearchConfig(**{name: value})
-
-    def test_split_seed_may_be_none(self):
-        assert SearchConfig(split_seed=None).split_seed is None
-        assert SearchConfig(split_seed=3).split_seed == 3
 
 
 class TestExperienceBuffer:
@@ -530,7 +534,7 @@ class TestRunProaug:
         cfg = _quick_config(mode="proaug", iterations=3)
         trace = run(cfg, problem, eq, analysis_generator=an)
         first, second, repeat = (rec.analysis for rec in trace.records)
-        tr_tr = split(problem.train, cfg.seed, cfg.split_ratio).tr_tr
+        tr_tr = split(problem.train, cfg.seed).tr_tr
         standalone = ctx.execute(
             ctx.parse_spec(second_program, 1), tr_tr, seed=cfg.seed, source="proaug"
         )
