@@ -9,13 +9,24 @@ construction were consolidated, so a refactor that changes any byte of a
 trace, a run summary (minus its wall-clock timings) or the suite report
 fails here.  The digests depend on the float results of numpy and the
 platform libm; a deliberate numerics change re-pins them and says so.
+
+Those problems are small, so their fits evaluate blocks of many parameter
+vectors per call.  A fit over more than 4,096 rows evaluates one vector per
+call, so the second test pins such fits: the benchmark's four equation
+shapes, with sin and with cos, and a three-start fit, by the ``repr`` of
+their results.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
-from symreg.fit import OptimizerConfig
+import numpy as np
+import pytest
+
+from symreg.data import Dataset
+from symreg.expr import parse
+from symreg.fit import OptimizerConfig, fit_params
 from symreg.harness import SuiteConfig, run_suite
 from symreg.search import SearchConfig
 
@@ -125,3 +136,64 @@ def test_bundled_suite_outputs_are_pinned(tmp_path):
     assert _digest(
         [(out / "summary.json").read_bytes(), (out / "trajectories.csv").read_bytes()]
     ) == SUITE_REPORT_SHA256
+
+
+# perfbench/workloads.py's EQUATION_SHAPES at a, b, c = 0, 1, 2, each shape
+# that calls a function once with sin and once with cos; the optimizer
+# settings, the start seed and the pinned result follow each text
+SINGLE_VECTOR_FITS = [
+    (
+        "p0 * x0 ^ p1 * x1 / (x2 + p2)", OptimizerConfig(restarts=1, max_evaluations=30), 0,
+        "FitResult(params=(0.5086611857726114, 2.117104457856484, 1.469801567054115), "
+        "train_mse=4.808360861120336, converged=False, restarts_used=1, evaluations=30)",
+    ),
+    (
+        "p0 * sin(p1 * x0) + p2 * x1 * x2", OptimizerConfig(restarts=1, max_evaluations=30), 0,
+        "FitResult(params=(0.7524177495248282, 0.6393420704826168, -0.047748678558590545), "
+        "train_mse=13.97382578012074, converged=False, restarts_used=1, evaluations=30)",
+    ),
+    (
+        "p0 * cos(p1 * x0) + p2 * x1 * x2", OptimizerConfig(restarts=1, max_evaluations=30), 0,
+        "FitResult(params=(0.6450136005462171, 3.4201584847251563, 0.2212054150110422), "
+        "train_mse=12.275622023677393, converged=False, restarts_used=1, evaluations=30)",
+    ),
+    (
+        "(p0 * x0 + p1) / (p2 + x1 * x2)", OptimizerConfig(restarts=1, max_evaluations=30), 0,
+        "FitResult(params=(1.9029795773599187, 1.2685203012975816, 0.6358184966509289), "
+        "train_mse=8.620405020101765, converged=False, restarts_used=1, evaluations=30)",
+    ),
+    (
+        "p0 * x0 ^ p1 + p2 * sin(x1) * x2", OptimizerConfig(restarts=1, max_evaluations=30), 0,
+        "FitResult(params=(0.9178392005672154, 1.4944180462508911, -0.23262147686065288), "
+        "train_mse=4.453519714320795, converged=False, restarts_used=1, evaluations=30)",
+    ),
+    (
+        "p0 * x0 ^ p1 + p2 * cos(x1) * x2", OptimizerConfig(restarts=1, max_evaluations=30), 0,
+        "FitResult(params=(0.7863429280274019, 1.458255675636262, 0.3132640396688299), "
+        "train_mse=4.685347461395287, converged=False, restarts_used=1, evaluations=30)",
+    ),
+    # two iterations per start, so every start counts and the best point is
+    # a random start's
+    (
+        "p0 * sin(p1 * x0) + p2 * x1 * x2",
+        OptimizerConfig(restarts=3, max_iterations=2, max_evaluations=90), 5,
+        "FitResult(params=(1.4661100344990736, -1.4400824914899448, 0.29253386000781006), "
+        "train_mse=9.828743271888303, converged=False, restarts_used=3, evaluations=90)",
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def large_dataset() -> Dataset:
+    rng = np.random.default_rng(2024)
+    X = rng.uniform(0.5, 4.0, size=(16384, 3))
+    y = (
+        1.5 * X[:, 0] ** 1.3 + np.sin(2.0 * X[:, 0]) * X[:, 1] - X[:, 2]
+        + rng.normal(0, 0.1, 16384)
+    )
+    return Dataset(features=X, target=y, feature_names=("x0", "x1", "x2"))
+
+
+@pytest.mark.parametrize("text, config, seed, pinned", SINGLE_VECTOR_FITS)
+def test_single_vector_fits_are_pinned(large_dataset, text, config, seed, pinned):
+    assert repr(fit_params(parse(text, 3), large_dataset, config, seed)) == pinned
