@@ -64,6 +64,9 @@ BINARY = {
 }
 UNARY_OPS = tuple(UNARY)
 BINARY_OPS = tuple(BINARY)
+# The operators whose kernels cost the most per row; the compiled evaluator
+# memoizes their stages on the parameters they read (see _memoize)
+COSTLY = frozenset(("log", "exp", "sin", "cos", "pow"))
 
 _BIN_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
 _SYMBOL_ADD = {"+": "add", "-": "sub"}
@@ -120,6 +123,14 @@ Node = Union[Const, Var, Param, Unary, Binary]
 # (k, m, 1) stack of parameter columns alike.  The evaluator never writes into
 # the params or a hoisted array; a bare Param tree returns a view of the
 # params and a tree without Param leaves returns its hoisted value.
+#
+# A costly stage that reads a strict subset of the params keeps the arrays it
+# computed for its last distinct parameter values (_memoize).  Two invariants
+# keep those arrays intact and unseen:
+# - the root stage reads every Param, so it is never memoized, and the
+#   evaluator never hands a memoized array to its caller;
+# - no stage writes into a child's output; _compile_scalar_power writes only
+#   into its own fresh result, before a memo keeps it.
 Bound = Callable[[np.ndarray], np.ndarray]
 Compiled = Callable[[np.ndarray], Bound]
 
@@ -157,7 +168,8 @@ def _const_text(value: float) -> str:
 
 # While compiling, a subtree that reads no Param is a function of the
 # features alone, X -> values, which a bind runs once; a subtree that reads a
-# Param is a stage, X -> (params -> values).  ``reads`` says which.
+# Param is a stage, X -> (params -> values).  ``reads``, the set of the
+# (renumbered) Params a subtree reads, says which.
 
 
 def _compile_const(value: float):
@@ -165,7 +177,7 @@ def _compile_const(value: float):
     return lambda X: leaf
 
 
-def _compile_unary(fn, child, reads: bool):
+def _compile_unary(fn, child, reads):
     if not reads:
         return lambda X: fn(child(X))
 
@@ -176,7 +188,7 @@ def _compile_unary(fn, child, reads: bool):
     return stage
 
 
-def _compile_binary(fn, left, right, left_reads: bool, right_reads: bool):
+def _compile_binary(fn, left, right, left_reads, right_reads):
     if not (left_reads or right_reads):
         return lambda X: fn(left(X), right(X))
 
@@ -197,7 +209,7 @@ def _compile_binary(fn, left, right, left_reads: bool, right_reads: bool):
 _SCALAR_FAST_EXPONENTS = frozenset((-1.0, 0.5, 2.0))
 
 
-def _compile_scalar_power(fn, base, exponent: Compiled, base_reads: bool) -> Compiled:
+def _compile_scalar_power(fn, base, exponent: Compiled, base_reads) -> Compiled:
     """pow whose exponent reads a Param and no feature: a scalar for one
     parameter vector, an (m, 1) column for a block.  A column never takes
     np.power's scalar fast path, so the block rows whose exponent has a
@@ -217,6 +229,45 @@ def _compile_scalar_power(fn, base, exponent: Compiled, base_reads: bool) -> Com
             return out
 
         return power
+
+    return stage
+
+
+def _memoize(compiled: Compiled, reads: frozenset, params: dict) -> Compiled:
+    """A costly stage, memoized per bind on the bits of the params it reads.
+
+    A fit's request is a point and its central-difference probes, and a probe
+    of a parameter the stage does not read leaves the stage's input as at the
+    point: a request of 1 + 2k vectors gives it at most 2s + 1 distinct
+    inputs, s = len(reads), so the memo keeps the 2s + 1 newest.  The key is
+    the bytes of those params, so -0.0 and 0.0 differ and a nan hits only
+    the same nan bits, for which the kernel gives the same bits again.  Only
+    a call with one parameter vector looks it up; a block of several
+    bypasses it.  A stage that reads every Param is returned as it is:
+    `params`, the renumbering, is complete by the time a bind runs."""
+    indices = np.array(sorted(reads), dtype=np.intp)
+    capacity = 2 * len(indices) + 1
+
+    def stage(X):
+        inner = compiled(X)
+        if len(indices) == len(params):
+            return inner
+        memo: dict = {}
+
+        def memoized(P):
+            if P.ndim == 3 and P.shape[1] != 1:
+                return inner(P)
+            # one vector flattens to its params in order; a vector and a
+            # one-row block give values of different shapes
+            key = (P.ndim, P.take(indices).tobytes())
+            values = memo.get(key)
+            if values is None:
+                if len(memo) == capacity:
+                    del memo[next(iter(memo))]
+                values = memo[key] = inner(P)
+            return values
+
+        return memoized
 
     return stage
 
@@ -252,18 +303,18 @@ def skeleton_from_node(node: Node, arity: int) -> Skeleton:
     """
     renumbered: dict[int, int] = {}
 
-    def build(n: Node, level: int) -> tuple[Node, str, Callable, bool]:
-        # -> (canonical node, text, compiled subtree, whether it reads a Param)
+    def build(n: Node, level: int) -> tuple[Node, str, Callable, frozenset[int]]:
+        # -> (canonical node, text, compiled subtree, the Params it reads)
         if isinstance(n, Const):
             if not isinstance(n.value, float):
                 raise ExpressionError(f"constant value must be float, got {n.value!r}")
-            return n, _const_text(n.value), _compile_const(n.value), False
+            return n, _const_text(n.value), _compile_const(n.value), frozenset()
         if isinstance(n, Var):
             if not 0 <= n.index < arity:
                 raise ExpressionError(
                     f"variable x{n.index} out of range for arity {arity}"
                 )
-            return n, f"x{n.index}", operator.itemgetter(n.index), False
+            return n, f"x{n.index}", operator.itemgetter(n.index), frozenset()
         if isinstance(n, Param):
             if not 0 <= n.index < MAX_PARAMS:
                 raise ExpressionError(
@@ -271,7 +322,7 @@ def skeleton_from_node(node: Node, arity: int) -> Skeleton:
                 )
             index = renumbered.setdefault(n.index, len(renumbered))
             read = operator.itemgetter(index)
-            return Param(index), f"p{index}", lambda X: read, True
+            return Param(index), f"p{index}", lambda X: read, frozenset((index,))
         # a negated constant folds into a leaf, so it adds no level
         folds = isinstance(n, Unary) and n.op == "neg" and isinstance(n.child, Const)
         if level >= MAX_DEPTH and not folds:
@@ -284,10 +335,13 @@ def skeleton_from_node(node: Node, arity: int) -> Skeleton:
                 text = f"{n.op}({text})"
             elif isinstance(child, Const):
                 value = -child.value
-                return Const(value), _const_text(value), _compile_const(value), False
+                return Const(value), _const_text(value), _compile_const(value), frozenset()
             else:
                 text = f"(-{text})"
-            return Unary(n.op, child), text, _compile_unary(UNARY[n.op], fn, reads), reads
+            compiled = _compile_unary(UNARY[n.op], fn, reads)
+            if reads and n.op in COSTLY:
+                compiled = _memoize(compiled, reads, renumbered)
+            return Unary(n.op, child), text, compiled, reads
         if n.op not in BINARY:
             raise ExpressionError(f"unknown binary operator {n.op!r}")
         left, left_text, left_fn, left_reads = build(n.left, level + 1)
@@ -297,8 +351,11 @@ def skeleton_from_node(node: Node, arity: int) -> Skeleton:
             compiled = _compile_scalar_power(fn, left_fn, right_fn, left_reads)
         else:
             compiled = _compile_binary(fn, left_fn, right_fn, left_reads, right_reads)
+        reads = left_reads | right_reads
+        if reads and n.op in COSTLY:
+            compiled = _memoize(compiled, reads, renumbered)
         text = f"({left_text} {_BIN_SYMBOL[n.op]} {right_text})"
-        return Binary(n.op, left, right), text, compiled, left_reads or right_reads
+        return Binary(n.op, left, right), text, compiled, reads
 
     expression, text, compiled, reads = build(node, 1)
     if not reads:
@@ -489,6 +546,10 @@ def bind(skeleton: Skeleton, features) -> Callable[..., np.ndarray]:
     the evaluation at ``params[i]``.  Pure and deterministic: the evaluator
     writes into neither the params nor the rows it is bound to, and the
     values of a row do not depend on which other rows are bound with it.
+    A ``COSTLY`` stage that reads s of the k > s parameters keeps, in the
+    evaluator, its values for the last 2s + 1 distinct bit patterns of
+    those s, looked up when one vector is evaluated: a fit's probes of the
+    other parameters reuse the point's values instead of recomputing them.
     Domain violations (log/sqrt of a negative, division by zero, pow with a
     negative base and fractional exponent, overflow) leave a non-finite
     sentinel in the affected rows.  ``bind`` computes its subtrees under

@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .data import Problem, is_integer, json_safe, load_problem, load_problem_data, write_json
@@ -105,7 +105,8 @@ def read_config(path: str | Path, keys: tuple[str, ...] = ()) -> dict:
     """Read a JSON config object.  A top-level key other than the ``search``,
     ``generator`` and ``analysis_generator`` blocks and ``keys`` is refused,
     and so is a block that is not an object (``analysis_generator`` may be
-    null)."""
+    null), and a key of ``search``, ``search.optimizer`` or
+    ``search.decoding`` that its config class has no field for."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -119,6 +120,17 @@ def read_config(path: str | Path, keys: tuple[str, ...] = ()) -> dict:
     for block in _SETTINGS_BLOCKS:
         if block in raw and not (block == "analysis_generator" and raw[block] is None):
             _check_object(raw[block], f"{path}: {block}")
+    search = raw.get("search", {})
+    for name, block, config in (
+        ("search", search, SearchConfig),
+        ("search.optimizer", search.get("optimizer", {}), OptimizerConfig),
+        ("search.decoding", search.get("decoding", {}), DecodingConfig),
+    ):
+        if not isinstance(block, dict):
+            continue  # search_config_from_json refuses it
+        unknown = sorted(set(block) - {f.name for f in fields(config)})
+        if unknown:
+            raise HarnessError(f"{path}: unknown key {unknown[0]!r} in {name}")
     return raw
 
 

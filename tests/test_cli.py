@@ -194,6 +194,25 @@ class TestRunCommand:
         assert "unknown key 'generatr'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "block, key, search",
+        [
+            ("search", "split_seed", {"split_seed": 3}),
+            ("search.optimizer", "restart", {"optimizer": {"restart": 2}}),
+            ("search.decoding", "temprature", {"decoding": {"temprature": 0.1}}),
+        ],
+    )
+    def test_config_unknown_search_key_is_refused(
+        self, kepler_files, tmp_path, capsys, block, key, search
+    ):
+        problem, _ = kepler_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"search": search}))
+        out = tmp_path / "runs"
+        assert main(["run", str(problem), "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}: unknown key {key!r} in {block}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSuiteCommand:
     def test_end_to_end(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import operator
+import random
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symreg import expr
+from symreg import expr, fit
 from symreg.expr import (
     MAX_DEPTH,
     MAX_PARAMS,
@@ -20,6 +21,7 @@ from symreg.expr import (
     Skeleton,
     Unary,
     Var,
+    _random_tree,
     bind,
     depth,
     evaluate,
@@ -569,6 +571,130 @@ class TestColumnLayout:
         bound([1.0, 0.5, 2.0])
         bound(np.ones((3, 3)))
         assert seen and all(seen)
+
+
+def _request(point: np.ndarray) -> list[np.ndarray]:
+    """A fit's request: the point, then its central-difference probes."""
+    h = 1e-6 * np.fmax(1.0, np.abs(point))
+    probes = [point]
+    for i in range(len(point)):
+        for sign in (1.0, -1.0):
+            probe = point.copy()
+            probe[i] += sign * h[i]
+            probes.append(probe)
+    return probes
+
+
+def _same_values(a, b) -> bool:
+    return (
+        np.shape(a) == np.shape(b)
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
+class TestCostlyStageMemo:
+    """A costly stage that reads some but not all parameters keeps its
+    values for its last distinct parameter values; a bound evaluator gives,
+    bit for bit, what a fresh bind gives each vector."""
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 5),
+        st.lists(PARAM_VALUES, min_size=MAX_PARAMS, max_size=MAX_PARAMS),
+        st.sampled_from(sorted(expr.COSTLY)),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_requests_match_fresh_binds(self, seed, max_depth, vector, op, block_rows):
+        # p0 * op(p1 * x0) * a random tree, or p0 * x0 ^ p1 * ...: the costly
+        # stage reads p1 alone, and a product keeps the sign of a zero
+        if op == "pow":
+            costly = Binary("pow", Var(0), Param(1))
+        else:
+            costly = Unary(op, Binary("mul", Param(1), Var(0)))
+        node = Binary(
+            "mul",
+            Binary("mul", Param(0), costly),
+            _random_tree(random.Random(seed), 2, max_depth),
+        )
+        s = skeleton_from_node(node, 2)
+        point = np.array(vector[: s.param_count])
+        point[1] = 0.0
+        swapped = point.copy()
+        swapped[1] = -0.0
+        poisoned = point.copy()
+        poisoned[seed % s.param_count] = np.nan
+        vectors = [
+            *_request(point), *_request(swapped), *_request(poisoned), *_request(point),
+            swapped, point, poisoned, poisoned,
+        ]
+        bound = bind(s, EDGE_FEATURES)
+        with np.errstate(all="ignore"):
+            for p in vectors:
+                p = p[None] if block_rows else p
+                assert _same_values(bound(p), evaluate(s, EDGE_FEATURES, p)), (s.text, p)
+
+    def test_signed_zeros_and_nans_are_distinct_keys(self):
+        s = parse("p0 * sin(p1 * x0)", 1)
+        X = np.array([[-2.0], [1.0], [3.0]])
+        bound = bind(s, X)
+        with np.errstate(all="ignore"):
+            for p1 in (0.0, -0.0, np.nan, 0.0, -np.nan, -0.0):
+                p = np.array([2.0, p1])
+                assert _same_values(bound(p), evaluate(s, X, p)), p1
+
+    # the first two are costly at the root, which reads every parameter
+    @pytest.mark.parametrize(
+        "text",
+        ["sin(p0 * x0)", "x0 ^ (p0 * p1)", "p0 * sin(p1 * x0) + p2", "exp(x0 ^ p0) * p1",
+         "p0 + log(p1)"],
+    )
+    def test_writing_into_an_output_leaves_later_calls_alone(self, text):
+        s = parse(text, 1)
+        X = np.linspace(0.5, 3.0, 6).reshape(-1, 1)
+        bound = bind(s, X)
+        vector = np.array([0.5, 2.0, -1.0])[: s.param_count]
+        for p in (vector, vector[None]):
+            with np.errstate(all="ignore"):
+                expected = evaluate(s, X, p)
+                bound(p)[...] = 7.0
+                assert _same_bits(bound(p), expected)
+
+    def test_a_fit_computes_sin_once_per_tile_and_distinct_p1(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        X = rng.uniform(-3.0, 3.0, size=(10_000, 1))
+        data = make_dataset(X, 1.5 * np.sin(0.8 * X[:, 0]) + 0.3 + rng.normal(0, 0.05, len(X)))
+        config = OptimizerConfig(restarts=1, max_evaluations=30)
+        text = "p0 * sin(p1 * x0) + p2"
+        expected = fit_params(parse(text, 1), data, config)
+
+        calls = []
+
+        def counting_sin(c):
+            calls.append(1)
+            return np.sin(c)
+
+        evaluated = []
+        objective_of = fit._penalized_objective
+
+        def recording(*args):
+            objective = objective_of(*args)
+
+            def recorded(theta):
+                evaluated.extend(theta.tolist())
+                return objective(theta)
+
+            return recorded
+
+        monkeypatch.setitem(expr.UNARY, "sin", counting_sin)
+        monkeypatch.setattr(fit, "_penalized_objective", recording)
+        result = fit_params(parse(text, 1), data, config)
+        assert result == expected
+        assert len(evaluated) == result.evaluations == 30
+        tiles = 2  # 8,192 + 1,808 rows
+        distinct_p1 = {np.float64(p[1]).tobytes() for p in evaluated}
+        assert len(calls) == tiles * len(distinct_p1) < tiles * len(evaluated) / 2
 
 
 # the operator table's entries before they were numpy ufuncs

@@ -375,6 +375,22 @@ class TestConfigParsing:
         with pytest.raises(HarnessError, match="unknown key 'repeat'"):
             suite_config_from_json(self._suite_json(tmp_path, repeat=5))
 
+    # a misspelled key used to surface as the config class's own TypeError
+    # ("__init__() got an unexpected keyword argument"), naming no file or block
+    @pytest.mark.parametrize(
+        "block, key, search",
+        [
+            ("search", "split_seed", {"split_seed": 3}),
+            ("search.optimizer", "restart", {"optimizer": {"restart": 2}}),
+            ("search.decoding", "temprature", {"decoding": {"temprature": 0.1}}),
+        ],
+    )
+    def test_suite_json_rejects_unknown_search_keys(self, tmp_path, block, key, search):
+        path = self._suite_json(tmp_path, search=search)
+        with pytest.raises(HarnessError) as err:
+            suite_config_from_json(path)
+        assert str(err.value) == f"{path}: unknown key {key!r} in {block}"
+
     @pytest.mark.parametrize("key", ["problems", "modes"])
     def test_suite_json_lists_must_be_lists(self, tmp_path, key):
         value = "a.json" if key == "problems" else "llm-sr"
