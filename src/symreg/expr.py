@@ -233,7 +233,7 @@ def _compile_scalar_power(fn, base, exponent: Compiled, base_reads) -> Compiled:
     return stage
 
 
-def _memoize(compiled: Compiled, reads: frozenset, params: dict) -> Compiled:
+def _memoize(compiled: Compiled, reads: frozenset, renumbered: dict) -> Compiled:
     """A costly stage, memoized per bind on the bits of the params it reads.
 
     A fit's request is a point and its central-difference probes, and a probe
@@ -244,13 +244,13 @@ def _memoize(compiled: Compiled, reads: frozenset, params: dict) -> Compiled:
     the same nan bits, for which the kernel gives the same bits again.  Only
     a call with one parameter vector looks it up; a block of several
     bypasses it.  A stage that reads every Param is returned as it is:
-    `params`, the renumbering, is complete by the time a bind runs."""
+    `renumbered` holds every Param of the tree by the time a bind runs."""
     indices = np.array(sorted(reads), dtype=np.intp)
     capacity = 2 * len(indices) + 1
 
     def stage(X):
         inner = compiled(X)
-        if len(indices) == len(params):
+        if len(indices) == len(renumbered):
             return inner
         memo: dict = {}
 
