@@ -177,7 +177,7 @@ def _compile_const(value: float):
     return lambda X: leaf
 
 
-def _compile_unary(fn, child, reads):
+def _compile_unary(fn, child, reads: frozenset):
     if not reads:
         return lambda X: fn(child(X))
 
@@ -188,7 +188,7 @@ def _compile_unary(fn, child, reads):
     return stage
 
 
-def _compile_binary(fn, left, right, left_reads, right_reads):
+def _compile_binary(fn, left, right, left_reads: frozenset, right_reads: frozenset):
     if not (left_reads or right_reads):
         return lambda X: fn(left(X), right(X))
 
@@ -209,7 +209,7 @@ def _compile_binary(fn, left, right, left_reads, right_reads):
 _SCALAR_FAST_EXPONENTS = frozenset((-1.0, 0.5, 2.0))
 
 
-def _compile_scalar_power(fn, base, exponent: Compiled, base_reads) -> Compiled:
+def _compile_scalar_power(fn, base, exponent: Compiled, base_reads: frozenset) -> Compiled:
     """pow whose exponent reads a Param and no feature: a scalar for one
     parameter vector, an (m, 1) column for a block.  A column never takes
     np.power's scalar fast path, so the block rows whose exponent has a
