@@ -23,6 +23,7 @@ from .generate import REPORT_HEADER
 from .harness import (
     SuiteConfig,
     SuiteReport,
+    generator_record,
     load_settings,
     make_generators,
     read_config,
@@ -94,7 +95,9 @@ def _cmd_run(args) -> int:
     generators = make_generators(generator_settings, analysis_settings, problem.arity, config.seed)
     trace = run(config, problem, *generators)
     trace_path, summary_path = run_paths(args.out, problem.name, config.mode, config.seed)
-    write_trace(trace, trace_path, summary_path)
+    write_trace(
+        trace, trace_path, summary_path, **generator_record(generator_settings, analysis_settings)
+    )
 
     best = trace.best
     if best is None:

@@ -296,7 +296,7 @@ def skeleton_from_node(node: Node, arity: int) -> Skeleton:
     """Canonicalize a raw tree into a Skeleton in one pre-order pass.
 
     The pass validates each node (depth, variable range, parameter cap,
-    operator names, float constants), folds ``neg(Const(v))`` into
+    operator names, finite float constants), folds ``neg(Const(v))`` into
     ``Const(-v)``, renumbers parameters by first appearance, builds the
     canonical text and compiles the evaluator.  The depth check runs before
     each descent, so a tree of any depth is rejected without deep recursion.
@@ -308,6 +308,9 @@ def skeleton_from_node(node: Node, arity: int) -> Skeleton:
         if isinstance(n, Const):
             if not isinstance(n.value, float):
                 raise ExpressionError(f"constant value must be float, got {n.value!r}")
+            # inf and nan print as names that do not parse back
+            if not math.isfinite(n.value):
+                raise ExpressionError(f"constant value must be finite, got {n.value!r}")
             return n, _const_text(n.value), _compile_const(n.value), frozenset()
         if isinstance(n, Var):
             if not 0 <= n.index < arity:
@@ -522,7 +525,8 @@ def parse(text: str, arity: int) -> Skeleton:
     """Parse a surface-form expression into a canonical Skeleton.
 
     Raises ParseError for syntax and name errors (and parentheses nested more
-    than MAX_DEPTH levels), ExpressionError for trees deeper than MAX_DEPTH.
+    than MAX_DEPTH levels), ExpressionError for trees deeper than MAX_DEPTH
+    and for a numeric literal that overflows to inf, such as ``1e400``.
     """
     if arity < 1:
         raise ExpressionError("arity must be >= 1")

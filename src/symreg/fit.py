@@ -125,11 +125,9 @@ class Candidate:
         return bool(np.isfinite(self.fitness))
 
 
-def _penalized_objective(
-    skeleton: Skeleton, X: np.ndarray, y: np.ndarray, penalty: float, probes: int
-):
+def _penalized_objective(skeleton: Skeleton, X: np.ndarray, y: np.ndarray, probes: int):
     """Mean squared error over the rows, each non-finite square replaced by
-    `penalty`: one value per row of an ``m x k`` block of at most `probes`
+    PENALTY: one value per row of an ``m x k`` block of at most `probes`
     parameter vectors.
 
     The skeleton is bound once per tile of at most MAX_BLOCK_ELEMENTS rows.
@@ -158,7 +156,7 @@ def _penalized_objective(
         # squares are >= 0 or nan, so a finite sum has only finite terms:
         # the penalty can change only a row whose sum is not finite
         if not np.isfinite(sums).all():
-            np.copyto(sq, penalty, where=~np.isfinite(sq))
+            np.copyto(sq, PENALTY, where=~np.isfinite(sq))
             sums = np.add.reduce(sq, axis=-1)
         return sums / n
 
@@ -850,7 +848,7 @@ def fit_params(
     budget = config.max_evaluations
     # penalized objectives legitimately push BFGS through non-finite arithmetic
     with np.errstate(all="ignore"):
-        objective = _penalized_objective(skeleton, X, y, PENALTY, probes_per_block)
+        objective = _penalized_objective(skeleton, X, y, probes_per_block)
         runs = [_Run(_BFGS(x0, config).run()) for x0 in starts]
         _drive(runs, objective, probes_per_block, budget)
 

@@ -4,8 +4,8 @@ Runs |problems| x |modes| x repeats searches (seed = base seed + repeat
 index), persists every trace, and reduces the results into win-rate curves
 and median/IQR spread statistics.  Suites are resumable at run granularity:
 a run whose trace and summary files already exist is loaded, not re-run,
-unless they do not parse or the summary records other search settings than
-the run's.  Fresh or loaded, a run's outcome is read from
+unless they do not parse or the summary records other search or generator
+settings than the run's.  Fresh or loaded, a run's outcome is read from
 those files, so the report depends only on what is on disk.
 """
 
@@ -215,6 +215,8 @@ def make_generator(settings: dict, arity: int, run_seed: int) -> Generator:
     for key in ("url", "model"):
         if key not in settings:
             raise HarnessError(f"remote generator needs {key!r}")
+        if not (isinstance(settings[key], str) and settings[key]):
+            raise HarnessError(f"remote {key} must be a non-empty string, got {settings[key]!r}")
     timeout = settings.get("timeout", DEFAULT_TIMEOUT)
     if not (
         isinstance(timeout, numbers.Real)
@@ -227,6 +229,12 @@ def make_generator(settings: dict, arity: int, run_seed: int) -> Generator:
     return RemoteChatGenerator(
         url=settings["url"], model=settings["model"], timeout=float(timeout)
     )
+
+
+def generator_record(settings: dict, analysis_settings: dict | None) -> dict:
+    """The run-summary keys that record the settings a run's generator and
+    analysis generator were built from."""
+    return {"generator_settings": settings, "analysis_generator_settings": analysis_settings}
 
 
 def make_generators(
@@ -396,8 +404,9 @@ def _outcome(
 ) -> RunOutcome:
     """The outcome of one run, read from its trace and summary files unless
     the run failed.  A null final NMSE (no valid candidate) reads as inf.
-    A summary that records other search settings than the run's raises
-    ValueError, as one that does not parse does."""
+    A summary that records other search or generator settings than the
+    run's, or does not record them, raises ValueError, as one that does not
+    parse does."""
     trace_path, summary_path = run_paths(config.out_dir, problem, mode, repeat)
     seed = config.search.seed + repeat
     trajectory, summary = [], {}
@@ -405,9 +414,12 @@ def _outcome(
         summary = json.loads(summary_path.read_text())
         if not isinstance(summary, dict):
             raise ValueError(f"{summary_path} is not a run summary")
-        settings = json_safe(replace(config.search, mode=mode, seed=seed))
+        settings = {
+            **json_safe(replace(config.search, mode=mode, seed=seed)),
+            **json_safe(generator_record(config.generator, config.analysis_generator)),
+        }
         if any(name not in summary or summary[name] != value for name, value in settings.items()):
-            raise ValueError(f"{summary_path} records other search settings")
+            raise ValueError(f"{summary_path} records other search or generator settings")
         trajectory = load_trajectory(trace_path)
     final_val_nmse = summary.get("best_val_nmse")
     return RunOutcome(
@@ -431,7 +443,7 @@ def _run_one(config: SuiteConfig, problem: Problem, mode: str, repeat: int) -> R
         try:
             return _outcome(config, problem.name, mode, repeat, reused=True)
         # the summary is written last: one cut short is an unfinished run, and
-        # one that records other search settings is another run's
+        # one that records other settings is another run's
         except ValueError:
             pass
     seed = config.search.seed + repeat
@@ -440,7 +452,12 @@ def _run_one(config: SuiteConfig, problem: Problem, mode: str, repeat: int) -> R
         trace = run(replace(config.search, mode=mode, seed=seed), problem, *generators)
     except Exception as exc:
         return _outcome(config, problem.name, mode, repeat, error=exc)
-    write_trace(trace, trace_path, summary_path)
+    write_trace(
+        trace,
+        trace_path,
+        summary_path,
+        **generator_record(config.generator, config.analysis_generator),
+    )
     return _outcome(config, problem.name, mode, repeat)
 
 

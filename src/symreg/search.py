@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -38,6 +37,7 @@ from .generate import (
 )
 
 MODES = ("llm-sr", "statistical-hint", "proaug")
+K_DEMOS = 2
 FITNESS_FLOOR = -10.0
 
 # phase codes for seed derivation
@@ -49,8 +49,7 @@ class SearchError(ValueError):
 
 
 _INTEGER_FIELDS = (
-    "iterations", "samples_per_prompt", "islands", "island_capacity", "k_demos",
-    "seed", "retry_budget",
+    "iterations", "samples_per_prompt", "islands", "island_capacity", "seed", "retry_budget",
 )
 
 
@@ -61,8 +60,6 @@ class SearchConfig:
     mode: str = "proaug"
     islands: int = 4
     island_capacity: int = 32
-    sampling_temperature: float = 1.0
-    k_demos: int = 2
     seed: int = 0
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     retry_budget: int = 3
@@ -82,15 +79,10 @@ class SearchConfig:
             raise SearchError("samples_per_prompt must be >= 1")
         if self.islands < 1:
             raise SearchError("islands must be >= 1")
-        if self.k_demos < 1:
-            raise SearchError("k_demos must be >= 1")
-        if self.island_capacity < self.k_demos:
-            raise SearchError("island_capacity must be >= k_demos")
-        temperature = self.sampling_temperature
-        if not isinstance(temperature, numbers.Real) or isinstance(temperature, bool):
-            raise SearchError(f"sampling_temperature must be a number, got {temperature!r}")
-        if not temperature > 0:  # NaN fails this too
-            raise SearchError("sampling_temperature must be positive")
+        if self.island_capacity < K_DEMOS:
+            raise SearchError(f"island_capacity must be >= {K_DEMOS}")
+        if self.seed < 0:
+            raise SearchError(f"seed must be >= 0, got {self.seed!r}")
         if not isinstance(self.inject_report, bool):
             raise SearchError(f"inject_report must be true or false, got {self.inject_report!r}")
         if self.retry_budget < 0:
@@ -119,9 +111,6 @@ class ExperienceBuffer:
             raise SearchError("islands and capacity must be >= 1")
         self.capacity = capacity
         self._islands: list[list[Candidate]] = [[] for _ in range(islands)]
-        # per island: (temperature, floor, shifted fitnesses, weights, first-pick
-        # cdf), rebuilt on the first draw after the island changes
-        self._draw_tables: list[tuple | None] = [None] * islands
         self._counter = 0
 
     @property
@@ -134,8 +123,7 @@ class ExperienceBuffer:
     def add(self, candidate: Candidate) -> None:
         if not candidate.is_valid:
             return
-        index = self._counter % len(self._islands)
-        island = self._islands[index]
+        island = self._islands[self._counter % len(self._islands)]
         self._counter += 1
         key = candidate.skeleton.text
         for i, existing in enumerate(island):
@@ -148,65 +136,38 @@ class ExperienceBuffer:
         island.sort(key=lambda c: -c.fitness)
         if len(island) > self.capacity:
             island.pop()
-        self._draw_tables[index] = None
 
-    def _island_weights(self, index: int, temperature: float, floor: float) -> tuple:
-        cached = self._draw_tables[index]
-        if cached is None or cached[:2] != (temperature, floor):
-            fitnesses = np.array([c.fitness for c in self._islands[index]])
-            shifted = np.maximum(fitnesses - fitnesses.max(), floor)
-            weights = np.exp(shifted / temperature)
-            cached = (temperature, floor, shifted, weights, _cdf(weights))
-            self._draw_tables[index] = cached
-        return cached[2:]
-
-    def sample_demonstrations(
-        self,
-        k: int,
-        temperature: float,
-        seed: int,
-        floor: float = FITNESS_FLOOR,
-    ) -> list[Candidate]:
+    def sample_demonstrations(self, k: int, seed: int) -> list[Candidate]:
         """Draw up to k demonstrations from one uniformly chosen island.
 
-        Weights are exp((fitness - max_fitness clamped at `floor`) / T);
-        shifting by the max first makes the draw invariant to adding a
-        constant to every fitness.  Draws are without replacement, each one
-        inverting the cdf of the remaining weights with ``rng.random()`` as
-        ``Generator.choice`` does.  When every remaining weight has underflowed
-        to 0 (a low temperature after the best member is taken), the remaining
-        weights are re-shifted by their own max, which is the same softmax
-        without the underflow.  The returned list is sorted ascending by
-        fitness (worst first).  An empty buffer returns an empty list.
+        Weights are exp(max(fitness - best, FITNESS_FLOOR)), where best is the
+        island's best fitness: shifting by it makes the draw invariant to
+        adding a constant to every fitness, and the floor keeps every weight
+        at or above e^-10, so no candidate becomes unreachable and the
+        remaining weights never all underflow.  Draws are without
+        replacement, each one inverting the cdf of the remaining weights with
+        ``rng.random()`` as ``Generator.choice`` does.  The returned list is
+        sorted ascending by fitness (worst first).  An empty buffer returns an
+        empty list.
         """
         rng = np.random.default_rng(seed)
-        occupied = [i for i, island in enumerate(self._islands) if island]
+        occupied = [island for island in self._islands if island]
         if not occupied:
             return []
-        index = occupied[rng.integers(len(occupied))]
-        island = self._islands[index]
-        shifted, weights, cdf = self._island_weights(index, temperature, floor)
+        island = occupied[rng.integers(len(occupied))]
+        fitnesses = np.array([c.fitness for c in island])
+        weights = np.exp(np.maximum(fitnesses - fitnesses.max(), FITNESS_FLOOR))
         chosen: list[int] = []
         available = list(range(len(island)))
         for _ in range(min(k, len(island))):
-            if chosen:
-                w = weights[available]
-                if w.sum() == 0.0:
-                    rest = shifted[available]
-                    w = np.exp((rest - rest.max()) / temperature)
-                cdf = _cdf(w)
+            w = weights[available]
+            cdf = (w / w.sum()).cumsum()
+            cdf /= cdf[-1]
             pick = int(cdf.searchsorted(rng.random(), side="right"))
             chosen.append(available.pop(pick))
         picked = [island[i] for i in chosen]
         picked.sort(key=lambda c: c.fitness)
         return picked
-
-
-def _cdf(weights: np.ndarray) -> np.ndarray:
-    """Normalized cumulative weights, computed as ``Generator.choice`` does."""
-    cdf = (weights / weights.sum()).cumsum()
-    cdf /= cdf[-1]
-    return cdf
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +351,7 @@ def run(
             elif config.mode == "statistical-hint":
                 report = hint_report
 
-        demos = buffer.sample_demonstrations(
-            config.k_demos,
-            config.sampling_temperature,
-            derive_seed(config.seed, _DEMO, t),
-        )
+        demos = buffer.sample_demonstrations(K_DEMOS, derive_seed(config.seed, _DEMO, t))
         prompt = build_equation_prompt(problem, demos, report)
 
         t0 = time.monotonic()
@@ -476,8 +433,10 @@ def run(
     )
 
 
-def write_trace(trace: RunTrace, trace_path, summary_path) -> None:
+def write_trace(trace: RunTrace, trace_path, summary_path, **recorded) -> None:
+    """Write the trace lines, then the summary with the ``recorded`` keys
+    added, such as the settings the run's generators were built from."""
     trace_path = Path(trace_path)
     trace_path.parent.mkdir(parents=True, exist_ok=True)
     trace_path.write_text("\n".join(trace_lines(trace)) + "\n")
-    write_json(summary_path, trace_summary(trace))
+    write_json(summary_path, {**trace_summary(trace), **recorded})

@@ -170,7 +170,7 @@ def test_criterion_07_sampling_distribution_matches_softmax():
     draws = 100_000
     wins = 0
     for seed in range(draws):
-        demo = buffer.sample_demonstrations(1, temperature=1.0, seed=seed)[0]
+        demo = buffer.sample_demonstrations(1, seed=seed)[0]
         wins += demo.fitness == 0.0
     ratio = wins / (draws - wins)
     assert abs(ratio - math.e) / math.e <= 0.02

@@ -44,6 +44,15 @@ class TestExitCodes:
         assert main(["run", str(missing), "--iterations", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    # numpy's seed sequence used to refuse it once the run started, naming
+    # no setting
+    def test_negative_seed_is_refused(self, kepler_files, tmp_path, capsys):
+        problem, _ = kepler_files
+        out = tmp_path / "runs"
+        assert main(["run", str(problem), "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unparseable_expression_is_two(self, tmp_path, kepler_files, capsys):
         _, csv_path = kepler_files
         expr = tmp_path / "e.txt"
@@ -112,6 +121,25 @@ class TestRunCommand:
         assert summary["generator"] == "scripted"
         assert summary["best_val_nmse"] < 1e-8
         assert summary["test_nmse"] is not None
+
+    def test_summary_records_the_generator_settings(self, kepler_files, tmp_path):
+        problem, _ = kepler_files
+        cfg = tmp_path / "cfg.json"
+        generator = {"type": "scripted", "texts": [GOOD_POWER]}
+        cfg.write_text(
+            json.dumps(
+                {
+                    "search": {"iterations": 1, "samples_per_prompt": 1, "mode": "proaug"},
+                    "generator": generator,
+                    "analysis_generator": {"type": "mutation", "seed": 4},
+                }
+            )
+        )
+        out = tmp_path / "runs"
+        assert main(["run", str(problem), "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "orbit" / "proaug" / "0.summary.json").read_text())
+        assert summary["generator_settings"] == generator
+        assert summary["analysis_generator_settings"] == {"type": "mutation", "seed": 4}
 
     def test_cli_iterations_beats_config_file(self, kepler_files, tmp_path):
         problem, _ = kepler_files

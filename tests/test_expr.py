@@ -225,6 +225,20 @@ class TestPrint:
         x = [[-2.0]]
         assert evaluate(again, x).tolist() == evaluate(s, x).tolist() == [math.inf]
 
+    # "1e400" used to become Const(inf), printed as "inf", which does not
+    # parse back: "((p0 * x0) + exp((-inf)))"
+    @pytest.mark.parametrize("text", ["p0*x0 + exp(-1e400)", "1e400", "x0 ^ 2e308"])
+    def test_overflowing_literal_is_refused(self, text):
+        with pytest.raises(ExpressionError, match="constant value must be finite, got -?inf"):
+            parse(text, 1)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_constant_is_refused(self, value):
+        with pytest.raises(ExpressionError, match="must be finite"):
+            skeleton_from_node(Binary("add", Var(0), Const(value)), 1)
+        with pytest.raises(ExpressionError, match="must be finite"):
+            skeleton_from_node(Unary("neg", Const(value)), 1)
+
     def test_round_trip_sample(self):
         for seed in range(50):
             s = random_expression(arity=3, rng_seed=seed)

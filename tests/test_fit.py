@@ -354,7 +354,7 @@ class TestBlockGradient:
         monkeypatch.setattr(fit, "MAX_BLOCK_ELEMENTS", tile_rows)
         X, y = kepler_dataset.features, kepler_dataset.target
         sk = parse(text, 1)
-        objective = fit._penalized_objective(sk, X, y, 1e10, 4)
+        objective = fit._penalized_objective(sk, X, y, 4)
         theta = np.array([[2.0, 0.5]])[:, : sk.param_count]
         block = np.array([[2.0, 1.0], [0.5, 3.0], [-1.0, 1.0]])[:, : sk.param_count]
         saved = theta.copy(), block.copy()
@@ -568,7 +568,7 @@ class TestObjectiveFastPath:
         sk = parse(self.SKELETON, 1)
         block = np.array(rows)
         with mock.patch.object(fit, "MAX_BLOCK_ELEMENTS", tile_rows):
-            objective = fit._penalized_objective(sk, self.X, self.Y, 1e10, len(block))
+            objective = fit._penalized_objective(sk, self.X, self.Y, len(block))
         with np.errstate(all="ignore"):
             got = objective(block)
         want = _penalty_first(sk, self.X, self.Y, 1e10, block)
@@ -584,7 +584,7 @@ class TestObjectiveFastPath:
         assert np.isnan(sq[1, 2]) and np.isfinite(np.delete(sq[1], 2)).all()  # one nan
         assert not np.isfinite(sq[2]).any()  # every square inf
         assert np.isfinite(sq[3]).all() and sums[3] == INF  # finite squares overflow
-        objective = fit._penalized_objective(sk, self.X, self.Y, 1e10, 4)
+        objective = fit._penalized_objective(sk, self.X, self.Y, 4)
         with np.errstate(all="ignore"):
             got = objective(block)
         want = _penalty_first(sk, self.X, self.Y, 1e10, block)

@@ -202,6 +202,15 @@ class TestMakeGenerator:
         with pytest.raises(HarnessError, match="url"):
             make_generator({"type": "remote", "model": "m"}, arity=1, run_seed=0)
 
+    # {"url": 3, "model": null} used to build a generator whose every call
+    # failed with "Invalid URL '3'"
+    @pytest.mark.parametrize("key", ["url", "model"])
+    @pytest.mark.parametrize("value", [3, None, "", ["http://localhost:1/x"]])
+    def test_remote_url_and_model_must_be_non_empty_strings(self, key, value):
+        settings = {"type": "remote", "url": "http://localhost:1/x", "model": "m", key: value}
+        with pytest.raises(HarnessError, match=f"remote {key} must be a non-empty string"):
+            make_generator(settings, arity=1, run_seed=0)
+
     def test_unknown_type(self):
         with pytest.raises(HarnessError, match="unknown generator"):
             make_generator({"type": "oracle"}, arity=1, run_seed=0)
@@ -510,6 +519,27 @@ class TestBundledMutationSuite:
         for path in paths:
             assert suite_config_from_json(path).search.iterations > 0
 
+    # fields that no shipped suite sets, and why each stays a setting
+    UNSET_BY_SUITES = {
+        "mode": "a suite's modes sets it for each run",
+        "inject_report": "the ablation control README describes",
+        "decoding": "the remote deployment settings",
+    }
+
+    def test_every_search_setting_is_set_by_a_shipped_suite(self, tmp_path, perfbench_workloads):
+        # a setting that nothing sets belongs in the code as a constant
+        blocks = [json.loads(self.PATH.read_text())["search"]]
+        for name, workload in perfbench_workloads.WORKLOADS.items():
+            suite = perfbench_workloads.prepare(workload, REPO, tmp_path / name, 0, "tiny")["suite"]
+            blocks.append(suite["search"])
+        unset = [f.name for f in dataclasses.fields(SearchConfig) if not any(f.name in b for b in blocks)]
+        unset += [
+            f"optimizer.{f.name}"
+            for f in dataclasses.fields(OptimizerConfig)
+            if not any(f.name in b.get("optimizer", {}) for b in blocks)
+        ]
+        assert sorted(unset) == sorted(self.UNSET_BY_SUITES)
+
 
 def _suite(tmp_path, *, modes=("llm-sr", "statistical-hint"), repeats=2, out="out"):
     rng = np.random.default_rng(8)
@@ -731,6 +761,38 @@ class TestRunSuite:
             assert len(o.trace_path.read_text().splitlines()) == 3
             assert json.loads(o.summary_path.read_text())["iterations"] == 3
         assert all(o.reused for o in run_suite(config).outcomes)
+
+    def test_resume_reruns_a_run_of_other_generator_settings(self, tmp_path):
+        # a run whose scripted replies changed used to be reused, and its
+        # summary still reported the old replies' best expression
+        linear = dataclasses.replace(
+            _suite(tmp_path, modes=("llm-sr",), repeats=1),
+            generator={"type": "scripted", "texts": ["```expr\np0 * x0\n```"]},
+        )
+        power = dataclasses.replace(linear, generator={"type": "scripted", "texts": [GOOD_POWER]})
+        run_suite(linear)
+        report = run_suite(power)
+        assert not any(o.reused for o in report.outcomes)
+        for o in report.outcomes:
+            summary = json.loads(o.summary_path.read_text())
+            assert summary["best_expression"] == "(p0 * (x0 ^ p1))"
+            assert summary["generator_settings"] == power.generator
+            assert summary["analysis_generator_settings"] is None
+        analysed = dataclasses.replace(power, analysis_generator={"type": "mutation"})
+        assert not any(o.reused for o in run_suite(analysed).outcomes)
+        assert all(o.reused for o in run_suite(analysed).outcomes)
+
+    def test_run_summary_without_generator_settings_is_rerun(self, tmp_path):
+        # such a summary does not say which generator wrote the run
+        config = _suite(tmp_path)
+        first = run_suite(config)
+        path = first.outcomes[3].summary_path
+        summary = json.loads(path.read_text())
+        del summary["generator_settings"]
+        path.write_text(json.dumps(summary))
+        second = run_suite(config)
+        assert [o.reused for o in second.outcomes] == [i != 3 for i in range(8)]
+        assert second.outcomes[3] == first.outcomes[3]
 
     def test_interrupt_cancels_queued_runs(self, tmp_path, monkeypatch):
         # leaving the pool on the exception used to run every queued run first

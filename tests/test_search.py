@@ -39,7 +39,6 @@ def _quick_config(**overrides):
         mode="llm-sr",
         islands=2,
         island_capacity=8,
-        k_demos=2,
         seed=0,
         optimizer=OptimizerConfig(restarts=2, max_evaluations=400),
         retry_budget=2,
@@ -117,21 +116,13 @@ class TestSearchConfig:
 
     def test_capacity_below_k_demos(self):
         with pytest.raises(SearchError, match="island_capacity"):
-            SearchConfig(island_capacity=1, k_demos=2)
+            SearchConfig(island_capacity=1)
 
-    def test_zero_temperature(self):
-        with pytest.raises(SearchError, match="temperature"):
-            SearchConfig(sampling_temperature=0.0)
-
-    def test_nan_temperature(self):
-        with pytest.raises(SearchError, match="sampling_temperature"):
-            SearchConfig(sampling_temperature=float("nan"))
-
-    # "1.0" used to fail in a comparison that named no setting
-    @pytest.mark.parametrize("value", ["1.0", True, None])
-    def test_sampling_temperature_must_be_a_number(self, value):
-        with pytest.raises(SearchError, match="sampling_temperature"):
-            SearchConfig(sampling_temperature=value)
+    # numpy's seed sequence refused it only once the run started
+    def test_negative_seed(self):
+        with pytest.raises(SearchError, match="seed"):
+            SearchConfig(seed=-1)
+        assert SearchConfig(seed=0).seed == 0
 
     # "no" used to be accepted, and is truthy
     @pytest.mark.parametrize("value", ["no", 1, None])
@@ -152,8 +143,7 @@ class TestSearchConfig:
     # a float count passed validation, then the run died in range()
     @pytest.mark.parametrize(
         "name",
-        ["iterations", "samples_per_prompt", "islands", "island_capacity", "k_demos",
-         "seed", "retry_budget"],
+        ["iterations", "samples_per_prompt", "islands", "island_capacity", "seed", "retry_budget"],
     )
     @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
     def test_rejects_non_integer_counts(self, name, value):
@@ -211,13 +201,13 @@ class TestExperienceBuffer:
 
     def test_sample_empty_buffer(self):
         buf = ExperienceBuffer(islands=2, capacity=4)
-        assert buf.sample_demonstrations(2, 1.0, seed=0) == []
+        assert buf.sample_demonstrations(2, seed=0) == []
 
     def test_sample_returns_ascending(self):
         buf = ExperienceBuffer(islands=1, capacity=8)
         for i, f in enumerate([-0.5, -3.0, -1.5, -0.1]):
             buf.add(_candidate(f"p0 * x0 + {i}.0", fitness=f))
-        demos = buf.sample_demonstrations(3, 1.0, seed=7)
+        demos = buf.sample_demonstrations(3, seed=7)
         fits = [c.fitness for c in demos]
         assert fits == sorted(fits)
 
@@ -225,21 +215,21 @@ class TestExperienceBuffer:
         buf = ExperienceBuffer(islands=1, capacity=8)
         for i in range(4):
             buf.add(_candidate(f"p0 * x0 + {i}.0", fitness=-float(i)))
-        demos = buf.sample_demonstrations(4, 1.0, seed=3)
+        demos = buf.sample_demonstrations(4, seed=3)
         texts = [c.skeleton.text for c in demos]
         assert len(set(texts)) == 4
 
     def test_sample_k_larger_than_island(self):
         buf = ExperienceBuffer(islands=1, capacity=8)
         buf.add(_candidate("p0 * x0", fitness=-1.0))
-        assert len(buf.sample_demonstrations(5, 1.0, seed=0)) == 1
+        assert len(buf.sample_demonstrations(5, seed=0)) == 1
 
     def test_sample_deterministic(self):
         buf = ExperienceBuffer(islands=2, capacity=8)
         for i in range(8):
             buf.add(_candidate(f"p0 * x0 + {i}.0", fitness=-float(i) / 2))
-        a = buf.sample_demonstrations(2, 1.0, seed=11)
-        b = buf.sample_demonstrations(2, 1.0, seed=11)
+        a = buf.sample_demonstrations(2, seed=11)
+        b = buf.sample_demonstrations(2, seed=11)
         assert [c.fitness for c in a] == [c.fitness for c in b]
 
     def test_sample_shift_invariance(self):
@@ -250,61 +240,47 @@ class TestExperienceBuffer:
             return buf
 
         for seed in range(20):
-            a = build(0.0).sample_demonstrations(2, 1.0, seed=seed)
-            b = build(-100.0).sample_demonstrations(2, 1.0, seed=seed)
+            a = build(0.0).sample_demonstrations(2, seed=seed)
+            b = build(-100.0).sample_demonstrations(2, seed=seed)
             assert [c.skeleton.text for c in a] == [
                 c.skeleton.text for c in b
             ]
 
     def test_sample_ratio_quick(self):
-        # fitness gap of 1 at temperature 1: better wins first draw with
-        # probability e/(1+e) ~ 0.731
+        # fitness gap of 1: better wins first draw with probability
+        # e/(1+e) ~ 0.731
         buf = ExperienceBuffer(islands=1, capacity=4)
         buf.add(_candidate("p0 * x0", fitness=0.0))
         buf.add(_candidate("p0 + x0", fitness=-1.0))
         wins = 0
         n = 4000
         for seed in range(n):
-            demo = buf.sample_demonstrations(1, 1.0, seed=seed)[0]
+            demo = buf.sample_demonstrations(1, seed=seed)[0]
             wins += demo.fitness == 0.0
         expected = math.e / (1 + math.e)
         assert wins / n == pytest.approx(expected, abs=0.02)
 
     def test_floor_keeps_terrible_candidates_reachable(self):
+        # a gap of 1e6 would underflow the weak one's weight to 0; the floor
+        # clamps it to e^-10 ~ 4.5e-5 relative, so some seed draws it
         buf = ExperienceBuffer(islands=1, capacity=4)
         buf.add(_candidate("p0 * x0", fitness=0.0))
         buf.add(_candidate("p0 + x0", fitness=-1e6))
-        seen = set()
-        for seed in range(500):
-            demo = buf.sample_demonstrations(1, 1.0, seed=seed, floor=-2.0)[0]
-            seen.add(demo.fitness)
-        # clamped weight e^-2 ~ 0.12 relative: the weak one must appear
-        assert seen == {0.0, -1e6}
-
-    def test_low_temperature_sharpens(self):
-        buf = ExperienceBuffer(islands=1, capacity=4)
-        buf.add(_candidate("p0 * x0", fitness=0.0))
-        buf.add(_candidate("p0 + x0", fitness=-1.0))
-        cold = sum(
-            buf.sample_demonstrations(1, 0.2, seed=s)[0].fitness == 0.0
-            for s in range(800)
+        assert any(
+            buf.sample_demonstrations(1, seed=seed)[0].fitness == -1e6 for seed in range(100_000)
         )
-        warm = sum(
-            buf.sample_demonstrations(1, 5.0, seed=s)[0].fitness == 0.0
-            for s in range(800)
-        )
-        assert cold > warm
 
     def test_draws_match_generator_choice(self):
         # the reference draws each pick with Generator.choice over the
         # remaining weights; the buffer must reproduce its picks exactly,
-        # with adds (which rebuild an island's weights) between draws
-        def reference(buf, k, temperature, seed):
+        # with adds between draws, and on islands whose fitness gaps pass
+        # the floor
+        def reference(buf, k, seed):
             rng = np.random.default_rng(seed)
             occupied = [i for i, island in enumerate(buf.islands) if island]
             island = buf.islands[occupied[rng.integers(len(occupied))]]
             fitnesses = np.array([c.fitness for c in island])
-            weights = np.exp(np.maximum(fitnesses - fitnesses.max(), -10.0) / temperature)
+            weights = np.exp(np.maximum(fitnesses - fitnesses.max(), -10.0))
             available = list(range(len(island)))
             chosen = []
             for _ in range(min(k, len(island))):
@@ -313,7 +289,7 @@ class TestExperienceBuffer:
             return sorted((island[i] for i in chosen), key=lambda c: c.fitness)
 
         rng = np.random.default_rng(0)
-        added = 0
+        added = floored = 0
         for _ in range(40):
             buf = ExperienceBuffer(islands=int(rng.integers(1, 4)), capacity=int(rng.integers(2, 10)))
             scale = float(rng.choice([0.1, 2.0, 30.0]))
@@ -322,10 +298,11 @@ class TestExperienceBuffer:
                     added += 1
                     buf.add(_candidate(f"p0 * x0 + {added}.0", -float(rng.exponential(scale))))
                 k = int(rng.integers(1, 6))
-                temperature = float(rng.choice([0.05, 0.3, 1.0, 4.0]))
                 seed = int(rng.integers(2**32))
-                got = buf.sample_demonstrations(k, temperature, seed)
-                assert got == reference(buf, k, temperature, seed)
+                got = buf.sample_demonstrations(k, seed)
+                assert got == reference(buf, k, seed)
+                floored += any(i and i[0].fitness - i[-1].fitness > 10.0 for i in buf.islands)
+        assert floored
 
     def test_rejects_bad_shape(self):
         with pytest.raises(SearchError):
@@ -372,21 +349,6 @@ class TestRunLlmSr:
         a = run(cfg, problem, ScriptedGenerator([GOOD_POWER, GOOD_LINEAR]))
         b = run(cfg, problem, ScriptedGenerator([GOOD_POWER, GOOD_LINEAR]))
         assert trace_lines(a) == trace_lines(b)
-
-    def test_low_temperature_draw_after_underflow(self, kepler_dataset):
-        # an NMSE gap far past the floor at T=0.01 underflows every weight but
-        # the best one's; the second demo must still be drawn, not crash
-        problem = make_problem(kepler_dataset, name="orbit")
-        replies = [
-            "```expr\np0 * x0 ^ p1\n```",
-            "```expr\np0 + 1000 * sin(50 * x0)\n```",
-        ]
-        gen = RecordingGenerator(replies)
-        cfg = _quick_config(
-            iterations=2, samples_per_prompt=2, islands=1, sampling_temperature=0.01
-        )
-        run(cfg, problem, gen)
-        assert "sin" in gen.prompts[1] and "x0 ^ p1" in gen.prompts[1]
 
     def test_mutation_generator_end_to_end(self, kepler_dataset):
         problem = make_problem(kepler_dataset, name="orbit")
