@@ -452,12 +452,8 @@ def _run_one(config: SuiteConfig, problem: Problem, mode: str, repeat: int) -> R
         trace = run(replace(config.search, mode=mode, seed=seed), problem, *generators)
     except Exception as exc:
         return _outcome(config, problem.name, mode, repeat, error=exc)
-    write_trace(
-        trace,
-        trace_path,
-        summary_path,
-        **generator_record(config.generator, config.analysis_generator),
-    )
+    recorded = generator_record(config.generator, config.analysis_generator)
+    write_trace(trace, trace_path, summary_path, **recorded)
     return _outcome(config, problem.name, mode, repeat)
 
 

@@ -532,7 +532,9 @@ class TestBundledMutationSuite:
         for name, workload in perfbench_workloads.WORKLOADS.items():
             suite = perfbench_workloads.prepare(workload, REPO, tmp_path / name, 0, "tiny")["suite"]
             blocks.append(suite["search"])
-        unset = [f.name for f in dataclasses.fields(SearchConfig) if not any(f.name in b for b in blocks)]
+        unset = [
+            f.name for f in dataclasses.fields(SearchConfig) if not any(f.name in b for b in blocks)
+        ]
         unset += [
             f"optimizer.{f.name}"
             for f in dataclasses.fields(OptimizerConfig)
