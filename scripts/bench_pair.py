@@ -9,12 +9,15 @@ Runs ``perfbench/run.py`` of each checkout on that checkout, N pairs per
 workload; pair k uses seed ``seeds[k % len(seeds)]``, and the side that runs
 first flips from pair to pair.  Each run also records ``ru_minflt``, the
 minor page faults of the run and everything it started, from
-``getrusage(RUSAGE_CHILDREN)``.  Writes ``BENCH_<pr>.json``: the machine,
-every pair's values and digests, the commit each checkout is at and whether
-it has uncommitted changes (``null`` for a directory that is not the top of a
-git checkout), and per metric each side's median and
-quartiles, the number of pairs the change wins (ties count for neither) and
-the verdict, which it also prints one row per workload and metric:
+``getrusage(RUSAGE_CHILDREN)``, the number of passes it made, from its
+``digest <workload> <sha> (N passes)`` line, and ``ru_minflt_per_pass``,
+which is compared like the metrics.  Writes ``BENCH_<pr>.json``: the
+machine, every pair's values, digests and pass counts, the commit each
+checkout is at and whether it has uncommitted changes (``null`` for a
+directory that is not the top of a git checkout), and per metric each
+side's median and quartiles, the number of pairs the change wins (ties
+count for neither) and the verdict, which it also prints one row per
+workload and metric:
 
 - ``claim``: a gain may be claimed, i.e. the change wins at least 9 in 10
   pairs and its median is better than the parent's by more than the
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import resource
 import statistics
 import subprocess
@@ -42,6 +46,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+DIGEST_LINE = re.compile(r"digest \S+ (\S+) \((\d+) passes\)")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -56,12 +61,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout} {workload} seed {seed} failed:\n{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
-    digest = next(line.split()[2] for line in lines if line.startswith("digest "))
+    digest, passes = next(m.groups() for m in map(DIGEST_LINE.fullmatch, lines) if m)
     machine = next(json.loads(line[len("machine "):]) for line in lines if line.startswith("machine "))
     values = {name: m["value"] for name, m in result["metrics"].items()}
     values["ru_minflt"] = minflt
-    return {"values": values, "digest": digest, "correct": result["correct"],
-            "failed": result["failed"], "machine": machine}
+    values["ru_minflt_per_pass"] = minflt / int(passes)
+    return {"values": values, "digest": digest, "passes": int(passes),
+            "correct": result["correct"], "failed": result["failed"], "machine": machine}
 
 
 def checkout_state(checkout: Path) -> dict:

@@ -122,15 +122,16 @@ Node = Union[Const, Var, Param, Unary, Binary]
 # indexes the params, so one evaluator takes a single parameter vector and a
 # (k, m, 1) stack of parameter columns alike.  The evaluator never writes into
 # the params or a hoisted array; a bare Param tree returns a view of the
-# params and a tree without Param leaves returns its hoisted value.
+# params, and a tree without Param leaves compiles to its values alone, which
+# bind hoists and the evaluator returns.
 #
 # A costly stage that reads a strict subset of the params keeps the arrays it
 # computed for its last distinct parameter values (_memoize).  Two invariants
 # keep those arrays intact and unseen:
 # - the root stage reads every Param, so it is never memoized, and the
 #   evaluator never hands a memoized array to its caller;
-# - no stage writes into a child's output; _compile_scalar_power writes only
-#   into its own fresh result, before a memo keeps it.
+# - no stage writes into a child's output; the _scalar_power kernel writes
+#   only into its own fresh result, before a memo keeps it.
 Bound = Callable[[np.ndarray], np.ndarray]
 Compiled = Callable[[np.ndarray], Bound]
 
@@ -172,11 +173,6 @@ def _const_text(value: float) -> str:
 # (renumbered) Params a subtree reads, says which.
 
 
-def _compile_const(value: float):
-    leaf = np.float64(value)
-    return lambda X: leaf
-
-
 def _compile_unary(fn, child, reads: frozenset):
     if not reads:
         return lambda X: fn(child(X))
@@ -209,28 +205,22 @@ def _compile_binary(fn, left, right, left_reads: frozenset, right_reads: frozens
 _SCALAR_FAST_EXPONENTS = frozenset((-1.0, 0.5, 2.0))
 
 
-def _compile_scalar_power(fn, base, exponent: Compiled, base_reads: frozenset) -> Compiled:
-    """pow whose exponent reads a Param and no feature: a scalar for one
-    parameter vector, an (m, 1) column for a block.  A column never takes
-    np.power's scalar fast path, so the block rows whose exponent has a
-    fast-path value are recomputed with the scalar exponent each row stands
-    for."""
+def _scalar_power(power):
+    """The pow kernel for an exponent that reads a Param and no feature: a
+    scalar for one parameter vector, an (m, 1) column for a block.  A column
+    never takes np.power's scalar fast path, so the block rows whose exponent
+    has a fast-path value are recomputed with the scalar exponent each row
+    stands for."""
 
-    def stage(X):
-        b_of, e_of = base(X), exponent(X)
+    def kernel(b, e):
+        out = power(b, e)
+        if np.ndim(e) == 2:
+            for i, value in enumerate(e[:, 0].tolist()):
+                if value in _SCALAR_FAST_EXPONENTS:
+                    out[i] = power(b[i] if np.ndim(b) == 2 else b, e[i, 0])
+        return out
 
-        def power(P):
-            b, e = (b_of(P) if base_reads else b_of), e_of(P)
-            out = fn(b, e)
-            if np.ndim(e) == 2:
-                for i, value in enumerate(e[:, 0].tolist()):
-                    if value in _SCALAR_FAST_EXPONENTS:
-                        out[i] = fn(b[i] if np.ndim(b) == 2 else b, e[i, 0])
-            return out
-
-        return power
-
-    return stage
+    return kernel
 
 
 def _memoize(compiled: Compiled, reads: frozenset, renumbered: dict) -> Compiled:
@@ -272,26 +262,6 @@ def _memoize(compiled: Compiled, reads: frozenset, renumbered: dict) -> Compiled
     return stage
 
 
-def _hoist(values) -> Compiled:
-    """The stage of a tree without Param leaves: its value, computed once."""
-
-    def stage(X):
-        value = values(X)
-        return lambda P: value
-
-    return stage
-
-
-def _reads_features(node: Node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Unary):
-        return _reads_features(node.child)
-    if isinstance(node, Binary):
-        return _reads_features(node.left) or _reads_features(node.right)
-    return False
-
-
 def skeleton_from_node(node: Node, arity: int) -> Skeleton:
     """Canonicalize a raw tree into a Skeleton in one pre-order pass.
 
@@ -303,21 +273,23 @@ def skeleton_from_node(node: Node, arity: int) -> Skeleton:
     """
     renumbered: dict[int, int] = {}
 
-    def build(n: Node, level: int) -> tuple[Node, str, Callable, frozenset[int]]:
-        # -> (canonical node, text, compiled subtree, the Params it reads)
+    def build(n: Node, level: int) -> tuple[Node, str, Callable, frozenset[int], bool]:
+        # -> (canonical node, text, compiled subtree, the Params it reads,
+        # whether it reads a feature)
         if isinstance(n, Const):
             if not isinstance(n.value, float):
                 raise ExpressionError(f"constant value must be float, got {n.value!r}")
             # inf and nan print as names that do not parse back
             if not math.isfinite(n.value):
                 raise ExpressionError(f"constant value must be finite, got {n.value!r}")
-            return n, _const_text(n.value), _compile_const(n.value), frozenset()
+            leaf = np.float64(n.value)
+            return n, _const_text(n.value), lambda X: leaf, frozenset(), False
         if isinstance(n, Var):
             if not 0 <= n.index < arity:
                 raise ExpressionError(
                     f"variable x{n.index} out of range for arity {arity}"
                 )
-            return n, f"x{n.index}", operator.itemgetter(n.index), frozenset()
+            return n, f"x{n.index}", operator.itemgetter(n.index), frozenset(), True
         if isinstance(n, Param):
             if not 0 <= n.index < MAX_PARAMS:
                 raise ExpressionError(
@@ -325,7 +297,7 @@ def skeleton_from_node(node: Node, arity: int) -> Skeleton:
                 )
             index = renumbered.setdefault(n.index, len(renumbered))
             read = operator.itemgetter(index)
-            return Param(index), f"p{index}", lambda X: read, frozenset((index,))
+            return Param(index), f"p{index}", lambda X: read, frozenset((index,)), False
         # a negated constant folds into a leaf, so it adds no level
         folds = isinstance(n, Unary) and n.op == "neg" and isinstance(n.child, Const)
         if level >= MAX_DEPTH and not folds:
@@ -333,36 +305,31 @@ def skeleton_from_node(node: Node, arity: int) -> Skeleton:
         if isinstance(n, Unary):
             if n.op not in UNARY:
                 raise ExpressionError(f"unknown unary operator {n.op!r}")
-            child, text, fn, reads = build(n.child, level + 1)
+            child, text, fn, reads, features = build(n.child, level + 1)
             if n.op != "neg":
                 text = f"{n.op}({text})"
             elif isinstance(child, Const):
-                value = -child.value
-                return Const(value), _const_text(value), _compile_const(value), frozenset()
+                return build(Const(-child.value), level)
             else:
                 text = f"(-{text})"
-            compiled = _compile_unary(UNARY[n.op], fn, reads)
-            if reads and n.op in COSTLY:
-                compiled = _memoize(compiled, reads, renumbered)
-            return Unary(n.op, child), text, compiled, reads
-        if n.op not in BINARY:
+            node, compiled = Unary(n.op, child), _compile_unary(UNARY[n.op], fn, reads)
+        elif n.op not in BINARY:
             raise ExpressionError(f"unknown binary operator {n.op!r}")
-        left, left_text, left_fn, left_reads = build(n.left, level + 1)
-        right, right_text, right_fn, right_reads = build(n.right, level + 1)
-        fn = BINARY[n.op]
-        if n.op == "pow" and right_reads and not _reads_features(right):
-            compiled = _compile_scalar_power(fn, left_fn, right_fn, left_reads)
         else:
+            left, left_text, left_fn, left_reads, left_features = build(n.left, level + 1)
+            right, right_text, right_fn, right_reads, right_features = build(n.right, level + 1)
+            fn = BINARY[n.op]
+            if n.op == "pow" and right_reads and not right_features:
+                fn = _scalar_power(fn)
             compiled = _compile_binary(fn, left_fn, right_fn, left_reads, right_reads)
-        reads = left_reads | right_reads
+            node, reads = Binary(n.op, left, right), left_reads | right_reads
+            features = left_features or right_features
+            text = f"({left_text} {_BIN_SYMBOL[n.op]} {right_text})"
         if reads and n.op in COSTLY:
             compiled = _memoize(compiled, reads, renumbered)
-        text = f"({left_text} {_BIN_SYMBOL[n.op]} {right_text})"
-        return Binary(n.op, left, right), text, compiled, reads
+        return node, text, compiled, reads, features
 
-    expression, text, compiled, reads = build(node, 1)
-    if not reads:
-        compiled = _hoist(compiled)
+    expression, text, compiled, _, _ = build(node, 1)
     return Skeleton(expression, arity, len(renumbered), text, compiled)
 
 
@@ -591,7 +558,8 @@ def bind(skeleton: Skeleton, features) -> Callable[..., np.ndarray]:
             raise ExpressionError(
                 f"need {skeleton.param_count} parameters, got {width}"
             )
-        out = bound(p)
+        # a tree without Param leaves compiled to its values, hoisted here
+        out = bound(p) if skeleton.param_count else bound
         if rows == 1 and out.shape[-1:] == (2,):
             out = out[..., :1]
         # a tree without a Var leaf yields a scalar or an (m, 1) column

@@ -12,6 +12,7 @@ those files, so the report depends only on what is on disk.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import numbers
@@ -233,8 +234,21 @@ def make_generator(settings: dict, arity: int, run_seed: int) -> Generator:
 
 def generator_record(settings: dict, analysis_settings: dict | None) -> dict:
     """The run-summary keys that record the settings a run's generator and
-    analysis generator were built from."""
-    return {"generator_settings": settings, "analysis_generator_settings": analysis_settings}
+    analysis generator were built from.  A scripted generator that reads its
+    replies from ``path`` is also recorded by the sha256 of the file's bytes
+    (None if it cannot be read), so that a run is not reused after its
+    replies file changes."""
+    record = {"generator_settings": settings, "analysis_generator_settings": analysis_settings}
+    for name, entry in (("generator", settings), ("analysis_generator", analysis_settings)):
+        if not (entry and entry.get("type") == "scripted" and entry.get("texts") is None
+                and isinstance(entry.get("path"), str)):
+            continue
+        try:
+            digest = hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
+        except OSError:
+            digest = None
+        record[f"{name}_replies_sha256"] = digest
+    return record
 
 
 def make_generators(

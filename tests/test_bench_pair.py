@@ -183,3 +183,22 @@ def test_bench_file_records_each_sides_checkout(tmp_path, monkeypatch):
     assert record["checkouts"]["change"] == bench_pair.checkout_state(change)
     assert len(record["checkouts"]["change"]["head"]) == 40
     assert record["checkouts"]["change"]["dirty"] is False
+
+
+STUB_RUN = """\
+import json
+print('machine {}')
+print('digest w abc123 (3 passes)')
+print(json.dumps({'correct': True, 'failed': 0,
+                  'metrics': {'run_s': {'value': 1.5, 'unit': 's'}}}))
+"""
+
+
+def test_run_once_reads_the_pass_count_and_divides_the_faults_by_it(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(STUB_RUN)
+    run = _bench_pair().run_once(tmp_path, "w", 1, 1.0)
+    assert run["digest"] == "abc123" and run["passes"] == 3
+    values = run["values"]
+    assert values["run_s"] == 1.5 and values["ru_minflt"] > 0
+    assert values["ru_minflt_per_pass"] == values["ru_minflt"] / 3

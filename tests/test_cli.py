@@ -9,6 +9,7 @@ import pytest
 
 from symreg.cli import main
 from symreg.generate import REPORT_HEADER
+from symreg.search import MODES
 from tests.conftest import write_csv, write_problem_files
 
 GOOD_POWER = "<thought>power</thought>\n```expr\np0 * x0 ^ p1\n```"
@@ -381,3 +382,29 @@ def test_importing_the_cli_loads_neither_scipy_nor_requests():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_an_offline_suite_runs_on_numpy_alone(tmp_path):
+    # numpy is the only runtime dependency the offline path may import: each
+    # of these is blocked, so importing it anywhere in the suite fails
+    repo = Path(__file__).resolve().parent.parent
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({
+        "problems": [str(repo / "problems" / "kepler.json")],
+        "modes": list(MODES),
+        "out_dir": "out",
+        "generator": {"type": "mutation"},
+        "search": {"iterations": 2, "samples_per_prompt": 1},
+        "repeats": 1,
+    }))
+    code = (
+        "import sys\n"
+        "for name in ('scipy', 'sympy', 'requests'):\n"
+        "    sys.modules[name] = None\n"
+        "from symreg.cli import main\n"
+        f"sys.exit(main(['suite', '--config', {str(cfg)!r}]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "runs: 3 (failures: 0)" in proc.stdout

@@ -639,14 +639,17 @@ class TestCostlyStageMemo:
         swapped[1] = -0.0
         poisoned = point.copy()
         poisoned[seed % s.param_count] = np.nan
+        # np.power's scalar fast-path exponents, also as a block of several
+        fast = [np.concatenate([point[:1], [e], point[2:]]) for e in (-1.0, 0.5, 2.0)]
         vectors = [
             *_request(point), *_request(swapped), *_request(poisoned), *_request(point),
-            swapped, point, poisoned, poisoned,
+            swapped, point, poisoned, poisoned, *fast, *_request(fast[1]), np.stack(fast),
+            fast[0],
         ]
         bound = bind(s, EDGE_FEATURES)
         with np.errstate(all="ignore"):
             for p in vectors:
-                p = p[None] if block_rows else p
+                p = p[None] if block_rows and p.ndim == 1 else p
                 assert _same_values(bound(p), evaluate(s, EDGE_FEATURES, p)), (s.text, p)
 
     def test_signed_zeros_and_nans_are_distinct_keys(self):

@@ -784,6 +784,30 @@ class TestRunSuite:
         assert not any(o.reused for o in run_suite(analysed).outcomes)
         assert all(o.reused for o in run_suite(analysed).outcomes)
 
+    def test_resume_reruns_a_run_whose_replies_file_changed(self, tmp_path):
+        # a scripted generator given by path was recorded by its path only, so
+        # a run was reused after its replies file changed
+        replies = tmp_path / "replies.json"
+        replies.write_text(json.dumps(["```expr\np0 * x0\n```"]))
+        config = _suite(tmp_path, modes=("llm-sr",), repeats=1)
+        config = dataclasses.replace(
+            config, problems=config.problems[:1], generator={"type": "scripted", "path": str(replies)}
+        )
+        run_suite(config)
+        replies.write_text(json.dumps([GOOD_POWER]))
+        (outcome,) = run_suite(config).outcomes
+        assert not outcome.reused
+        summary = json.loads(outcome.summary_path.read_text())
+        assert summary["best_expression"] == "(p0 * (x0 ^ p1))"
+        assert len(summary["generator_replies_sha256"]) == 64
+        assert "analysis_generator_replies_sha256" not in summary
+        assert run_suite(config).outcomes[0].reused
+        # an unreadable file is not a reason to reuse: the run is re-run, and
+        # building its generator reports the file
+        replies.unlink()
+        with pytest.raises(FileNotFoundError, match="replies.json"):
+            run_suite(config)
+
     def test_run_summary_without_generator_settings_is_rerun(self, tmp_path):
         # such a summary does not say which generator wrote the run
         config = _suite(tmp_path)
