@@ -15,7 +15,6 @@ import numbers
 import os
 import random
 import re
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -99,18 +98,10 @@ class GeneratorRequest:
 
 @dataclass(frozen=True)
 class GeneratorResponse:
-    """Exactly n_samples texts; per-sample errors mark padded failures.
-
-    ``wire`` holds the provider request/response bodies (key redacted) for
-    a caller inspecting one exchange; the search loop drops it, so traces
-    never contain it.  Offline generators leave it None.
-    """
+    """Exactly n_samples texts; per-sample errors mark padded failures."""
 
     raw_texts: tuple[str, ...]
     errors: tuple[str | None, ...]
-    usage: dict | None = None
-    latency: float = 0.0
-    wire: dict | None = None
 
 
 class Generator(Protocol):
@@ -237,14 +228,20 @@ def build_analysis_prompt(problem: Problem, feedback: str | None = None) -> str:
 # Extraction
 
 
-def extract_expression(raw: str, arity: int) -> Skeleton:
-    """Parse the last fenced ```expr``` block; thought text is ignored."""
-    blocks = _EXPR_BLOCK.findall(raw)
+def _last_block(pattern: re.Pattern, raw: str, kind: str) -> str:
+    """The stripped body of the last fenced ```<kind>``` block in raw."""
+    blocks = pattern.findall(raw)
     if not blocks:
-        raise ExtractionError("no fenced expr block found")
+        raise ExtractionError(f"no fenced {kind} block found")
     text = blocks[-1].strip()
     if not text:
-        raise ExtractionError("empty expr block")
+        raise ExtractionError(f"empty {kind} block")
+    return text
+
+
+def extract_expression(raw: str, arity: int) -> Skeleton:
+    """Parse the last fenced ```expr``` block; thought text is ignored."""
+    text = _last_block(_EXPR_BLOCK, raw, "expr")
     try:
         return parse(text, arity)
     except ExpressionError as exc:
@@ -253,12 +250,7 @@ def extract_expression(raw: str, arity: int) -> Skeleton:
 
 def extract_spec(raw: str, arity: int) -> AnalysisSpec:
     """Parse the last fenced ```analysis``` block into an AnalysisSpec."""
-    blocks = _ANALYSIS_BLOCK.findall(raw)
-    if not blocks:
-        raise ExtractionError("no fenced analysis block found")
-    text = blocks[-1].strip()
-    if not text:
-        raise ExtractionError("empty analysis block")
+    text = _last_block(_ANALYSIS_BLOCK, raw, "analysis")
     try:
         return parse_spec(text, arity)
     except SpecError as exc:
@@ -279,7 +271,10 @@ class ScriptedGenerator:
 
     def __init__(self, source: Sequence[str] | str | Path):
         if isinstance(source, (str, Path)):
-            entries = json.loads(Path(source).read_text())
+            try:
+                entries = json.loads(Path(source).read_text())
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{source}: invalid JSON ({exc})") from None
             if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
                 raise ValueError(f"{source}: scripted file must be a JSON array of strings")
             self._texts = list(entries)
@@ -344,22 +339,13 @@ class MutationGenerator:
         )
 
 
-def _redact(headers: dict) -> dict:
-    cleaned = dict(headers)
-    if "Authorization" in cleaned:
-        cleaned["Authorization"] = "Bearer ***"
-    return cleaned
-
-
 class RemoteChatGenerator:
     """HTTP chat-completion client.
 
     POSTs ``{model, messages, temperature, n, max_tokens}`` to the configured
     URL with a bearer token from the SYMREG_API_KEY environment variable.
     Provider failures, malformed replies and timeouts never raise into the
-    search loop; they yield flagged empty samples.  ``wire`` on the response
-    carries the redacted request and raw provider reply; the search loop
-    does not record it.
+    search loop; they yield flagged empty samples.
     """
 
     tag = "remote"
@@ -392,32 +378,20 @@ class RemoteChatGenerator:
         headers = {"Content-Type": "application/json"}
         if self._api_key:
             headers["Authorization"] = f"Bearer {self._api_key}"
-        wire: dict = {"url": self._url, "request": body, "headers": _redact(headers)}
         n = request.n_samples
-        started = time.monotonic()
         try:
             reply = requests.post(
                 self._url, json=body, headers=headers, timeout=self._timeout
             )
-            latency = time.monotonic() - started
-            wire["status"] = reply.status_code
             if reply.status_code != 200:
-                wire["response"] = reply.text[:2000]
                 error = f"HTTP {reply.status_code}"
-                return GeneratorResponse(("",) * n, (error,) * n, None, latency, wire)
+                return GeneratorResponse(("",) * n, (error,) * n)
             payload = reply.json()
-        except requests.RequestException as exc:
-            latency = time.monotonic() - started
-            wire["error"] = str(exc)
-            return GeneratorResponse(("",) * n, (str(exc),) * n, None, latency, wire)
-        except ValueError as exc:  # body not JSON
-            latency = time.monotonic() - started
-            wire["error"] = f"invalid JSON response: {exc}"
-            return GeneratorResponse(("",) * n, (str(exc),) * n, None, latency, wire)
-        wire["response"] = payload
+        except (requests.RequestException, ValueError) as exc:  # ValueError: body not JSON
+            return GeneratorResponse(("",) * n, (str(exc),) * n)
         if not isinstance(payload, dict):
             error = "provider reply is not a JSON object"
-            return GeneratorResponse(("",) * n, (error,) * n, None, latency, wire)
+            return GeneratorResponse(("",) * n, (error,) * n)
         choices = payload.get("choices")
         if not isinstance(choices, list):
             choices = []
@@ -436,10 +410,4 @@ class RemoteChatGenerator:
             else:
                 texts.append("")
                 errors.append("provider returned fewer choices than requested")
-        return GeneratorResponse(
-            raw_texts=tuple(texts),
-            errors=tuple(errors),
-            usage=payload.get("usage"),
-            latency=latency,
-            wire=wire,
-        )
+        return GeneratorResponse(raw_texts=tuple(texts), errors=tuple(errors))

@@ -391,12 +391,21 @@ class SuiteReport:
 
 
 def load_trajectory(trace_path: str | Path) -> list[float]:
-    """Best-so-far tr-val NMSE per iteration from a trace file (null -> inf)."""
+    """Best-so-far tr-val NMSE per iteration from a trace file (null -> inf).
+    A line that is not a JSON object, or whose ``best_nmse`` is neither null
+    nor a number, raises ValueError, as one that does not parse does."""
     values = []
     with open(trace_path) as fh:
         for line in fh:
-            value = json.loads(line).get("best_nmse")
-            values.append(INF if value is None else float(value))
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"{trace_path}: a line is not a JSON object")
+            value = record.get("best_nmse")
+            if value is None:
+                value = INF
+            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{trace_path}: best_nmse {value!r} is not a number")
+            values.append(float(value))
     return values
 
 
@@ -461,8 +470,10 @@ def _run_one(config: SuiteConfig, problem: Problem, mode: str, repeat: int) -> R
         except ValueError:
             pass
     seed = config.search.seed + repeat
-    generators = make_generators(config.generator, config.analysis_generator, problem.arity, seed)
     try:
+        generators = make_generators(
+            config.generator, config.analysis_generator, problem.arity, seed
+        )
         trace = run(replace(config.search, mode=mode, seed=seed), problem, *generators)
     except Exception as exc:
         return _outcome(config, problem.name, mode, repeat, error=exc)

@@ -752,6 +752,29 @@ class TestRunSuite:
         assert [o.reused for o in second.outcomes] == [i != 3 for i in range(8)]
         assert second.outcomes[3] == first.outcomes[3]
 
+    @pytest.mark.parametrize("line", ["[1]", '{"best_nmse": [1]}', '{"best_nmse": true}'])
+    def test_run_trace_line_that_is_not_a_record_is_rerun(self, tmp_path, line):
+        config = _suite(tmp_path)
+        first = run_suite(config)
+        first.outcomes[3].trace_path.write_text(line + "\n")
+        second = run_suite(config)
+        assert [o.reused for o in second.outcomes] == [i != 3 for i in range(8)]
+        assert second.outcomes[3] == first.outcomes[3]
+
+    def test_replies_that_are_not_json_fail_their_runs_not_the_suite(self, tmp_path):
+        # building the generators outside the run's guard aborted the suite
+        # before its report was written
+        replies = tmp_path / "replies.json"
+        replies.write_text("{not json")
+        config = dataclasses.replace(
+            _suite(tmp_path), generator={"type": "scripted", "path": str(replies)}
+        )
+        report = run_suite(config)
+        assert report.failures == 8
+        assert all(f"{replies}: invalid JSON" in o.error for o in report.outcomes)
+        written = json.loads((config.out_dir / "summary.json").read_text())
+        assert [run["error"] for run in written["runs"]] == [o.error for o in report.outcomes]
+
     def test_resume_reruns_a_run_of_other_search_settings(self, tmp_path):
         # a run recorded at 2 iterations used to be reused at 3
         config = _suite(tmp_path)
@@ -803,10 +826,13 @@ class TestRunSuite:
         assert "analysis_generator_replies_sha256" not in summary
         assert run_suite(config).outcomes[0].reused
         # an unreadable file is not a reason to reuse: the run is re-run, and
-        # building its generator reports the file
+        # building its generator fails that run, which the report records
         replies.unlink()
-        with pytest.raises(FileNotFoundError, match="replies.json"):
-            run_suite(config)
+        (config.out_dir / "summary.json").unlink()
+        (outcome,) = run_suite(config).outcomes
+        assert outcome.failed and "replies.json" in outcome.error
+        report = json.loads((config.out_dir / "summary.json").read_text())
+        assert report["failures"] == 1 and report["runs"][0]["error"] == outcome.error
 
     def test_run_summary_without_generator_settings_is_rerun(self, tmp_path):
         # such a summary does not say which generator wrote the run
