@@ -23,15 +23,14 @@ from .generate import REPORT_HEADER
 from .harness import (
     SuiteConfig,
     SuiteReport,
-    generator_record,
     load_settings,
-    make_generators,
     read_config,
     run_paths,
     run_suite,
+    run_to_files,
     suite_config_from_json,
 )
-from .search import MODES, run, write_trace
+from .search import MODES
 
 
 class UsageError(Exception):
@@ -92,11 +91,9 @@ def _cmd_run(args) -> int:
     config, generator_settings, analysis_settings = load_settings(raw, base)
 
     problem = load_problem_data(load_problem(args.problem))
-    generators = make_generators(generator_settings, analysis_settings, problem.arity, config.seed)
-    trace = run(config, problem, *generators)
     trace_path, summary_path = run_paths(args.out, problem.name, config.mode, config.seed)
-    write_trace(
-        trace, trace_path, summary_path, **generator_record(generator_settings, analysis_settings)
+    trace = run_to_files(
+        config, problem, generator_settings, analysis_settings, trace_path, summary_path
     )
 
     best = trace.best
@@ -136,9 +133,8 @@ def _print_mode_table(report: SuiteReport) -> None:
         print()
         print("win rate at the final iteration:")
         for key, curve in sorted(report.win_curves.items()):
-            if curve:
-                a, b = key.split("_vs_")
-                print(f"  {a} vs {b}: {curve[-1]:.3f}")
+            a, b = key.split("_vs_")
+            print(f"  {a} vs {b}: {curve[-1]:.3f}")
     print()
 
 

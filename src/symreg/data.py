@@ -94,12 +94,15 @@ def load_csv(path: str | Path) -> Dataset:
     accepted format and every error.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader, path)
-        table = _loadtxt_rows(fh, len(header))
-    if table is None:
-        return _load_csv_by_rows(path)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = _read_header(reader, path)
+            table = _loadtxt_rows(fh, len(header))
+        if table is None:
+            return _load_csv_by_rows(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     return _table_dataset(header, table)
 
 
@@ -145,7 +148,7 @@ def _load_csv_by_rows(path: Path) -> Dataset:
     """``load_csv`` record by record, one ``float()`` call per cell: the
     reference definition of the accepted format and of every error, which
     names the first fault in file order."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = _read_header(reader, path)
         rows: list[list[float]] = []
@@ -282,10 +285,7 @@ class Problem:
 def load_problem(path: str | Path) -> ProblemSpec:
     """Read a problem JSON; relative data paths resolve against the JSON dir."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from None
+    raw = read_json(path, DataError)
     if not isinstance(raw, dict):
         raise DataError(f"{path}: top level must be an object")
     for key in ("name", "instructions", "data_path"):
@@ -349,6 +349,24 @@ def is_integer(value) -> bool:
     check this: ``2.5`` and ``True`` compare like numbers, then fail or
     truncate inside ``range`` and numpy much later."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a real number (an int, a float or a numpy scalar) that is
+    not a bool, which ``numbers.Real`` also admits."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def read_json(path: str | Path, error_class: type[Exception]):
+    """The JSON value in a UTF-8 file.  A file that is not UTF-8 text or
+    not JSON raises ``error_class`` with a message that names the path."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error_class(f"{path}: not UTF-8 text ({exc})") from None
+    except json.JSONDecodeError as exc:
+        raise error_class(f"{path}: invalid JSON ({exc})") from None
 
 
 def json_safe(value):

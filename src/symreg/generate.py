@@ -9,9 +9,7 @@ blocks back out of raw generator text.
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
 import os
 import random
 import re
@@ -30,7 +28,7 @@ from .context import (
     parse_spec,
     render,
 )
-from .data import Problem, is_integer
+from .data import Problem, is_integer, is_real, read_json
 from .expr import (
     MAX_PARAMS,
     UNARY_OPS,
@@ -72,7 +70,7 @@ class DecodingConfig:
         if not (isinstance(self.stop, tuple) and all(isinstance(s, str) and s for s in self.stop)):
             raise ValueError(f"stop must be a tuple of non-empty strings, got {self.stop!r}")
         t = self.temperature
-        if not (isinstance(t, numbers.Real) and not isinstance(t, bool) and 0 <= t < math.inf):
+        if not (is_real(t) and 0 <= t < math.inf):
             raise ValueError(f"temperature must be finite and >= 0, got {t!r}")
         if not (is_integer(self.max_output_tokens) and self.max_output_tokens >= 1):
             raise ValueError(
@@ -271,10 +269,7 @@ class ScriptedGenerator:
 
     def __init__(self, source: Sequence[str] | str | Path):
         if isinstance(source, (str, Path)):
-            try:
-                entries = json.loads(Path(source).read_text())
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{source}: invalid JSON ({exc})") from None
+            entries = read_json(source, ValueError)
             if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
                 raise ValueError(f"{source}: scripted file must be a JSON array of strings")
             self._texts = list(entries)

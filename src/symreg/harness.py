@@ -4,9 +4,11 @@ Runs |problems| x |modes| x repeats searches (seed = base seed + repeat
 index), persists every trace, and reduces the results into win-rate curves
 and median/IQR spread statistics.  Suites are resumable at run granularity:
 a run whose trace and summary files already exist is loaded, not re-run,
-unless they do not parse or the summary records other search or generator
-settings than the run's.  Fresh or loaded, a run's outcome is read from
-those files, so the report depends only on what is on disk.
+unless they do not parse, the summary records other search or generator
+settings than the run's or a result that is not a finite number, or the
+trace holds another number of iterations.  Fresh or loaded, a run's outcome
+is read from those files, which are checked only there, so the report
+depends only on what is on disk.
 """
 
 from __future__ import annotations
@@ -15,12 +17,20 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .data import Problem, is_integer, json_safe, load_problem, load_problem_data, write_json
+from .data import (
+    Problem,
+    is_integer,
+    is_real,
+    json_safe,
+    load_problem,
+    load_problem_data,
+    read_json,
+    write_json,
+)
 from .fit import OptimizerConfig
 from .generate import (
     DEFAULT_TIMEOUT,
@@ -30,7 +40,7 @@ from .generate import (
     RemoteChatGenerator,
     ScriptedGenerator,
 )
-from .search import MODES, SearchConfig, run, write_trace
+from .search import MODES, RunTrace, SearchConfig, run, write_trace
 
 INF = float("inf")
 LOG10_FLOOR = 1e-300
@@ -109,10 +119,7 @@ def read_config(path: str | Path, keys: tuple[str, ...] = ()) -> dict:
     null), and a key of ``search``, ``search.optimizer`` or
     ``search.decoding`` that its config class has no field for."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise HarnessError(f"{path}: invalid JSON ({exc})") from None
+    raw = read_json(path, HarnessError)
     if not isinstance(raw, dict):
         raise HarnessError(f"{path}: top level must be an object")
     for key in raw:
@@ -219,11 +226,7 @@ def make_generator(settings: dict, arity: int, run_seed: int) -> Generator:
         if not (isinstance(settings[key], str) and settings[key]):
             raise HarnessError(f"remote {key} must be a non-empty string, got {settings[key]!r}")
     timeout = settings.get("timeout", DEFAULT_TIMEOUT)
-    if not (
-        isinstance(timeout, numbers.Real)
-        and not isinstance(timeout, bool)
-        and 0.0 < timeout < math.inf
-    ):
+    if not (is_real(timeout) and 0.0 < timeout < math.inf):
         raise HarnessError(
             f"remote timeout must be a positive finite number, got {timeout!r}"
         )
@@ -232,14 +235,18 @@ def make_generator(settings: dict, arity: int, run_seed: int) -> Generator:
     )
 
 
-def generator_record(settings: dict, analysis_settings: dict | None) -> dict:
-    """The run-summary keys that record the settings a run's generator and
-    analysis generator were built from.  A scripted generator that reads its
-    replies from ``path`` is also recorded by the sha256 of the file's bytes
-    (None if it cannot be read), so that a run is not reused after its
-    replies file changes."""
-    record = {"generator_settings": settings, "analysis_generator_settings": analysis_settings}
-    for name, entry in (("generator", settings), ("analysis_generator", analysis_settings)):
+def run_settings(search: SearchConfig, generator: dict, analysis_generator: dict | None) -> dict:
+    """The run-summary keys that record every setting of a run: each search
+    field, and the settings its generator and analysis generator were built
+    from.  A scripted generator that reads its replies from ``path`` is also
+    recorded by the sha256 of the file's bytes (None if it cannot be read),
+    so that a run is not reused after its replies file changes."""
+    record = {
+        **json_safe(search),
+        "generator_settings": generator,
+        "analysis_generator_settings": analysis_generator,
+    }
+    for name, entry in (("generator", generator), ("analysis_generator", analysis_generator)):
         if not (entry and entry.get("type") == "scripted" and entry.get("texts") is None
                 and isinstance(entry.get("path"), str)):
             continue
@@ -248,18 +255,29 @@ def generator_record(settings: dict, analysis_settings: dict | None) -> dict:
         except OSError:
             digest = None
         record[f"{name}_replies_sha256"] = digest
-    return record
+    return json_safe(record)
 
 
-def make_generators(
-    settings: dict, analysis_settings: dict | None, arity: int, seed: int
-) -> tuple[Generator, Generator | None]:
-    """A run's equation generator, built first, and its analysis generator,
-    None unless it has settings of its own."""
-    generator = make_generator(settings, arity, seed)
-    if analysis_settings is None:
-        return generator, None
-    return generator, make_generator(analysis_settings, arity, seed)
+def run_to_files(
+    search: SearchConfig,
+    problem: Problem,
+    generator: dict,
+    analysis_generator: dict | None,
+    trace_path: Path,
+    summary_path: Path,
+) -> RunTrace:
+    """Build a run's equation generator, then its analysis generator unless
+    it has no settings of its own, run the search, and write its trace and
+    its summary with the run's settings."""
+    equations = make_generator(generator, problem.arity, search.seed)
+    analyses = None
+    if analysis_generator is not None:
+        analyses = make_generator(analysis_generator, problem.arity, search.seed)
+    trace = run(search, problem, equations, analyses)
+    write_trace(
+        trace, trace_path, summary_path, run_settings(search, generator, analysis_generator)
+    )
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -287,76 +305,48 @@ def _quartiles(sorted_values: list[float]) -> tuple[float, float]:
     return _median(lower), _median(upper)
 
 
+def _spread(sorted_values: list[float]) -> dict:
+    q1, q3 = _quartiles(sorted_values)
+    return {
+        "median": _median(sorted_values),
+        "iqr": q3 - q1,
+        "q1": q1,
+        "q3": q3,
+        "min": sorted_values[0],
+        "max": sorted_values[-1],
+    }
+
+
 def variance_stats(values) -> dict:
     """Median/IQR/min/max of the values and of their log10.
 
     Values are clamped at 1e-300 before log10 so exact zeros stay finite.
     """
-    vals = [float(v) for v in values]
-    if not vals:
+    s = sorted(float(v) for v in values)
+    if not s:
         raise HarnessError("variance_stats needs at least one value")
-    s = sorted(vals)
-    q1, q3 = _quartiles(s)
     logs = sorted(math.log10(max(v, LOG10_FLOOR)) for v in s)
-    lq1, lq3 = _quartiles(logs)
-    return {
-        "median": _median(s),
-        "iqr": q3 - q1,
-        "q1": q1,
-        "q3": q3,
-        "min": s[0],
-        "max": s[-1],
-        "mean": sum(s) / len(s),
-        "log10": {
-            "median": _median(logs),
-            "iqr": lq3 - lq1,
-            "q1": lq1,
-            "q3": lq3,
-            "min": logs[0],
-            "max": logs[-1],
-        },
-    }
-
-
-def win_rate(trajectories_a: dict, trajectories_b: dict, t: int) -> float:
-    """Fraction of problems where A's repeat-averaged best-so-far NMSE at
-    iteration t is strictly lower than B's; ties count 0.5."""
-    if set(trajectories_a) != set(trajectories_b):
-        raise HarnessError("win_rate needs identical problem sets")
-    if not trajectories_a:
-        raise HarnessError("win_rate needs at least one problem")
-    score = 0.0
-    for problem in trajectories_a:
-        a = trajectories_a[problem][t]
-        b = trajectories_b[problem][t]
-        if a < b:
-            score += 1.0
-        elif a == b:
-            score += 0.5
-    return score / len(trajectories_a)
+    return {**_spread(s), "mean": sum(s) / len(s), "log10": _spread(logs)}
 
 
 def win_rate_curve(trajectories_a: dict, trajectories_b: dict) -> list[float]:
-    lengths = {len(v) for v in trajectories_a.values()} | {
-        len(v) for v in trajectories_b.values()
-    }
-    if len(lengths) != 1:
-        raise HarnessError("win_rate_curve needs equal-length trajectories")
-    return [win_rate(trajectories_a, trajectories_b, t) for t in range(lengths.pop())]
+    """Per iteration t, the fraction of problems where A's repeat-averaged
+    best-so-far NMSE at t is strictly lower than B's; ties count 0.5.  Both
+    map the same problems to trajectories of one length."""
+    pairs = [(trajectories_a[problem], trajectories_b[problem]) for problem in trajectories_a]
+    return [
+        sum(1.0 if a[t] < b[t] else 0.5 if a[t] == b[t] else 0.0 for a, b in pairs) / len(pairs)
+        for t in range(len(pairs[0][0]))
+    ]
 
 
 def average_trajectories(per_repeat: list[list[float]]) -> list[float]:
-    """Element-wise mean across repeats; non-finite entries stay infinite."""
-    if not per_repeat:
-        raise HarnessError("need at least one trajectory")
-    length = len(per_repeat[0])
-    if any(len(tr) != length for tr in per_repeat):
-        raise HarnessError("trajectories must share one length")
-    out = []
-    for t in range(length):
-        column = [tr[t] for tr in per_repeat]
-        out.append(sum(column) / len(column) if all(math.isfinite(v) for v in column) else INF)
-    return out
+    """Element-wise mean across repeats of one length; non-finite entries
+    stay infinite."""
+    return [
+        sum(column) / len(column) if all(math.isfinite(v) for v in column) else INF
+        for column in zip(*per_repeat)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +393,7 @@ def load_trajectory(trace_path: str | Path) -> list[float]:
             value = record.get("best_nmse")
             if value is None:
                 value = INF
-            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            elif not is_real(value):
                 raise ValueError(f"{trace_path}: best_nmse {value!r} is not a number")
             values.append(float(value))
     return values
@@ -422,14 +412,15 @@ def _outcome(
     mode: str,
     repeat: int,
     *,
-    reused: bool = False,
+    settings: dict | None = None,
     error: Exception | None = None,
 ) -> RunOutcome:
     """The outcome of one run, read from its trace and summary files unless
     the run failed.  A null final NMSE (no valid candidate) reads as inf.
-    A summary that records other search or generator settings than the
-    run's, or does not record them, raises ValueError, as one that does not
-    parse does."""
+    A summary whose ``best_val_nmse`` or ``test_nmse`` is neither null nor a
+    finite number, or a trace that does not hold one record per iteration,
+    raises ValueError, as one that does not parse does.  ``settings`` is
+    given for a reused run, whose summary must record them all."""
     trace_path, summary_path = run_paths(config.out_dir, problem, mode, repeat)
     seed = config.search.seed + repeat
     trajectory, summary = [], {}
@@ -437,13 +428,16 @@ def _outcome(
         summary = json.loads(summary_path.read_text())
         if not isinstance(summary, dict):
             raise ValueError(f"{summary_path} is not a run summary")
-        settings = {
-            **json_safe(replace(config.search, mode=mode, seed=seed)),
-            **json_safe(generator_record(config.generator, config.analysis_generator)),
-        }
-        if any(name not in summary or summary[name] != value for name, value in settings.items()):
+        if settings is not None and not settings.items() <= summary.items():
             raise ValueError(f"{summary_path} records other search or generator settings")
+        for name in ("best_val_nmse", "test_nmse"):
+            value = summary.get(name)
+            # the writer records a non-finite score as null
+            if not (value is None or is_real(value) and math.isfinite(value)):
+                raise ValueError(f"{summary_path}: {name} {value!r} is not a finite number")
         trajectory = load_trajectory(trace_path)
+        if len(trajectory) != config.search.iterations:
+            raise ValueError(f"{trace_path} holds {len(trajectory)} iterations")
     final_val_nmse = summary.get("best_val_nmse")
     return RunOutcome(
         problem=problem,
@@ -455,30 +449,28 @@ def _outcome(
         trajectory=tuple(trajectory),
         final_val_nmse=INF if final_val_nmse is None else float(final_val_nmse),
         test_nmse=summary.get("test_nmse"),
-        reused=reused,
+        reused=settings is not None,
         error=None if error is None else f"{type(error).__name__}: {error}",
     )
 
 
 def _run_one(config: SuiteConfig, problem: Problem, mode: str, repeat: int) -> RunOutcome:
     trace_path, summary_path = run_paths(config.out_dir, problem.name, mode, repeat)
+    search = replace(config.search, mode=mode, seed=config.search.seed + repeat)
     if trace_path.exists() and summary_path.exists():
+        settings = run_settings(search, config.generator, config.analysis_generator)
         try:
-            return _outcome(config, problem.name, mode, repeat, reused=True)
+            return _outcome(config, problem.name, mode, repeat, settings=settings)
         # the summary is written last: one cut short is an unfinished run, and
         # one that records other settings is another run's
         except ValueError:
             pass
-    seed = config.search.seed + repeat
     try:
-        generators = make_generators(
-            config.generator, config.analysis_generator, problem.arity, seed
+        run_to_files(
+            search, problem, config.generator, config.analysis_generator, trace_path, summary_path
         )
-        trace = run(replace(config.search, mode=mode, seed=seed), problem, *generators)
     except Exception as exc:
         return _outcome(config, problem.name, mode, repeat, error=exc)
-    recorded = generator_record(config.generator, config.analysis_generator)
-    write_trace(trace, trace_path, summary_path, **recorded)
     return _outcome(config, problem.name, mode, repeat)
 
 
@@ -559,9 +551,8 @@ def build_report(outcomes, modes) -> SuiteReport:
         if all(t is not None for t in tests):
             entry["test_nmse"] = variance_stats(tests)
         aggregates[f"{problem}/{mode}"] = entry
-        repeats = [list(o.trajectory) for o in runs if o.trajectory]
-        if repeats:
-            mode_trajectories.setdefault(mode, {})[problem] = average_trajectories(repeats)
+        trajectories = [o.trajectory for o in runs]
+        mode_trajectories.setdefault(mode, {})[problem] = average_trajectories(trajectories)
 
     win_curves: dict = {}
     for a in modes:
@@ -572,11 +563,9 @@ def build_report(outcomes, modes) -> SuiteReport:
             shared = set(ta) & set(tb)
             if not shared:
                 continue
-            try:
-                curve = win_rate_curve({k: ta[k] for k in shared}, {k: tb[k] for k in shared})
-            except HarnessError:  # trajectories of unequal length have no curve
-                continue
-            win_curves[f"{a}_vs_{b}"] = curve
+            win_curves[f"{a}_vs_{b}"] = win_rate_curve(
+                {k: ta[k] for k in shared}, {k: tb[k] for k in shared}
+            )
 
     return SuiteReport(
         outcomes=outcomes,

@@ -433,10 +433,10 @@ def run(
     )
 
 
-def write_trace(trace: RunTrace, trace_path, summary_path, **recorded) -> None:
-    """Write the trace lines, then the summary with the ``recorded`` keys
+def write_trace(trace: RunTrace, trace_path, summary_path, settings: dict | None = None) -> None:
+    """Write the trace lines, then the summary with the ``settings`` keys
     added, such as the settings the run's generators were built from."""
     trace_path = Path(trace_path)
     trace_path.parent.mkdir(parents=True, exist_ok=True)
     trace_path.write_text("\n".join(trace_lines(trace)) + "\n")
-    write_json(summary_path, {**trace_summary(trace), **recorded})
+    write_json(summary_path, {**trace_summary(trace), **(settings or {})})

@@ -269,6 +269,31 @@ class TestSuiteCommand:
         assert "runs: 1 (failures: 0)" in out
         assert (tmp_path / "out" / "summary.json").exists()
 
+    def test_run_and_a_one_run_suite_write_the_same_summary(self, kepler_files, tmp_path):
+        # symreg run and symreg suite share one run path
+        problem, _ = kepler_files
+        (tmp_path / "replies.json").write_text(json.dumps([GOOD_POWER]))
+        settings = {
+            "search": {"iterations": 2, "samples_per_prompt": 1},
+            "generator": {"type": "scripted", "path": "replies.json"},
+        }
+        run_cfg, suite_cfg = tmp_path / "run.json", tmp_path / "suite.json"
+        run_cfg.write_text(json.dumps(settings))
+        suite = {"problems": [problem.name], "modes": ["llm-sr"], "out_dir": "suite", "repeats": 1}
+        suite_cfg.write_text(json.dumps({**settings, **suite}))
+        out = tmp_path / "run"
+        args = ["--mode", "llm-sr", "--config", str(run_cfg), "--out", str(out)]
+        assert main(["run", str(problem), *args]) == 0
+        assert main(["suite", "--config", str(suite_cfg)]) == 0
+        summaries = [
+            json.loads((root / "orbit" / "llm-sr" / "0.summary.json").read_text())
+            for root in (out, tmp_path / "suite")
+        ]
+        for summary in summaries:
+            del summary["timings"]
+        assert summaries[0] == summaries[1]
+        assert len(summaries[0]["generator_replies_sha256"]) == 64
+
     def test_prints_the_mode_table(self, tmp_path, capsys):
         X = np.linspace(1, 5, 30).reshape(-1, 1)
         write_problem_files(tmp_path, "square", X, X[:, 0] ** 2)

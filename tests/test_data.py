@@ -128,6 +128,16 @@ class TestLoadCsv:
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize("rows", [0, 20_000])
+    def test_text_that_is_not_utf8_is_named(self, tmp_path, rows):
+        # the decoder's message alone did not say which file; with many rows
+        # the bad byte is decoded after the header, in numpy's pass and then
+        # in the row pass
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,y\n" + b"1,2\n" * rows + b"\xff\xfe1,2\n")
+        with pytest.raises(DataError, match=r"d\.csv: not UTF-8 text \('utf-8' codec"):
+            load_csv(path)
+
     def test_duplicate_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,a\n1,2\n")
@@ -366,6 +376,12 @@ class TestProblems:
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         with pytest.raises(DataError, match="invalid JSON"):
+            load_problem(path)
+
+    def test_text_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(DataError, match=r"bad\.json: not UTF-8 text"):
             load_problem(path)
 
     def test_description_count_mismatch(self, tmp_path):

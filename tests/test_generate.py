@@ -275,6 +275,12 @@ class TestScriptedGenerator:
         with pytest.raises(ValueError, match=r"replies\.json: invalid JSON \(Expecting"):
             ScriptedGenerator(path)
 
+    def test_text_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "replies.json"
+        path.write_bytes("[\"p0 * x0\"]".encode("utf-16"))
+        with pytest.raises(ValueError, match=r"replies\.json: not UTF-8 text"):
+            ScriptedGenerator(path)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
             ScriptedGenerator([])
