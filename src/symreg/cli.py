@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import context as ctx
-from .data import load_csv, load_problem, load_problem_data
+from .data import load_csv, load_problem, load_problem_data, read_text
 from .expr import evaluate, parse
 from .fit import fit_params, nmse
 from .generate import REPORT_HEADER
@@ -78,9 +78,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    raw, base = {}, Path()
+    raw, path = {}, Path("command line")  # errors name this when no file is given
     if args.config:
-        raw, base = read_config(args.config), Path(args.config).parent
+        raw, path = read_config(args.config), Path(args.config)
     # the flags given override the file's search block; --generator is only a default type
     flags = {"mode": args.mode, "seed": args.seed, "iterations": args.iterations}
     raw["search"] = {
@@ -88,7 +88,7 @@ def _cmd_run(args) -> int:
         **{key: value for key, value in flags.items() if value is not None},
     }
     raw["generator"] = {"type": args.generator, **raw.get("generator", {})}
-    config, generator_settings, analysis_settings = load_settings(raw, base)
+    config, generator_settings, analysis_settings = load_settings(raw, path)
 
     problem = load_problem_data(load_problem(args.problem))
     trace_path, summary_path = run_paths(args.out, problem.name, config.mode, config.seed)
@@ -140,7 +140,7 @@ def _print_mode_table(report: SuiteReport) -> None:
 
 def _cmd_analyze(args) -> int:
     dataset = load_csv(args.data)
-    text = Path(args.spec).read_text()
+    text = read_text(args.spec, ValueError)
     spec = ctx.parse_spec(text, dataset.arity)
     report = ctx.execute(spec, dataset, seed=args.seed, source="cli")
     print(ctx.render(report))
@@ -149,7 +149,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_eval(args) -> int:
     dataset = load_csv(args.data)
-    text = Path(args.expr).read_text().strip()
+    text = read_text(args.expr, ValueError).strip()
     skeleton = parse(text, dataset.arity)
     if skeleton.param_count > 0:
         # parameters are fitted on the same CSV before scoring

@@ -357,14 +357,21 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def read_text(path: str | Path, error_class: type[Exception]) -> str:
+    """The text of a UTF-8 file.  A file that is not UTF-8 text raises
+    ``error_class`` with a message that names the path."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error_class(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def read_json(path: str | Path, error_class: type[Exception]):
     """The JSON value in a UTF-8 file.  A file that is not UTF-8 text or
     not JSON raises ``error_class`` with a message that names the path."""
-    path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise error_class(f"{path}: not UTF-8 text ({exc})") from None
+        return json.loads(read_text(path, error_class))
     except json.JSONDecodeError as exc:
         raise error_class(f"{path}: invalid JSON ({exc})") from None
 

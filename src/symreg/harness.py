@@ -18,8 +18,9 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from statistics import median
 
 from .data import (
     Problem,
@@ -31,10 +32,8 @@ from .data import (
     read_json,
     write_json,
 )
-from .fit import OptimizerConfig
 from .generate import (
     DEFAULT_TIMEOUT,
-    DecodingConfig,
     Generator,
     MutationGenerator,
     RemoteChatGenerator,
@@ -48,7 +47,7 @@ LOG10_FLOOR = 1e-300
 _SETTINGS_BLOCKS = ("search", "generator", "analysis_generator")
 _SUITE_KEYS = ("problems", "modes", "out_dir", "repeats", "workers")
 _GENERATOR_KEYS = {
-    "mutation": {"type", "seed"},
+    "mutation": {"type"},
     "scripted": {"type", "texts", "path"},
     "remote": {"type", "url", "model", "timeout"},
 }
@@ -93,31 +92,78 @@ class SuiteConfig:
             raise HarnessError("workers must be >= 1")
 
 
-def _check_object(value, name: str) -> None:
-    if not isinstance(value, dict):
-        raise HarnessError(f"{name} must be a JSON object, got {value!r}")
+def _config(cls, raw, path: Path, block: str):
+    """A ``cls`` built from ``block`` of the config file ``path``: a JSON
+    object with a key per field it sets.  A field whose default is a config
+    is built the same way, and one whose default is a tuple takes a list."""
+    if not isinstance(raw, dict):
+        raise HarnessError(f"{path}: {block} must be a JSON object, got {raw!r}")
+    defaults = {
+        f.name: f.default_factory() if f.default is MISSING else f.default for f in fields(cls)
+    }
+    unknown = sorted(set(raw) - set(defaults))
+    if unknown:
+        raise HarnessError(f"{path}: unknown key {unknown[0]!r} in {block}")
+    values = dict(raw)
+    for key, value in raw.items():
+        if is_dataclass(defaults[key]):
+            values[key] = _config(type(defaults[key]), value, path, f"{block}.{key}")
+        elif isinstance(defaults[key], tuple):
+            # a string would be split into characters
+            if not isinstance(value, list):
+                raise HarnessError(f"{path}: {block}.{key} must be a list, got {value!r}")
+            values[key] = tuple(value)
+    return cls(**values)
 
 
-def search_config_from_json(raw: dict) -> SearchConfig:
-    for block in ("optimizer", "decoding"):
-        _check_object(raw.get(block, {}), f"search.{block}")
-    optimizer = OptimizerConfig(**raw.pop("optimizer", {}))
-    decoding_raw = dict(raw.pop("decoding", {}))
-    if "stop" in decoding_raw:
-        stop = decoding_raw["stop"]
-        if not isinstance(stop, list):
-            raise HarnessError(f"decoding stop must be a list of strings, got {stop!r}")
-        decoding_raw["stop"] = tuple(stop)
-    decoding = DecodingConfig(**decoding_raw)
-    return SearchConfig(optimizer=optimizer, decoding=decoding, **raw)
+def _generator_settings(settings: dict, path: Path, block: str) -> dict:
+    """The settings of a generator block of the config file ``path``,
+    checked: ``mutation``, ``scripted`` (``texts`` inline or ``path`` to a
+    JSON array file, which resolves against the file's directory) or
+    ``remote`` (``url``, ``model``, optional ``timeout``).  Any other key is
+    refused."""
+    kind = settings.get("type")
+    if kind not in _GENERATOR_KEYS:
+        raise HarnessError(f"{path}: unknown generator type {kind!r} in {block}")
+    unknown = sorted(set(settings) - _GENERATOR_KEYS[kind])
+    if unknown:
+        raise HarnessError(f"{path}: unknown key {unknown[0]!r} in {block}")
+    where = f"{path}: {block}:"
+    if kind == "scripted":
+        texts, source = settings.get("texts"), settings.get("path")
+        if "texts" in settings and not (
+            isinstance(texts, list) and texts and all(isinstance(t, str) for t in texts)
+        ):
+            raise HarnessError(
+                f"{where} scripted texts must be a non-empty list of strings, got {texts!r}"
+            )
+        if "path" in settings and not isinstance(source, str):
+            raise HarnessError(f"{where} scripted path must be a string, got {source!r}")
+        if texts is None and source is None:
+            raise HarnessError(f"{where} scripted generator needs 'texts' or 'path'")
+        if source is not None:
+            settings = {**settings, "path": str(path.parent / source)}
+    if kind == "remote":
+        for key in ("url", "model"):
+            if key not in settings:
+                raise HarnessError(f"{where} remote generator needs {key!r}")
+            if not (isinstance(settings[key], str) and settings[key]):
+                raise HarnessError(
+                    f"{where} remote {key} must be a non-empty string, got {settings[key]!r}"
+                )
+        timeout = settings.get("timeout", DEFAULT_TIMEOUT)
+        if not (is_real(timeout) and 0.0 < timeout < math.inf):
+            raise HarnessError(
+                f"{where} remote timeout must be a positive finite number, got {timeout!r}"
+            )
+    return settings
 
 
 def read_config(path: str | Path, keys: tuple[str, ...] = ()) -> dict:
     """Read a JSON config object.  A top-level key other than the ``search``,
     ``generator`` and ``analysis_generator`` blocks and ``keys`` is refused,
     and so is a block that is not an object (``analysis_generator`` may be
-    null), and a key of ``search``, ``search.optimizer`` or
-    ``search.decoding`` that its config class has no field for."""
+    null).  ``load_settings`` checks what the blocks hold."""
     path = Path(path)
     raw = read_json(path, HarnessError)
     if not isinstance(raw, dict):
@@ -126,35 +172,22 @@ def read_config(path: str | Path, keys: tuple[str, ...] = ()) -> dict:
         if key not in _SETTINGS_BLOCKS + keys:
             raise HarnessError(f"{path}: unknown key {key!r}")
     for block in _SETTINGS_BLOCKS:
-        if block in raw and not (block == "analysis_generator" and raw[block] is None):
-            _check_object(raw[block], f"{path}: {block}")
-    search = raw.get("search", {})
-    for name, block, config in (
-        ("search", search, SearchConfig),
-        ("search.optimizer", search.get("optimizer", {}), OptimizerConfig),
-        ("search.decoding", search.get("decoding", {}), DecodingConfig),
-    ):
-        if not isinstance(block, dict):
-            continue  # search_config_from_json refuses it
-        unknown = sorted(set(block) - {f.name for f in fields(config)})
-        if unknown:
-            raise HarnessError(f"{path}: unknown key {unknown[0]!r} in {name}")
+        value = raw.get(block, {})
+        if not (isinstance(value, dict) or block == "analysis_generator" and value is None):
+            raise HarnessError(f"{path}: {block} must be a JSON object, got {value!r}")
     return raw
 
 
-def load_settings(raw: dict, base: Path) -> tuple[SearchConfig, dict | None, dict | None]:
-    """The search config and the generator and analysis-generator settings
-    of a JSON config whose file is in directory ``base``; a scripted
-    generator's relative ``path`` resolves against ``base``."""
-    generators = []
-    for block in ("generator", "analysis_generator"):
-        settings = raw.get(block)
-        path = None if settings is None else settings.get("path")
-        # a path that is not a string is left for make_generator to refuse
-        if settings is not None and settings.get("type") == "scripted" and isinstance(path, str):
-            settings = {**settings, "path": str(base / path)}
-        generators.append(settings)
-    return search_config_from_json(dict(raw.get("search", {}))), *generators
+def load_settings(raw: dict, path: Path) -> tuple[SearchConfig, dict | None, dict | None]:
+    """The search config and the checked generator and analysis-generator
+    settings of the blocks of the config file ``path``, each error naming
+    the file and the block."""
+    search = _config(SearchConfig, raw.get("search", {}), path, "search")
+    generators = [
+        None if raw.get(block) is None else _generator_settings(raw[block], path, block)
+        for block in ("generator", "analysis_generator")
+    ]
+    return search, *generators
 
 
 def suite_config_from_json(path: str | Path) -> SuiteConfig:
@@ -167,16 +200,13 @@ def suite_config_from_json(path: str | Path) -> SuiteConfig:
     for key in ("problems", "modes"):
         if not isinstance(raw[key], list):
             raise HarnessError(f"{path}: {key} must be a list, got {raw[key]!r}")
-    if not raw["modes"]:
-        raise HarnessError("suite needs at least one mode")
     if not all(isinstance(p, str) for p in raw["problems"]):
         raise HarnessError(f"{path}: problems must be a list of strings, got {raw['problems']!r}")
     if not isinstance(raw["out_dir"], str):
         raise HarnessError(f"{path}: out_dir must be a string, got {raw['out_dir']!r}")
     if "mode" in raw.get("search", {}):
         raise HarnessError(f"{path}: search.mode is not a suite setting; modes sets each run's")
-    raw["search"] = {"mode": raw["modes"][0], **raw.get("search", {})}
-    search, generator, analysis_generator = load_settings(raw, path.parent)
+    search, generator, analysis_generator = load_settings(raw, path)
     return SuiteConfig(
         problems=tuple(path.parent / p for p in raw["problems"]),
         modes=tuple(raw["modes"]),
@@ -190,48 +220,17 @@ def suite_config_from_json(path: str | Path) -> SuiteConfig:
 
 
 def make_generator(settings: dict, arity: int, run_seed: int) -> Generator:
-    """Instantiate a generator from its settings mapping.
-
-    Types: ``mutation`` (seed defaults to the run seed), ``scripted``
-    (``texts`` inline or ``path`` to a JSON array file), ``remote``
-    (``url``, ``model``, optional ``timeout``).  Any other key is refused.
-    """
-    kind = settings.get("type")
-    if kind not in _GENERATOR_KEYS:
-        raise HarnessError(f"unknown generator type {kind!r}")
-    unknown = sorted(set(settings) - _GENERATOR_KEYS[kind])
-    if unknown:
-        raise HarnessError(f"unknown key {unknown[0]!r} in {kind} generator settings")
-    if kind == "mutation":
-        seed = settings.get("seed", run_seed)
-        if not is_integer(seed):
-            raise HarnessError(f"mutation seed must be an integer, got {seed!r}")
-        return MutationGenerator(arity, seed=int(seed))
-    if kind == "scripted":
-        texts, path = settings.get("texts"), settings.get("path")
-        if "texts" in settings and not (
-            isinstance(texts, list) and texts and all(isinstance(t, str) for t in texts)
-        ):
-            raise HarnessError(
-                f"scripted texts must be a non-empty list of strings, got {texts!r}"
-            )
-        if "path" in settings and not isinstance(path, str):
-            raise HarnessError(f"scripted path must be a string, got {path!r}")
-        if texts is None and path is None:
-            raise HarnessError("scripted generator needs 'texts' or 'path'")
-        return ScriptedGenerator(path if texts is None else texts)
-    for key in ("url", "model"):
-        if key not in settings:
-            raise HarnessError(f"remote generator needs {key!r}")
-        if not (isinstance(settings[key], str) and settings[key]):
-            raise HarnessError(f"remote {key} must be a non-empty string, got {settings[key]!r}")
-    timeout = settings.get("timeout", DEFAULT_TIMEOUT)
-    if not (is_real(timeout) and 0.0 < timeout < math.inf):
-        raise HarnessError(
-            f"remote timeout must be a positive finite number, got {timeout!r}"
-        )
+    """Instantiate a generator from settings that ``load_settings`` checked.
+    A mutation generator is seeded by the run seed, and a scripted one
+    replays its ``texts``, or else the replies in its ``path``."""
+    if settings["type"] == "mutation":
+        return MutationGenerator(arity, seed=run_seed)
+    if settings["type"] == "scripted":
+        return ScriptedGenerator(settings.get("texts") or settings["path"])
     return RemoteChatGenerator(
-        url=settings["url"], model=settings["model"], timeout=float(timeout)
+        url=settings["url"],
+        model=settings["model"],
+        timeout=float(settings.get("timeout", DEFAULT_TIMEOUT)),
     )
 
 
@@ -247,8 +246,7 @@ def run_settings(search: SearchConfig, generator: dict, analysis_generator: dict
         "analysis_generator_settings": analysis_generator,
     }
     for name, entry in (("generator", generator), ("analysis_generator", analysis_generator)):
-        if not (entry and entry.get("type") == "scripted" and entry.get("texts") is None
-                and isinstance(entry.get("path"), str)):
+        if not (entry and entry["type"] == "scripted" and entry.get("texts") is None):
             continue
         try:
             digest = hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
@@ -284,14 +282,6 @@ def run_to_files(
 # Analytics
 
 
-def _median(sorted_values: list[float]) -> float:
-    n = len(sorted_values)
-    mid = n // 2
-    if n % 2 == 1:
-        return sorted_values[mid]
-    return 0.5 * (sorted_values[mid - 1] + sorted_values[mid])
-
-
 def _quartiles(sorted_values: list[float]) -> tuple[float, float]:
     """Inclusive convention: odd-length data puts the median in both halves."""
     n = len(sorted_values)
@@ -302,13 +292,13 @@ def _quartiles(sorted_values: list[float]) -> tuple[float, float]:
         lower, upper = sorted_values[:half], sorted_values[half:]
     else:
         lower, upper = sorted_values[: half + 1], sorted_values[half:]
-    return _median(lower), _median(upper)
+    return median(lower), median(upper)
 
 
 def _spread(sorted_values: list[float]) -> dict:
     q1, q3 = _quartiles(sorted_values)
     return {
-        "median": _median(sorted_values),
+        "median": median(sorted_values),
         "iqr": q3 - q1,
         "q1": q1,
         "q3": q3,
@@ -425,7 +415,7 @@ def _outcome(
     seed = config.search.seed + repeat
     trajectory, summary = [], {}
     if error is None:
-        summary = json.loads(summary_path.read_text())
+        summary = read_json(summary_path, ValueError)
         if not isinstance(summary, dict):
             raise ValueError(f"{summary_path} is not a run summary")
         if settings is not None and not settings.items() <= summary.items():

@@ -132,7 +132,7 @@ class TestRunCommand:
                 {
                     "search": {"iterations": 1, "samples_per_prompt": 1, "mode": "proaug"},
                     "generator": generator,
-                    "analysis_generator": {"type": "mutation", "seed": 4},
+                    "analysis_generator": {"type": "mutation"},
                 }
             )
         )
@@ -140,7 +140,7 @@ class TestRunCommand:
         assert main(["run", str(problem), "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "orbit" / "proaug" / "0.summary.json").read_text())
         assert summary["generator_settings"] == generator
-        assert summary["analysis_generator_settings"] == {"type": "mutation", "seed": 4}
+        assert summary["analysis_generator_settings"] == {"type": "mutation"}
 
     def test_cli_iterations_beats_config_file(self, kepler_files, tmp_path):
         problem, _ = kepler_files
@@ -243,6 +243,49 @@ class TestRunCommand:
         assert not out.exists()
 
 
+# each used to fail every run of a suite with an error that named no file,
+# and the suite exited 0
+BAD_GENERATORS = [
+    ({"type": "mutaton"}, "unknown generator type 'mutaton' in {block}"),
+    ({"type": "mutation", "sead": 3}, "unknown key 'sead' in {block}"),
+    (
+        {"type": "scripted", "texts": "a"},
+        "{block}: scripted texts must be a non-empty list of strings, got 'a'",
+    ),
+    ({"type": "remote", "model": "m"}, "{block}: remote generator needs 'url'"),
+    (
+        {"type": "remote", "url": "http://localhost:1/x", "model": "m", "timeout": 0},
+        "{block}: remote timeout must be a positive finite number, got 0",
+    ),
+]
+
+
+@pytest.mark.parametrize("block", ["generator", "analysis_generator"])
+@pytest.mark.parametrize(
+    "settings, message",
+    BAD_GENERATORS,
+    ids=["unknown-type", "unknown-key", "texts-string", "remote-no-url", "remote-timeout-0"],
+)
+def test_bad_generator_settings_are_refused_before_any_run(
+    kepler_files, tmp_path, capsys, block, settings, message
+):
+    problem, _ = kepler_files
+    blocks = {"generator": {"type": "mutation"}, block: settings}
+    suite_cfg, run_cfg = tmp_path / "suite.json", tmp_path / "run.json"
+    suite = {"problems": [problem.name], "modes": ["llm-sr"], "out_dir": "out", "repeats": 1}
+    suite_cfg.write_text(json.dumps({**suite, **blocks}))
+    run_cfg.write_text(json.dumps(blocks))
+    expected = message.format(block=block)
+    assert main(["suite", "--config", str(suite_cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {suite_cfg}: {expected}\n"
+    assert not (tmp_path / "out").exists()
+    out = tmp_path / "runs"
+    args = ["--config", str(run_cfg), "--iterations", "1", "--out", str(out)]
+    assert main(["run", str(problem), *args]) == 2
+    assert capsys.readouterr().err == f"error: {run_cfg}: {expected}\n"
+    assert not out.exists()
+
+
 class TestSuiteCommand:
     def test_end_to_end(self, tmp_path, capsys):
         X = np.linspace(1, 5, 30).reshape(-1, 1)
@@ -341,6 +384,14 @@ class TestAnalyzeCommand:
         spec.write_text("bogus directive")
         assert main(["analyze", "--spec", str(spec), "--data", str(csv_path)]) == 2
 
+    def test_spec_that_is_not_utf8_is_named(self, kepler_files, tmp_path, capsys):
+        # the decoder's message alone did not say which file
+        _, csv_path = kepler_files
+        spec = tmp_path / "spec.txt"
+        spec.write_bytes("stats all\n".encode("utf-16"))
+        assert main(["analyze", "--spec", str(spec), "--data", str(csv_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {spec}: not UTF-8 text (")
+
     def test_seed_changes_sample_block(self, kepler_files, tmp_path, capsys):
         _, csv_path = kepler_files
         spec = tmp_path / "spec.txt"
@@ -362,6 +413,14 @@ class TestEvalCommand:
         assert "fitted params:" in out
         nmse_value = float(out.strip().splitlines()[-1].split("NMSE: ")[1])
         assert nmse_value < 1e-8
+
+    def test_expression_that_is_not_utf8_is_named(self, kepler_files, tmp_path, capsys):
+        # the decoder's message alone did not say which file
+        _, csv_path = kepler_files
+        expr = tmp_path / "e.txt"
+        expr.write_bytes("p0 * x0".encode("utf-16"))
+        assert main(["eval", "--expr", str(expr), "--data", str(csv_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {expr}: not UTF-8 text (")
 
     def test_parameter_free_expression(self, tmp_path, capsys):
         X = np.linspace(1, 4, 20)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from symreg.harness import (
     make_generator,
     read_config,
     run_suite,
-    search_config_from_json,
     suite_config_from_json,
     variance_stats,
     win_rate_curve,
@@ -32,6 +32,8 @@ INF = float("inf")
 
 GOOD_POWER = "<thought>power law</thought>\n```expr\np0 * x0 ^ p1\n```"
 GOOD_LINEAR = "<thought>line</thought>\n```expr\np0 * x0 + p1\n```"
+# load_settings names the file in its errors; it reads none
+CFG = Path("cfg.json")
 
 
 class TestVarianceStats:
@@ -132,14 +134,6 @@ class TestMakeGenerator:
         req = GeneratorRequest(prompt="x", n_samples=2)
         assert gen.generate(req).raw_texts == same.generate(req).raw_texts
 
-    def test_mutation_explicit_seed(self):
-        a = make_generator({"type": "mutation", "seed": 3}, arity=1, run_seed=99)
-        b = make_generator({"type": "mutation", "seed": 3}, arity=1, run_seed=12)
-        from symreg.generate import GeneratorRequest
-
-        req = GeneratorRequest(prompt="x", n_samples=2)
-        assert a.generate(req).raw_texts == b.generate(req).raw_texts
-
     def test_scripted_inline_texts(self):
         gen = make_generator({"type": "scripted", "texts": ["a"]}, arity=1, run_seed=0)
         assert isinstance(gen, ScriptedGenerator)
@@ -156,18 +150,17 @@ class TestMakeGenerator:
     def test_scripted_texts_must_be_a_non_empty_list_of_strings(self, texts):
         # a string used to be read as a file path, and [1, 2] failed every run mid-search
         with pytest.raises(HarnessError, match="scripted texts"):
-            make_generator({"type": "scripted", "texts": texts}, arity=1, run_seed=0)
+            load_settings({"generator": {"type": "scripted", "texts": texts}}, CFG)
 
     @pytest.mark.parametrize("path", [["a.json"], 3, None])
     def test_scripted_path_must_be_a_string(self, path, tmp_path):
         # a config's path reaches the check unresolved, not as a TypeError from the join
-        _, settings, _ = load_settings({"generator": {"type": "scripted", "path": path}}, tmp_path)
         with pytest.raises(HarnessError, match="scripted path"):
-            make_generator(settings, arity=1, run_seed=0)
+            load_settings({"generator": {"type": "scripted", "path": path}}, tmp_path / "cfg.json")
 
     def test_scripted_missing_source(self):
         with pytest.raises(HarnessError, match="texts.*path|path.*texts"):
-            make_generator({"type": "scripted"}, arity=1, run_seed=0)
+            load_settings({"generator": {"type": "scripted"}}, CFG)
 
     def test_remote(self):
         gen = make_generator(
@@ -179,7 +172,7 @@ class TestMakeGenerator:
 
     def test_remote_missing_url(self):
         with pytest.raises(HarnessError, match="url"):
-            make_generator({"type": "remote", "model": "m"}, arity=1, run_seed=0)
+            load_settings({"generator": {"type": "remote", "model": "m"}}, CFG)
 
     # {"url": 3, "model": null} used to build a generator whose every call
     # failed with "Invalid URL '3'"
@@ -188,30 +181,17 @@ class TestMakeGenerator:
     def test_remote_url_and_model_must_be_non_empty_strings(self, key, value):
         settings = {"type": "remote", "url": "http://localhost:1/x", "model": "m", key: value}
         with pytest.raises(HarnessError, match=f"remote {key} must be a non-empty string"):
-            make_generator(settings, arity=1, run_seed=0)
+            load_settings({"generator": settings}, CFG)
 
     def test_unknown_type(self):
         with pytest.raises(HarnessError, match="unknown generator"):
-            make_generator({"type": "oracle"}, arity=1, run_seed=0)
-
-    @pytest.mark.parametrize("seed", [2.7, 3.0, "3", True, None])
-    def test_mutation_seed_must_be_an_integer(self, seed):
-        with pytest.raises(HarnessError, match="seed must be an integer"):
-            make_generator({"type": "mutation", "seed": seed}, arity=1, run_seed=0)
-
-    def test_mutation_numpy_integer_seed_matches_int(self):
-        from symreg.generate import GeneratorRequest
-
-        req = GeneratorRequest(prompt="x", n_samples=2)
-        a = make_generator({"type": "mutation", "seed": np.int64(3)}, arity=1, run_seed=0)
-        b = make_generator({"type": "mutation", "seed": 3}, arity=1, run_seed=0)
-        assert a.generate(req).raw_texts == b.generate(req).raw_texts
+            load_settings({"generator": {"type": "oracle"}}, CFG)
 
     @pytest.mark.parametrize("timeout", [True, "30", 0, 0.0, -1.0, INF, float("nan"), None])
     def test_remote_timeout_must_be_positive_and_finite(self, timeout):
         settings = {"type": "remote", "url": "http://localhost:1/x", "model": "m"}
         with pytest.raises(HarnessError, match="timeout"):
-            make_generator({**settings, "timeout": timeout}, arity=1, run_seed=0)
+            load_settings({"generator": {**settings, "timeout": timeout}}, CFG)
 
     @pytest.mark.parametrize(
         "settings",
@@ -224,24 +204,28 @@ class TestMakeGenerator:
     def test_unknown_key_refused(self, settings):
         # a misspelled key used to be ignored: "seeed" ran with the run seed
         with pytest.raises(HarnessError, match="unknown key 'seeed' in"):
-            make_generator(settings, arity=1, run_seed=0)
+            load_settings({"generator": settings}, CFG)
 
     @pytest.mark.parametrize("timeout", [5, 2.5, np.float64(0.25)])
     def test_remote_timeout_accepts_positive_numbers(self, timeout):
         settings = {"type": "remote", "url": "http://localhost:1/x", "model": "m"}
-        gen = make_generator({**settings, "timeout": timeout}, arity=1, run_seed=0)
+        _, checked, _ = load_settings({"generator": {**settings, "timeout": timeout}}, CFG)
+        gen = make_generator(checked, arity=1, run_seed=0)
         assert gen._timeout == float(timeout) and type(gen._timeout) is float
 
 
 class TestConfigParsing:
     def test_search_config_nested_blocks(self):
-        cfg = search_config_from_json(
+        cfg, _, _ = load_settings(
             {
-                "iterations": 9,
-                "mode": "llm-sr",
-                "optimizer": {"restarts": 2},
-                "decoding": {"temperature": 0.1, "stop": ["```"]},
-            }
+                "search": {
+                    "iterations": 9,
+                    "mode": "llm-sr",
+                    "optimizer": {"restarts": 2},
+                    "decoding": {"temperature": 0.1, "stop": ["```"]},
+                }
+            },
+            CFG,
         )
         assert cfg.iterations == 9
         assert cfg.optimizer.restarts == 2
@@ -250,8 +234,8 @@ class TestConfigParsing:
 
     def test_search_block_rejects_repeats(self):
         # repeats is a suite setting; a search run has no use for it
-        with pytest.raises(TypeError, match="repeats"):
-            search_config_from_json({"iterations": 9, "repeats": 2})
+        with pytest.raises(HarnessError, match="repeats"):
+            load_settings({"search": {"iterations": 9, "repeats": 2}}, CFG)
 
     def test_suite_config_resolves_relative_paths(self, tmp_path):
         X = np.linspace(1, 4, 12).reshape(-1, 1)
@@ -278,7 +262,6 @@ class TestConfigParsing:
         assert cfg.generator["path"] == str(tmp_path / "texts.json")
         assert cfg.analysis_generator["path"] == str(tmp_path / "texts.json")
         assert cfg.search.iterations == 2
-        assert cfg.search.mode == "llm-sr"
 
     def test_suite_config_missing_key(self, tmp_path):
         cfg_path = tmp_path / "suite.json"
@@ -290,7 +273,8 @@ class TestConfigParsing:
         cfg_path = tmp_path / "suite.json"
         cfg_path.write_text(
             json.dumps(
-                {"problems": ["a.json"], "modes": [], "out_dir": "out", "generator": {}}
+                {"problems": ["a.json"], "modes": [], "out_dir": "out",
+                 "generator": {"type": "mutation"}}
             )
         )
         with pytest.raises(HarnessError, match="at least one mode"):
@@ -401,15 +385,15 @@ class TestConfigParsing:
     def test_decoding_stop_must_be_a_list(self, tmp_path):
         # "###" used to become the stop sequences ('#', '#', '#')
         with pytest.raises(HarnessError, match="stop must be a list"):
-            search_config_from_json({"decoding": {"stop": "###"}})
+            load_settings({"search": {"decoding": {"stop": "###"}}}, CFG)
         with pytest.raises(HarnessError, match="stop must be a list"):
             suite_config_from_json(self._suite_json(tmp_path, search={"decoding": {"stop": "#"}}))
 
     def test_decoding_stop_entries_must_be_non_empty_strings(self):
         with pytest.raises(ValueError, match="stop"):
-            search_config_from_json({"decoding": {"stop": ["END", ""]}})
+            load_settings({"search": {"decoding": {"stop": ["END", ""]}}}, CFG)
         with pytest.raises(ValueError, match="stop"):
-            search_config_from_json({"decoding": {"stop": [3]}})
+            load_settings({"search": {"decoding": {"stop": [3]}}}, CFG)
 
     def test_suite_and_run_configs_share_one_loader(self, tmp_path):
         sub = tmp_path / "sub"
@@ -419,16 +403,14 @@ class TestConfigParsing:
             "generator": {"type": "scripted", "path": "replies.json"},
             "analysis_generator": {"type": "scripted", "path": "analyses.json"},
         }
-        search, generator, analysis = load_settings(raw, sub)
+        search, generator, analysis = load_settings(raw, sub / "cfg.json")
         assert search.iterations == 4 and search.decoding.stop == ("END",)
         assert generator == {"type": "scripted", "path": str(sub / "replies.json")}
         assert analysis == {"type": "scripted", "path": str(sub / "analyses.json")}
         # the raw blocks are left as they were
         assert raw["generator"]["path"] == "replies.json"
         cfg = suite_config_from_json(self._suite_json(sub, **raw))
-        assert (cfg.search, cfg.generator, cfg.analysis_generator) == (
-            dataclasses.replace(search, mode="llm-sr"), generator, analysis
-        )
+        assert (cfg.search, cfg.generator, cfg.analysis_generator) == (search, generator, analysis)
 
     def test_read_config_names_a_file_that_is_not_utf8(self, tmp_path):
         # the decoder's message alone did not say which file
@@ -459,7 +441,7 @@ class TestConfigParsing:
             read_config(path)
         for block in ("optimizer", "decoding"):
             with pytest.raises(HarnessError, match=f"search.{block} must be a JSON object"):
-                search_config_from_json({block: [1]})
+                load_settings({"search": {block: [1]}}, path)
 
 
 class TestBundledMutationSuite:
@@ -487,7 +469,6 @@ class TestBundledMutationSuite:
         assert config.search == SearchConfig(
             iterations=100,
             samples_per_prompt=2,
-            mode=MODES[0],
             islands=4,
             island_capacity=16,
             seed=0,
