@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -49,9 +50,6 @@ def _build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="search one problem in one mode")
     p_run.add_argument("problem", help="problem JSON path")
     p_run.add_argument("--mode", choices=MODES, default=None)
-    p_run.add_argument(
-        "--generator", choices=("remote", "scripted", "mutation"), default="mutation"
-    )
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--iterations", type=int, default=None)
     p_run.add_argument("--out", default="runs", help="output directory")
@@ -81,13 +79,13 @@ def _cmd_run(args) -> int:
     raw, path = {}, Path("command line")  # errors name this when no file is given
     if args.config:
         raw, path = read_config(args.config), Path(args.config)
-    # the flags given override the file's search block; --generator is only a default type
+    # the flags given override the file's search block
     flags = {"mode": args.mode, "seed": args.seed, "iterations": args.iterations}
     raw["search"] = {
         **raw.get("search", {}),
         **{key: value for key, value in flags.items() if value is not None},
     }
-    raw["generator"] = {"type": args.generator, **raw.get("generator", {})}
+    raw.setdefault("generator", {"type": "mutation"})
     config, generator_settings, analysis_settings = load_settings(raw, path)
 
     problem = load_problem_data(load_problem(args.problem))
@@ -193,7 +191,14 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so a closed stdout is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; each command prints only after its work is
+        # done, so quiet the exit flush and stop
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,11 +9,10 @@ blocks back out of raw generator text.
 
 from __future__ import annotations
 
-import math
 import os
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -28,7 +27,7 @@ from .context import (
     parse_spec,
     render,
 )
-from .data import Problem, is_integer, is_real, read_json
+from .data import Problem, read_json
 from .expr import (
     MAX_PARAMS,
     UNARY_OPS,
@@ -41,6 +40,9 @@ from .fit import Candidate
 
 API_KEY_ENV = "SYMREG_API_KEY"
 DEFAULT_TIMEOUT = 120.0
+# the remote request's sampling settings, fixed parts of the method like the prompts
+TEMPERATURE = 0.8
+MAX_OUTPUT_TOKENS = 2048
 
 PURPOSES = ("equation", "analysis")
 
@@ -61,28 +63,9 @@ class ExtractionError(ValueError):
 
 
 @dataclass(frozen=True)
-class DecodingConfig:
-    temperature: float = 0.8
-    max_output_tokens: int = 2048
-    stop: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.stop, tuple) and all(isinstance(s, str) and s for s in self.stop)):
-            raise ValueError(f"stop must be a tuple of non-empty strings, got {self.stop!r}")
-        t = self.temperature
-        if not (is_real(t) and 0 <= t < math.inf):
-            raise ValueError(f"temperature must be finite and >= 0, got {t!r}")
-        if not (is_integer(self.max_output_tokens) and self.max_output_tokens >= 1):
-            raise ValueError(
-                f"max_output_tokens must be a positive integer, got {self.max_output_tokens!r}"
-            )
-
-
-@dataclass(frozen=True)
 class GeneratorRequest:
     prompt: str
     n_samples: int = 2
-    decoding: DecodingConfig = field(default_factory=DecodingConfig)
     purpose: str = "equation"
 
     def __post_init__(self) -> None:
@@ -364,12 +347,10 @@ class RemoteChatGenerator:
         body = {
             "model": self._model,
             "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.decoding.temperature,
+            "temperature": TEMPERATURE,
             "n": request.n_samples,
-            "max_tokens": request.decoding.max_output_tokens,
+            "max_tokens": MAX_OUTPUT_TOKENS,
         }
-        if request.decoding.stop:
-            body["stop"] = list(request.decoding.stop)
         headers = {"Content-Type": "application/json"}
         if self._api_key:
             headers["Authorization"] = f"Bearer {self._api_key}"

@@ -95,7 +95,7 @@ class SuiteConfig:
 def _config(cls, raw, path: Path, block: str):
     """A ``cls`` built from ``block`` of the config file ``path``: a JSON
     object with a key per field it sets.  A field whose default is a config
-    is built the same way, and one whose default is a tuple takes a list."""
+    is built the same way."""
     if not isinstance(raw, dict):
         raise HarnessError(f"{path}: {block} must be a JSON object, got {raw!r}")
     defaults = {
@@ -108,11 +108,6 @@ def _config(cls, raw, path: Path, block: str):
     for key, value in raw.items():
         if is_dataclass(defaults[key]):
             values[key] = _config(type(defaults[key]), value, path, f"{block}.{key}")
-        elif isinstance(defaults[key], tuple):
-            # a string would be split into characters
-            if not isinstance(value, list):
-                raise HarnessError(f"{path}: {block}.{key} must be a list, got {value!r}")
-            values[key] = tuple(value)
     return cls(**values)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,6 @@ from .data import DEFAULT_SPLIT_RATIO, Problem, is_integer, json_safe, split, wr
 from .expr import evaluate
 from .fit import Candidate, OptimizerConfig, evaluate_candidate, nmse, DegenerateTargetError
 from .generate import (
-    DecodingConfig,
     ExtractionError,
     Generator,
     GeneratorRequest,
@@ -64,7 +63,6 @@ class SearchConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     retry_budget: int = 3
     inject_report: bool = True
-    decoding: DecodingConfig = field(default_factory=DecodingConfig)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -209,7 +207,6 @@ class RunTrace:
     records: tuple[IterationRecord, ...]
     best: Candidate | None
     test_nmse: float | None
-    config: SearchConfig
     problem_name: str
     generator_tag: str
     timings: dict[str, float]
@@ -222,13 +219,12 @@ def trace_lines(trace: RunTrace) -> list[str]:
 
 
 def trace_summary(trace: RunTrace) -> dict:
-    """Every search setting, the best candidate and its scores, and timings:
-    wall seconds of ``analysis``, ``generation`` (equation calls, re-asks and
-    parsing each reply), ``evaluation`` (fits and scores) and ``total``."""
-    cfg = trace.config
+    """The run's results: its problem, generator tag, best candidate and its
+    scores, and timings: wall seconds of ``analysis``, ``generation``
+    (equation calls, re-asks and parsing each reply), ``evaluation`` (fits
+    and scores) and ``total``."""
     best = trace.best
-    summary = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    summary.update(
+    summary = dict(
         problem=trace.problem_name,
         generator=trace.generator_tag,
         best_expression=best.skeleton.text if best is not None else None,
@@ -318,7 +314,6 @@ def run(
                 request = GeneratorRequest(
                     prompt=analysis_prompt,
                     n_samples=1,
-                    decoding=config.decoding,
                     purpose="analysis",
                 )
                 first = analysis_generator.generate(request)
@@ -358,7 +353,6 @@ def run(
         request = GeneratorRequest(
             prompt=prompt,
             n_samples=config.samples_per_prompt,
-            decoding=config.decoding,
             purpose="equation",
         )
         response = generator.generate(request)
@@ -426,7 +420,6 @@ def run(
         records=tuple(records),
         best=best,
         test_nmse=test_nmse,
-        config=config,
         problem_name=problem.name,
         generator_tag=generator.tag,
         timings=timings,
@@ -434,8 +427,8 @@ def run(
 
 
 def write_trace(trace: RunTrace, trace_path, summary_path, settings: dict | None = None) -> None:
-    """Write the trace lines, then the summary with the ``settings`` keys
-    added, such as the settings the run's generators were built from."""
+    """Write the trace lines, then the summary: the run's results with the
+    ``settings`` keys added, such as the search and generator settings."""
     trace_path = Path(trace_path)
     trace_path.parent.mkdir(parents=True, exist_ok=True)
     trace_path.write_text("\n".join(trace_lines(trace)) + "\n")

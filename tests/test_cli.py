@@ -71,8 +71,6 @@ class TestRunCommand:
                 str(problem),
                 "--mode",
                 "llm-sr",
-                "--generator",
-                "mutation",
                 "--iterations",
                 "3",
                 "--seed",
@@ -228,7 +226,8 @@ class TestRunCommand:
         [
             ("search", "split_seed", {"split_seed": 3}),
             ("search.optimizer", "restart", {"optimizer": {"restart": 2}}),
-            ("search.decoding", "temprature", {"decoding": {"temprature": 0.1}}),
+            # the remote request's sampling settings became constants
+            ("search", "decoding", {"decoding": {"temperature": 0.1}}),
         ],
     )
     def test_config_unknown_search_key_is_refused(
@@ -240,6 +239,22 @@ class TestRunCommand:
         out = tmp_path / "runs"
         assert main(["run", str(problem), "--config", str(cfg), "--out", str(out)]) == 2
         assert f"{cfg}: unknown key {key!r} in {block}" in capsys.readouterr().err
+        assert not out.exists()
+        suite_cfg = tmp_path / "suite.json"
+        suite = {"problems": [problem.name], "modes": ["llm-sr"], "out_dir": "out"}
+        suite = {**suite, "generator": {"type": "mutation"}, "search": search}
+        suite_cfg.write_text(json.dumps(suite))
+        assert main(["suite", "--config", str(suite_cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {suite_cfg}: unknown key {key!r} in {block}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_generator_flag_is_refused(self, kepler_files, tmp_path, capsys):
+        # it only named a default type, and "scripted" or "remote" without a
+        # config always failed
+        problem, _ = kepler_files
+        out = tmp_path / "runs"
+        assert main(["run", str(problem), "--generator", "mutation", "--out", str(out)]) == 1
+        assert "--generator" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -448,6 +463,25 @@ class TestHintCommand:
         first = capsys.readouterr().out
         main(["hint", "--data", str(csv_path), "--seed", "5"])
         assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_a_command_quietly(flags):
+    # the write to a closed pipe used to fail the command: "error: [Errno 32]
+    # Broken pipe" and exit 2 unbuffered, "Exception ignored" and exit 120
+    # from the exit flush buffered
+    repo = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    args = [sys.executable, *flags, "-m", "symreg.cli", "hint", "--data", "problems/kepler.csv"]
+    proc = subprocess.Popen(
+        args, cwd=repo, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    # closed before the child writes, so its first write meets EPIPE
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), stderr) == (0, b"")
 
 
 def test_importing_the_cli_loads_neither_scipy_nor_requests():

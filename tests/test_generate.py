@@ -3,7 +3,6 @@ import json
 import threading
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +15,6 @@ from symreg.generate import (
     REPORT_HEADER,
     TASK_HEADER,
     THOUGHT_SENTENCE,
-    DecodingConfig,
     ExtractionError,
     GeneratorRequest,
     GeneratorResponse,
@@ -55,31 +53,6 @@ class TestRequestValidation:
     def test_bad_purpose(self):
         with pytest.raises(ValueError, match="purpose"):
             GeneratorRequest(prompt="p", purpose="poetry")
-
-    def test_decoding_defaults(self):
-        cfg = DecodingConfig()
-        assert cfg.temperature == 0.8
-        assert cfg.max_output_tokens == 2048
-        assert cfg.stop == ()
-
-    @pytest.mark.parametrize("stop", ["###", ["END"], ("END", ""), ("END", 3)])
-    def test_decoding_stop_is_a_tuple_of_non_empty_strings(self, stop):
-        with pytest.raises(ValueError, match="stop"):
-            DecodingConfig(stop=stop)
-
-    @pytest.mark.parametrize("temperature", [-0.1, float("inf"), float("nan"), "0.5", True, None])
-    def test_decoding_temperature_is_finite_and_non_negative(self, temperature):
-        with pytest.raises(ValueError, match="temperature"):
-            DecodingConfig(temperature=temperature)
-
-    @pytest.mark.parametrize("tokens", [0, -1, 2.0, True, "10", None])
-    def test_decoding_max_output_tokens_is_a_positive_integer(self, tokens):
-        with pytest.raises(ValueError, match="max_output_tokens"):
-            DecodingConfig(max_output_tokens=tokens)
-
-    def test_decoding_accepts_edge_values(self):
-        cfg = DecodingConfig(temperature=0, max_output_tokens=np.int64(1), stop=("END", "###"))
-        assert cfg.max_output_tokens == 1 and cfg.stop == ("END", "###")
 
 
 class TestSeedSkeleton:
@@ -397,32 +370,19 @@ class TestRemoteChatGenerator:
         url, stub = provider
         stub.payload = _choices("a", "b")
         gen = RemoteChatGenerator(url, model="test-model", api_key="sk-secret")
-        req = GeneratorRequest(
-            prompt="hello",
-            n_samples=2,
-            decoding=DecodingConfig(temperature=0.3, max_output_tokens=99, stop=("END",)),
-        )
-        resp = gen.generate(req)
+        resp = gen.generate(GeneratorRequest(prompt="hello", n_samples=2))
         assert resp.raw_texts == ("a", "b")
         sent = stub.requests_seen[0]
+        # the sampling settings are constants, and no stop sequence is sent
         assert sent["body"] == {
             "model": "test-model",
             "messages": [{"role": "user", "content": "hello"}],
-            "temperature": 0.3,
+            "temperature": 0.8,
             "n": 2,
-            "max_tokens": 99,
-            "stop": ["END"],
+            "max_tokens": 2048,
         }
         assert sent["headers"]["Authorization"] == "Bearer sk-secret"
         assert sent["headers"]["Content-Type"] == "application/json"
-
-    def test_stop_omitted_when_empty(self, provider):
-        url, stub = provider
-        stub.payload = _choices("a")
-        RemoteChatGenerator(url, model="m", api_key="k").generate(
-            GeneratorRequest(prompt="p", n_samples=1)
-        )
-        assert "stop" not in stub.requests_seen[0]["body"]
 
     def test_api_key_from_environment(self, provider, monkeypatch):
         url, stub = provider

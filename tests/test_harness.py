@@ -222,7 +222,6 @@ class TestConfigParsing:
                     "iterations": 9,
                     "mode": "llm-sr",
                     "optimizer": {"restarts": 2},
-                    "decoding": {"temperature": 0.1, "stop": ["```"]},
                 }
             },
             CFG,
@@ -230,7 +229,6 @@ class TestConfigParsing:
         assert cfg.iterations == 9
         assert cfg.optimizer.restarts == 2
         assert cfg.optimizer.max_evaluations == OptimizerConfig().max_evaluations
-        assert cfg.decoding.stop == ("```",)
 
     def test_search_block_rejects_repeats(self):
         # repeats is a suite setting; a search run has no use for it
@@ -354,7 +352,8 @@ class TestConfigParsing:
         [
             ("search", "split_seed", {"split_seed": 3}),
             ("search.optimizer", "restart", {"optimizer": {"restart": 2}}),
-            ("search.decoding", "temprature", {"decoding": {"temprature": 0.1}}),
+            # the remote request's sampling settings became constants
+            ("search", "decoding", {"decoding": {"temperature": 0.1}}),
         ],
     )
     def test_suite_json_rejects_unknown_search_keys(self, tmp_path, block, key, search):
@@ -382,29 +381,16 @@ class TestConfigParsing:
         with pytest.raises(HarnessError, match="search.mode"):
             suite_config_from_json(self._suite_json(tmp_path, search={"mode": "proaug"}))
 
-    def test_decoding_stop_must_be_a_list(self, tmp_path):
-        # "###" used to become the stop sequences ('#', '#', '#')
-        with pytest.raises(HarnessError, match="stop must be a list"):
-            load_settings({"search": {"decoding": {"stop": "###"}}}, CFG)
-        with pytest.raises(HarnessError, match="stop must be a list"):
-            suite_config_from_json(self._suite_json(tmp_path, search={"decoding": {"stop": "#"}}))
-
-    def test_decoding_stop_entries_must_be_non_empty_strings(self):
-        with pytest.raises(ValueError, match="stop"):
-            load_settings({"search": {"decoding": {"stop": ["END", ""]}}}, CFG)
-        with pytest.raises(ValueError, match="stop"):
-            load_settings({"search": {"decoding": {"stop": [3]}}}, CFG)
-
     def test_suite_and_run_configs_share_one_loader(self, tmp_path):
         sub = tmp_path / "sub"
         sub.mkdir()
         raw = {
-            "search": {"iterations": 4, "decoding": {"stop": ["END"]}},
+            "search": {"iterations": 4, "optimizer": {"restarts": 2}},
             "generator": {"type": "scripted", "path": "replies.json"},
             "analysis_generator": {"type": "scripted", "path": "analyses.json"},
         }
         search, generator, analysis = load_settings(raw, sub / "cfg.json")
-        assert search.iterations == 4 and search.decoding.stop == ("END",)
+        assert search.iterations == 4 and search.optimizer.restarts == 2
         assert generator == {"type": "scripted", "path": str(sub / "replies.json")}
         assert analysis == {"type": "scripted", "path": str(sub / "analyses.json")}
         # the raw blocks are left as they were
@@ -439,9 +425,8 @@ class TestConfigParsing:
         path.write_text(json.dumps({"generator": None}))
         with pytest.raises(HarnessError, match="generator must be a JSON object"):
             read_config(path)
-        for block in ("optimizer", "decoding"):
-            with pytest.raises(HarnessError, match=f"search.{block} must be a JSON object"):
-                load_settings({"search": {block: [1]}}, path)
+        with pytest.raises(HarnessError, match="search.optimizer must be a JSON object"):
+            load_settings({"search": {"optimizer": [1]}}, path)
 
 
 class TestBundledMutationSuite:
@@ -490,7 +475,6 @@ class TestBundledMutationSuite:
     UNSET_BY_SUITES = {
         "mode": "a suite's modes sets it for each run",
         "inject_report": "the ablation control README describes",
-        "decoding": "the remote deployment settings",
     }
 
     def test_every_search_setting_is_set_by_a_shipped_suite(self, tmp_path, perfbench_workloads):
@@ -812,6 +796,23 @@ class TestRunSuite:
         second = run_suite(config)
         assert [o.reused for o in second.outcomes] == [i != 3 for i in range(8)]
         assert second.outcomes[3] == first.outcomes[3]
+
+    def test_run_summary_with_removed_search_keys_is_reused(self, tmp_path):
+        # summaries written before these settings became constants carry them
+        config = _suite(tmp_path)
+        first = run_suite(config)
+        path = first.outcomes[3].summary_path
+        summary = json.loads(path.read_text())
+        summary.update(
+            decoding={"max_output_tokens": 2048, "stop": [], "temperature": 0.8},
+            k_demos=2,
+            sampling_temperature=1.0,
+        )
+        path.write_text(json.dumps(summary))
+        second = run_suite(config)
+        assert all(o.reused for o in second.outcomes)
+        assert second.outcomes[3] == dataclasses.replace(first.outcomes[3], reused=True)
+        assert json.loads(path.read_text()) == summary
 
     @pytest.mark.parametrize("repeats", [1, 2])
     @pytest.mark.parametrize(

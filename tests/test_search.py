@@ -15,6 +15,7 @@ from symreg.generate import (
     MutationGenerator,
     ScriptedGenerator,
 )
+from symreg.harness import run_settings
 from symreg.search import (
     ExperienceBuffer,
     SearchConfig,
@@ -602,13 +603,16 @@ class TestTraceSerialization:
         trace = self._trace(kepler_dataset, seed=9)
         summary = trace_summary(trace)
         assert summary["problem"] == "orbit"
-        assert summary["mode"] == "llm-sr"
-        assert summary["seed"] == 9
-        assert summary["optimizer"]["restarts"] == 2
-        assert summary["decoding"]["temperature"] == 0.8
         assert summary["best_expression"] == "(p0 * (x0 ^ p1))"
         assert summary["best_val_nmse"] < 1e-8
         assert "timings" in summary
+        # the run's settings are recorded once, by the keys write_trace adds
+        settings = run_settings(_quick_config(seed=9), {"type": "mutation"}, None)
+        assert settings["mode"] == "llm-sr"
+        assert settings["seed"] == 9
+        assert settings["optimizer"]["restarts"] == 2
+        assert "decoding" not in settings
+        assert not set(settings) & set(summary)
 
     def test_test_split_scored_once_at_end(self, kepler_dataset):
         rng = np.random.default_rng(5)
