@@ -328,17 +328,11 @@ class RemoteChatGenerator:
 
     tag = "remote"
 
-    def __init__(
-        self,
-        url: str,
-        model: str,
-        timeout: float = DEFAULT_TIMEOUT,
-        api_key: str | None = None,
-    ):
+    def __init__(self, url: str, model: str, timeout: float = DEFAULT_TIMEOUT):
         self._url = url
         self._model = model
         self._timeout = timeout
-        self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
+        self._api_key = os.environ.get(API_KEY_ENV, "")
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
         # imported here, so offline runs do not load requests, urllib3 and certifi

@@ -4,8 +4,8 @@ Runs |problems| x |modes| x repeats searches (seed = base seed + repeat
 index), persists every trace, and reduces the results into win-rate curves
 and median/IQR spread statistics.  Suites are resumable at run granularity:
 a run whose trace and summary files already exist is loaded, not re-run,
-unless they do not parse, the summary records other search or generator
-settings than the run's or a result that is not a finite number, or the
+unless they do not parse, the summary's ``settings`` record is not exactly
+the run's (``run_settings``) or its result is not a finite number, or the
 trace holds another number of iterations.  Fresh or loaded, a run's outcome
 is read from those files, which are checked only there, so the report
 depends only on what is on disk.
@@ -230,11 +230,12 @@ def make_generator(settings: dict, arity: int, run_seed: int) -> Generator:
 
 
 def run_settings(search: SearchConfig, generator: dict, analysis_generator: dict | None) -> dict:
-    """The run-summary keys that record every setting of a run: each search
-    field, and the settings its generator and analysis generator were built
-    from.  A scripted generator that reads its replies from ``path`` is also
-    recorded by the sha256 of the file's bytes (None if it cannot be read),
-    so that a run is not reused after its replies file changes."""
+    """The record of every setting of a run, which ``write_trace`` writes
+    under the run summary's ``settings`` key: each search field, and the
+    settings its generator and analysis generator were built from.  A
+    scripted generator that reads its replies from ``path`` is also recorded
+    by the sha256 of the file's bytes (None if it cannot be read), so that a
+    run is not reused after its replies file changes."""
     record = {
         **json_safe(search),
         "generator_settings": generator,
@@ -405,7 +406,9 @@ def _outcome(
     A summary whose ``best_val_nmse`` or ``test_nmse`` is neither null nor a
     finite number, or a trace that does not hold one record per iteration,
     raises ValueError, as one that does not parse does.  ``settings`` is
-    given for a reused run, whose summary must record them all."""
+    given for a reused run, whose summary's ``settings`` record must equal
+    it: a summary that records a setting more, fewer or another value, or
+    none, is another run's."""
     trace_path, summary_path = run_paths(config.out_dir, problem, mode, repeat)
     seed = config.search.seed + repeat
     trajectory, summary = [], {}
@@ -413,7 +416,7 @@ def _outcome(
         summary = read_json(summary_path, ValueError)
         if not isinstance(summary, dict):
             raise ValueError(f"{summary_path} is not a run summary")
-        if settings is not None and not settings.items() <= summary.items():
+        if settings is not None and summary.get("settings") != settings:
             raise ValueError(f"{summary_path} records other search or generator settings")
         for name in ("best_val_nmse", "test_nmse"):
             value = summary.get(name)

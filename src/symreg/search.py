@@ -62,7 +62,6 @@ class SearchConfig:
     seed: int = 0
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     retry_budget: int = 3
-    inject_report: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -81,8 +80,6 @@ class SearchConfig:
             raise SearchError(f"island_capacity must be >= {K_DEMOS}")
         if self.seed < 0:
             raise SearchError(f"seed must be >= 0, got {self.seed!r}")
-        if not isinstance(self.inject_report, bool):
-            raise SearchError(f"inject_report must be true or false, got {self.inject_report!r}")
         if self.retry_budget < 0:
             raise SearchError("retry_budget must be >= 0")
 
@@ -284,10 +281,12 @@ def run(
     if analysis_generator is None:
         analysis_generator = generator
 
-    hint_report: ctx.AnalysisReport | None = None
-    if config.mode == "statistical-hint" and config.inject_report:
+    # the report the equation prompt carries: the hint, fixed for the run, or
+    # proaug's last successful analysis (None until one succeeds)
+    report: ctx.AnalysisReport | None = None
+    if config.mode == "statistical-hint":
         t0 = time.monotonic()
-        hint_report = ctx.execute(
+        report = ctx.execute(
             ctx.default_hint_spec(problem.arity),
             view.tr_tr,
             seed=config.seed,
@@ -297,7 +296,6 @@ def run(
 
     analysis_memo: dict = {}
     seen_programs: set[str] = set()
-    last_report: ctx.AnalysisReport | None = None
     last_analysis_error: str | None = None
 
     records: list[IterationRecord] = []
@@ -306,45 +304,40 @@ def run(
 
     for t in range(config.iterations):
         analysis_record: AnalysisRecord | None = None
-        report: ctx.AnalysisReport | None = None
-        if config.inject_report:
-            if config.mode == "proaug":
-                t0 = time.monotonic()
-                analysis_prompt = build_analysis_prompt(problem, last_analysis_error)
-                request = GeneratorRequest(
-                    prompt=analysis_prompt,
-                    n_samples=1,
-                    purpose="analysis",
+        if config.mode == "proaug":
+            t0 = time.monotonic()
+            analysis_prompt = build_analysis_prompt(problem, last_analysis_error)
+            request = GeneratorRequest(
+                prompt=analysis_prompt,
+                n_samples=1,
+                purpose="analysis",
+            )
+            first = analysis_generator.generate(request)
+            spec, _, last_analysis_error, retries = _ask(
+                analysis_generator,
+                request,
+                (first.raw_texts[0], first.errors[0]),
+                lambda text: extract_spec(text, problem.arity),
+                config.retry_budget,
+                lambda error: build_analysis_prompt(problem, error),
+            )
+            spec_text, fresh, cached = None, None, False
+            if spec is not None:
+                spec_text = spec.text
+                cached = spec_text in seen_programs
+                seen_programs.add(spec_text)
+                fresh = report = ctx.execute(
+                    spec, view.tr_tr, seed=config.seed, source="proaug", memo=analysis_memo
                 )
-                first = analysis_generator.generate(request)
-                spec, _, last_analysis_error, retries = _ask(
-                    analysis_generator,
-                    request,
-                    (first.raw_texts[0], first.errors[0]),
-                    lambda text: extract_spec(text, problem.arity),
-                    config.retry_budget,
-                    lambda error: build_analysis_prompt(problem, error),
-                )
-                spec_text, fresh, cached = None, None, False
-                if spec is not None:
-                    spec_text = spec.text
-                    cached = spec_text in seen_programs
-                    seen_programs.add(spec_text)
-                    fresh = last_report = ctx.execute(
-                        spec, view.tr_tr, seed=config.seed, source="proaug", memo=analysis_memo
-                    )
-                analysis_record = AnalysisRecord(
-                    prompt=analysis_prompt,
-                    spec_text=spec_text,
-                    report=None if fresh is None else ctx.report_to_json(fresh),
-                    error=last_analysis_error,
-                    attempts=retries + 1,
-                    cached=cached,
-                )
-                timings["analysis"] += time.monotonic() - t0
-                report = last_report  # falls back to last success (None at t=0)
-            elif config.mode == "statistical-hint":
-                report = hint_report
+            analysis_record = AnalysisRecord(
+                prompt=analysis_prompt,
+                spec_text=spec_text,
+                report=None if fresh is None else ctx.report_to_json(fresh),
+                error=last_analysis_error,
+                attempts=retries + 1,
+                cached=cached,
+            )
+            timings["analysis"] += time.monotonic() - t0
 
         demos = buffer.sample_demonstrations(K_DEMOS, derive_seed(config.seed, _DEMO, t))
         prompt = build_equation_prompt(problem, demos, report)
@@ -427,9 +420,10 @@ def run(
 
 
 def write_trace(trace: RunTrace, trace_path, summary_path, settings: dict | None = None) -> None:
-    """Write the trace lines, then the summary: the run's results with the
-    ``settings`` keys added, such as the search and generator settings."""
+    """Write the trace lines, then the summary: the run's results and, under
+    its ``settings`` key, the record of the run's settings (null if none is
+    given)."""
     trace_path = Path(trace_path)
     trace_path.parent.mkdir(parents=True, exist_ok=True)
     trace_path.write_text("\n".join(trace_lines(trace)) + "\n")
-    write_json(summary_path, {**trace_summary(trace), **(settings or {})})
+    write_json(summary_path, {**trace_summary(trace), "settings": settings})

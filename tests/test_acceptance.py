@@ -136,23 +136,17 @@ def test_criterion_06_mode_differential(kepler_dataset):
         optimizer=OptimizerConfig(restarts=2, max_evaluations=400),
     )
 
-    def run_mode(mode, inject):
-        cfg = replace(base, mode=mode, inject_report=inject)
+    def run_mode(mode):
         return run(
-            cfg,
+            replace(base, mode=mode),
             problem,
             ScriptedGenerator([GOOD_POWER, GOOD_LINEAR]),
             analysis_generator=ScriptedGenerator([GOOD_ANALYSIS]),
         )
 
-    # with injection disabled the two modes are indistinguishable
-    plain_llm = run_mode("llm-sr", inject=False)
-    plain_pro = run_mode("proaug", inject=False)
-    assert trace_lines(plain_llm) == trace_lines(plain_pro)
-
-    # with injection enabled, prompts differ exactly by the report block
-    llm = run_mode("llm-sr", inject=True)
-    pro = run_mode("proaug", inject=True)
+    # prompts differ exactly by the report block
+    llm = run_mode("llm-sr")
+    pro = run_mode("proaug")
     for rec_l, rec_p in zip(llm.records, pro.records):
         aug = rec_p.equation_prompt
         start = aug.index(f"\n\n{REPORT_HEADER}")

@@ -116,7 +116,7 @@ class TestRunCommand:
         summary = json.loads(
             (out / "orbit" / "llm-sr" / "0.summary.json").read_text()
         )
-        assert summary["iterations"] == 2
+        assert summary["settings"]["iterations"] == 2
         assert summary["generator"] == "scripted"
         assert summary["best_val_nmse"] < 1e-8
         assert summary["test_nmse"] is not None
@@ -137,8 +137,8 @@ class TestRunCommand:
         out = tmp_path / "runs"
         assert main(["run", str(problem), "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "orbit" / "proaug" / "0.summary.json").read_text())
-        assert summary["generator_settings"] == generator
-        assert summary["analysis_generator_settings"] == {"type": "mutation"}
+        assert summary["settings"]["generator_settings"] == generator
+        assert summary["settings"]["analysis_generator_settings"] == {"type": "mutation"}
 
     def test_cli_iterations_beats_config_file(self, kepler_files, tmp_path):
         problem, _ = kepler_files
@@ -161,7 +161,7 @@ class TestRunCommand:
         )
         assert rc == 0
         summary = json.loads((out / "orbit" / "llm-sr" / "0.summary.json").read_text())
-        assert summary["iterations"] == 2
+        assert summary["settings"]["iterations"] == 2
 
     def test_config_mode_and_seed_stand_unless_flags_are_given(self, kepler_files, tmp_path):
         problem, _ = kepler_files
@@ -182,7 +182,7 @@ class TestRunCommand:
         args = ["--mode", "statistical-hint", "--seed", "2", "--out", str(overridden)]
         assert main(["run", str(problem), "--config", str(cfg), *args]) == 0
         summary_path = overridden / "orbit" / "statistical-hint" / "2.summary.json"
-        summary = json.loads(summary_path.read_text())
+        summary = json.loads(summary_path.read_text())["settings"]
         assert (summary["mode"], summary["seed"]) == ("statistical-hint", 2)
 
 
@@ -228,6 +228,8 @@ class TestRunCommand:
             ("search.optimizer", "restart", {"optimizer": {"restart": 2}}),
             # the remote request's sampling settings became constants
             ("search", "decoding", {"decoding": {"temperature": 0.1}}),
+            # the no-report control is mode llm-sr
+            ("search", "inject_report", {"inject_report": False}),
         ],
     )
     def test_config_unknown_search_key_is_refused(
@@ -350,7 +352,7 @@ class TestSuiteCommand:
         for summary in summaries:
             del summary["timings"]
         assert summaries[0] == summaries[1]
-        assert len(summaries[0]["generator_replies_sha256"]) == 64
+        assert len(summaries[0]["settings"]["generator_replies_sha256"]) == 64
 
     def test_prints_the_mode_table(self, tmp_path, capsys):
         X = np.linspace(1, 5, 30).reshape(-1, 1)

@@ -366,10 +366,11 @@ def _choices(*texts):
 
 
 class TestRemoteChatGenerator:
-    def test_wire_format(self, provider):
+    def test_wire_format(self, provider, monkeypatch):
         url, stub = provider
         stub.payload = _choices("a", "b")
-        gen = RemoteChatGenerator(url, model="test-model", api_key="sk-secret")
+        monkeypatch.setenv("SYMREG_API_KEY", "sk-secret")
+        gen = RemoteChatGenerator(url, model="test-model")
         resp = gen.generate(GeneratorRequest(prompt="hello", n_samples=2))
         assert resp.raw_texts == ("a", "b")
         sent = stub.requests_seen[0]
@@ -402,10 +403,11 @@ class TestRemoteChatGenerator:
         )
         assert "Authorization" not in stub.requests_seen[0]["headers"]
 
-    def test_key_appears_nowhere_in_the_response(self, provider):
+    def test_key_appears_nowhere_in_the_response(self, provider, monkeypatch):
         url, stub = provider
         stub.payload = _choices("a")
-        resp = RemoteChatGenerator(url, model="m", api_key="sk-secret").generate(
+        monkeypatch.setenv("SYMREG_API_KEY", "sk-secret")
+        resp = RemoteChatGenerator(url, model="m").generate(
             GeneratorRequest(prompt="p", n_samples=1)
         )
         assert resp == GeneratorResponse(raw_texts=("a",), errors=(None,))
@@ -414,7 +416,7 @@ class TestRemoteChatGenerator:
     def test_fewer_choices_padded_and_flagged(self, provider):
         url, stub = provider
         stub.payload = _choices("only one")
-        resp = RemoteChatGenerator(url, model="m", api_key="k").generate(
+        resp = RemoteChatGenerator(url, model="m").generate(
             GeneratorRequest(prompt="p", n_samples=3)
         )
         assert resp.raw_texts == ("only one", "", "")
@@ -425,7 +427,7 @@ class TestRemoteChatGenerator:
     def test_missing_content_flagged(self, provider):
         url, stub = provider
         stub.payload = {"choices": [{"message": {}}]}
-        resp = RemoteChatGenerator(url, model="m", api_key="k").generate(
+        resp = RemoteChatGenerator(url, model="m").generate(
             GeneratorRequest(prompt="p", n_samples=1)
         )
         assert resp.raw_texts == ("",)
@@ -435,7 +437,7 @@ class TestRemoteChatGenerator:
     def test_non_object_body_flagged(self, provider, body):
         url, stub = provider
         stub.raw_body = body
-        resp = RemoteChatGenerator(url, model="m", api_key="k").generate(
+        resp = RemoteChatGenerator(url, model="m").generate(
             GeneratorRequest(prompt="p", n_samples=2)
         )
         assert resp.raw_texts == ("", "")
@@ -447,7 +449,7 @@ class TestRemoteChatGenerator:
     def test_malformed_choice_flagged(self, provider, choice):
         url, stub = provider
         stub.payload = {"choices": [choice, {"message": {"content": "ok"}}]}
-        resp = RemoteChatGenerator(url, model="m", api_key="k").generate(
+        resp = RemoteChatGenerator(url, model="m").generate(
             GeneratorRequest(prompt="p", n_samples=2)
         )
         assert resp.raw_texts == ("", "ok")
@@ -457,7 +459,7 @@ class TestRemoteChatGenerator:
     def test_choices_not_a_list_flagged(self, provider, choices):
         url, stub = provider
         stub.payload = {"choices": choices}
-        resp = RemoteChatGenerator(url, model="m", api_key="k").generate(
+        resp = RemoteChatGenerator(url, model="m").generate(
             GeneratorRequest(prompt="p", n_samples=1)
         )
         assert resp.raw_texts == ("",)
@@ -467,7 +469,7 @@ class TestRemoteChatGenerator:
         url, stub = provider
         stub.status = 500
         stub.payload = {"error": "boom"}
-        resp = RemoteChatGenerator(url, model="m", api_key="k").generate(
+        resp = RemoteChatGenerator(url, model="m").generate(
             GeneratorRequest(prompt="p", n_samples=2)
         )
         assert resp.raw_texts == ("", "")
@@ -476,14 +478,14 @@ class TestRemoteChatGenerator:
     def test_non_json_body_flagged(self, provider):
         url, stub = provider
         stub.raw_body = b"<html>gateway error</html>"
-        resp = RemoteChatGenerator(url, model="m", api_key="k").generate(
+        resp = RemoteChatGenerator(url, model="m").generate(
             GeneratorRequest(prompt="p", n_samples=1)
         )
         assert resp.raw_texts == ("",)
         assert resp.errors[0] is not None
 
     def test_connection_refused_flagged(self):
-        gen = RemoteChatGenerator("http://127.0.0.1:9/nope", model="m", api_key="k", timeout=2)
+        gen = RemoteChatGenerator("http://127.0.0.1:9/nope", model="m", timeout=2)
         resp = gen.generate(GeneratorRequest(prompt="p", n_samples=2))
         assert resp.raw_texts == ("", "")
         assert all(e is not None for e in resp.errors)
@@ -491,7 +493,7 @@ class TestRemoteChatGenerator:
     def test_read_timeout_never_raises(self, provider):
         url, stub = provider
         stub.delay = 1.0
-        gen = RemoteChatGenerator(url, model="m", api_key="k", timeout=0.2)
+        gen = RemoteChatGenerator(url, model="m", timeout=0.2)
         started = time.monotonic()
         resp = gen.generate(GeneratorRequest(prompt="p", n_samples=2))
         assert time.monotonic() - started < stub.delay

@@ -354,6 +354,8 @@ class TestConfigParsing:
             ("search.optimizer", "restart", {"optimizer": {"restart": 2}}),
             # the remote request's sampling settings became constants
             ("search", "decoding", {"decoding": {"temperature": 0.1}}),
+            # the no-report control is mode llm-sr
+            ("search", "inject_report", {"inject_report": False}),
         ],
     )
     def test_suite_json_rejects_unknown_search_keys(self, tmp_path, block, key, search):
@@ -472,10 +474,7 @@ class TestBundledMutationSuite:
             assert suite_config_from_json(path).search.iterations > 0
 
     # fields that no shipped suite sets, and why each stays a setting
-    UNSET_BY_SUITES = {
-        "mode": "a suite's modes sets it for each run",
-        "inject_report": "the ablation control README describes",
-    }
+    UNSET_BY_SUITES = {"mode": "a suite's modes sets it for each run"}
 
     def test_every_search_setting_is_set_by_a_shipped_suite(self, tmp_path, perfbench_workloads):
         # a setting that nothing sets belongs in the code as a constant
@@ -735,7 +734,7 @@ class TestRunSuite:
         assert not any(o.reused for o in longer.outcomes)
         for o in longer.outcomes:
             assert len(o.trace_path.read_text().splitlines()) == 3
-            assert json.loads(o.summary_path.read_text())["iterations"] == 3
+            assert json.loads(o.summary_path.read_text())["settings"]["iterations"] == 3
         assert all(o.reused for o in run_suite(config).outcomes)
 
     def test_resume_reruns_a_run_of_other_generator_settings(self, tmp_path):
@@ -752,8 +751,8 @@ class TestRunSuite:
         for o in report.outcomes:
             summary = json.loads(o.summary_path.read_text())
             assert summary["best_expression"] == "(p0 * (x0 ^ p1))"
-            assert summary["generator_settings"] == power.generator
-            assert summary["analysis_generator_settings"] is None
+            assert summary["settings"]["generator_settings"] == power.generator
+            assert summary["settings"]["analysis_generator_settings"] is None
         analysed = dataclasses.replace(power, analysis_generator={"type": "mutation"})
         assert not any(o.reused for o in run_suite(analysed).outcomes)
         assert all(o.reused for o in run_suite(analysed).outcomes)
@@ -773,8 +772,8 @@ class TestRunSuite:
         assert not outcome.reused
         summary = json.loads(outcome.summary_path.read_text())
         assert summary["best_expression"] == "(p0 * (x0 ^ p1))"
-        assert len(summary["generator_replies_sha256"]) == 64
-        assert "analysis_generator_replies_sha256" not in summary
+        assert len(summary["settings"]["generator_replies_sha256"]) == 64
+        assert "analysis_generator_replies_sha256" not in summary["settings"]
         assert run_suite(config).outcomes[0].reused
         # an unreadable file is not a reason to reuse: the run is re-run, and
         # building its generator fails that run, which the report records
@@ -791,28 +790,38 @@ class TestRunSuite:
         first = run_suite(config)
         path = first.outcomes[3].summary_path
         summary = json.loads(path.read_text())
-        del summary["generator_settings"]
+        del summary["settings"]["generator_settings"]
         path.write_text(json.dumps(summary))
         second = run_suite(config)
         assert [o.reused for o in second.outcomes] == [i != 3 for i in range(8)]
         assert second.outcomes[3] == first.outcomes[3]
 
-    def test_run_summary_with_removed_search_keys_is_reused(self, tmp_path):
-        # summaries written before these settings became constants carry them
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # a setting that became a constant, a deleted flag, and the format
+            # in which every setting was a key of its own
+            lambda summary: summary["settings"].update(k_demos=7),
+            lambda summary: summary["settings"].update(inject_report=False),
+            lambda summary: summary.update(summary.pop("settings")),
+        ],
+        ids=["k_demos", "inject_report", "no_settings_key"],
+    )
+    def test_run_summary_whose_settings_record_differs_is_rerun(self, tmp_path, edit):
+        # the settings used to be compared as a subset of the summary's keys,
+        # so a summary that recorded a setting more was reused
         config = _suite(tmp_path)
         first = run_suite(config)
         path = first.outcomes[3].summary_path
-        summary = json.loads(path.read_text())
-        summary.update(
-            decoding={"max_output_tokens": 2048, "stop": [], "temperature": 0.8},
-            k_demos=2,
-            sampling_temperature=1.0,
-        )
+        written = path.read_bytes()
+        summary = json.loads(written)
+        edit(summary)
         path.write_text(json.dumps(summary))
         second = run_suite(config)
-        assert all(o.reused for o in second.outcomes)
-        assert second.outcomes[3] == dataclasses.replace(first.outcomes[3], reused=True)
-        assert json.loads(path.read_text()) == summary
+        assert [o.reused for o in second.outcomes] == [i != 3 for i in range(8)]
+        assert second.outcomes[3] == first.outcomes[3]
+        assert json.loads(path.read_bytes())["settings"] == json.loads(written)["settings"]
+        assert all(o.reused for o in run_suite(config).outcomes)
 
     @pytest.mark.parametrize("repeats", [1, 2])
     @pytest.mark.parametrize(

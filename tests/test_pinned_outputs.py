@@ -7,11 +7,13 @@ reply, a fully failed analysis phase and a cache hit.  The sha256 digests
 were taken before the operator table, the JSON writer and the run-outcome
 construction were consolidated, so a refactor that changes any byte of a
 trace, a run summary (minus its wall-clock timings) or the suite report
-fails here.  The run-summary digest was re-taken twice since: when the
-summaries began to record the generator settings and stopped recording the
-demonstration count and sampling temperature, and when they stopped
+fails here.  The run-summary digest was re-taken three times since: when
+the summaries began to record the generator settings and stopped recording
+the demonstration count and sampling temperature, and when they stopped
 recording the remote request's decoding settings, each of which became
-constants; every other byte of each summary stayed as it was.  The digests
+constants; and when the settings moved under one ``settings`` key and the
+deleted ``inject_report`` flag left them.  Every other byte of each summary
+stayed as it was.  The digests
 depend on the float results of numpy and the platform libm; a deliberate
 numerics change re-pins them and says so.
 
@@ -72,7 +74,7 @@ MALFORMED = "```analysis\nr2 y ~ tan(x0)\n```"
 ANALYSIS_REPLIES = [PROGRAM_A, MALFORMED, PROGRAM_B, MALFORMED, MALFORMED, PROGRAM_A]
 
 TRACES_SHA256 = "fc016c3d9e3a1fac57354d957925b83fd565bcae1558ad84a301d783d4b62515"
-RUN_SUMMARIES_SHA256 = "19e2e32ec10c44879b34a4f0b21d753cd2be7a451d3624caaab3964986d6e3a3"
+RUN_SUMMARIES_SHA256 = "8dbbdf1468dcb61672209e9eabb50e7072db3e1e13cf18a80d6ff83abdd82260"
 SUITE_REPORT_SHA256 = "1f7e0c0a9dae1dccec47f2d9e9080ea543ecdf28ebe3e58a8479131fecf021d0"
 
 
