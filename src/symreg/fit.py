@@ -55,7 +55,9 @@ def mse(predicted, actual) -> float:
         raise FitError("mse needs at least one element")
     if not np.all(np.isfinite(p)):
         return INF
-    return float(np.mean((p - a) ** 2))
+    # finite predictions beyond about 1e154 square to inf, which is the score
+    with np.errstate(over="ignore"):
+        return float(np.mean((p - a) ** 2))
 
 
 def nmse(predicted, actual) -> float:
@@ -75,7 +77,9 @@ def nmse(predicted, actual) -> float:
         raise DegenerateTargetError("degenerate target variance")
     if not np.all(np.isfinite(p)):
         return INF
-    return float(np.sum((p - a) ** 2) / denom)
+    # finite predictions beyond about 1e154 square to inf, which is the score
+    with np.errstate(over="ignore"):
+        return float(np.sum((p - a) ** 2) / denom)
 
 
 # Every fit's central-difference step scale, BFGS gradient-norm tolerance and

@@ -8,7 +8,9 @@ unless they do not parse, the summary's ``settings`` record is not exactly
 the run's (``run_settings``) or its result is not a finite number, or the
 trace holds another number of iterations.  Fresh or loaded, a run's outcome
 is read from those files, which are checked only there, so the report
-depends only on what is on disk.
+depends only on what is on disk.  A suite's worker threads compute one at a
+time: each holds the suite's lock for its whole run, except while a remote
+generator waits on its reply.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import csv
 import hashlib
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -252,6 +255,22 @@ def run_settings(search: SearchConfig, generator: dict, analysis_generator: dict
     return json_safe(record)
 
 
+class _Unlocked:
+    """A remote generator that lets go of ``lock`` while it waits on its
+    reply, so that another run can compute meanwhile."""
+
+    def __init__(self, generator: Generator, lock: threading.Lock):
+        self._generator, self._lock = generator, lock
+        self.tag = generator.tag
+
+    def generate(self, request):
+        self._lock.release()
+        try:
+            return self._generator.generate(request)
+        finally:
+            self._lock.acquire()
+
+
 def run_to_files(
     search: SearchConfig,
     problem: Problem,
@@ -259,14 +278,21 @@ def run_to_files(
     analysis_generator: dict | None,
     trace_path: Path,
     summary_path: Path,
+    lock: threading.Lock | None = None,
 ) -> RunTrace:
     """Build a run's equation generator, then its analysis generator unless
     it has no settings of its own, run the search, and write its trace and
-    its summary with the run's settings."""
-    equations = make_generator(generator, problem.arity, search.seed)
-    analyses = None
-    if analysis_generator is not None:
-        analyses = make_generator(analysis_generator, problem.arity, search.seed)
+    its summary with the run's settings.  ``lock``, held by the caller, is
+    let go while a remote generator waits."""
+
+    def build(settings: dict) -> Generator:
+        built = make_generator(settings, problem.arity, search.seed)
+        if lock is None or settings["type"] != "remote":
+            return built
+        return _Unlocked(built, lock)
+
+    equations = build(generator)
+    analyses = None if analysis_generator is None else build(analysis_generator)
     trace = run(search, problem, equations, analyses)
     write_trace(
         trace, trace_path, summary_path, run_settings(search, generator, analysis_generator)
@@ -442,7 +468,13 @@ def _outcome(
     )
 
 
-def _run_one(config: SuiteConfig, problem: Problem, mode: str, repeat: int) -> RunOutcome:
+def _run_one(
+    config: SuiteConfig,
+    problem: Problem,
+    mode: str,
+    repeat: int,
+    lock: threading.Lock | None = None,
+) -> RunOutcome:
     trace_path, summary_path = run_paths(config.out_dir, problem.name, mode, repeat)
     search = replace(config.search, mode=mode, seed=config.search.seed + repeat)
     if trace_path.exists() and summary_path.exists():
@@ -455,7 +487,13 @@ def _run_one(config: SuiteConfig, problem: Problem, mode: str, repeat: int) -> R
             pass
     try:
         run_to_files(
-            search, problem, config.generator, config.analysis_generator, trace_path, summary_path
+            search,
+            problem,
+            config.generator,
+            config.analysis_generator,
+            trace_path,
+            summary_path,
+            lock,
         )
     except Exception as exc:
         return _outcome(config, problem.name, mode, repeat, error=exc)
@@ -467,9 +505,11 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
     Per-run failures are recorded and excluded from aggregates; the suite
     itself keeps going.  Problems that share a name would share run files,
-    so they are rejected before any run starts.  An exception while the
-    results are collected, an interrupt included, cancels the runs not yet
-    started before it propagates.  Outputs under out_dir:
+    so they are rejected before any run starts.  With more than one worker,
+    up to ``workers`` runs are in flight and one computes: the others wait
+    on a remote reply or for the lock.  An exception that escapes a run, or
+    one while the results are collected, an interrupt included, starts no
+    further run before it propagates.  Outputs under out_dir:
     per-run trace and summary files, ``summary.json``, and
     ``trajectories.csv``.
     """
@@ -499,12 +539,26 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     if config.workers == 1:
         outcomes += [_run_one(config, p, mode, rep) for p, mode, rep in jobs]
     else:
+        lock, stop = threading.Lock(), threading.Event()
+
+        def run_locked(problem: Problem, mode: str, repeat: int) -> RunOutcome | None:
+            with lock:
+                # a job taken before the suite stopped starts no run
+                if stop.is_set():
+                    return None
+                try:
+                    return _run_one(config, problem, mode, repeat, lock)
+                except BaseException:
+                    stop.set()
+                    raise
+
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_run_one, config, p, mode, rep) for p, mode, rep in jobs]
+            futures = [pool.submit(run_locked, p, mode, rep) for p, mode, rep in jobs]
             try:
                 outcomes += [f.result() for f in futures]
             except BaseException:
                 # else leaving the pool runs every queued run first
+                stop.set()
                 pool.shutdown(cancel_futures=True)
                 raise
 

@@ -1,8 +1,10 @@
 import csv
+import http.server
 import importlib.util
 import json
 import random
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +74,66 @@ def write_problem_files(tmp: Path, name: str, X, y, X_test=None, y_test=None) ->
     path = tmp / f"{name}.json"
     path.write_text(json.dumps(spec))
     return path
+
+
+class _Provider(http.server.BaseHTTPRequestHandler):
+    """Scriptable chat-completions stub; class attrs set per test."""
+
+    status = 200
+    payload: dict = {}
+    raw_body: bytes | None = None
+    requests_seen: list = []
+    delay = 0.0  # seconds to hold the reply; a held request gets none
+    reply_delay = 0.0  # seconds to wait before the reply
+    release = threading.Event()
+    in_flight = 0
+    most_in_flight = 0  # the most requests that were waiting at once
+    counting = threading.Lock()
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        body = json.loads(self.rfile.read(length)) if length else {}
+        stub = type(self)
+        stub.requests_seen.append({"path": self.path, "headers": dict(self.headers), "body": body})
+        if self.delay:
+            self.release.wait(self.delay)
+            return
+        with stub.counting:
+            stub.in_flight += 1
+            stub.most_in_flight = max(stub.most_in_flight, stub.in_flight)
+        self.release.wait(self.reply_delay)
+        with stub.counting:
+            stub.in_flight -= 1
+        out = self.raw_body if self.raw_body is not None else json.dumps(self.payload).encode()
+        self.send_response(self.status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(out)))
+        self.end_headers()
+        self.wfile.write(out)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def provider():
+    """The URL of a chat-completions stub on localhost, and its class."""
+    _Provider.status = 200
+    _Provider.payload = {}
+    _Provider.raw_body = None
+    _Provider.requests_seen = []
+    _Provider.delay = 0.0
+    _Provider.reply_delay = 0.0
+    _Provider.release = threading.Event()
+    _Provider.in_flight = _Provider.most_in_flight = 0
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Provider)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", _Provider
+    _Provider.release.set()
+    server.shutdown()
+    server.server_close()
+    thread.join()
 
 
 @pytest.fixture

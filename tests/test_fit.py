@@ -45,6 +45,13 @@ class TestMse:
     def test_inf_prediction_is_inf(self):
         assert mse([INF, 1.0], [0.0, 1.0]) == INF
 
+    def test_huge_finite_prediction_is_inf_without_a_warning(self):
+        # the residual's square overflowed outside any errstate, so a
+        # parameterless candidate warned when its fit was scored
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mse([1e200, 1.0], [0.0, 1.0]) == INF
+
     def test_shape_mismatch(self):
         with pytest.raises(FitError, match="shape"):
             mse([1.0, 2.0], [1.0])
@@ -100,6 +107,14 @@ class TestNmse:
 
     def test_non_finite_prediction_sentinel(self):
         assert nmse([float("nan"), 0.0], [1.0, 2.0]) == INF
+
+    def test_huge_finite_prediction_is_inf_without_a_warning(self):
+        # the residuals were squared outside any errstate, so a candidate
+        # predicting beyond about 1e154 warned, and `-W error` made
+        # `symreg run` exit 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert nmse([1e200, 1e200, 0.0], [1.0, 2.0, 3.0]) == INF
 
 
 class TestOptimizerConfig:

@@ -1,6 +1,4 @@
-import http.server
 import json
-import threading
 import time
 
 import pytest
@@ -308,54 +306,6 @@ class TestMutationGenerator:
         resp = gen.generate(GeneratorRequest(prompt="no blocks here", n_samples=2))
         for raw in resp.raw_texts:
             extract_expression(raw, 2)
-
-
-class _Provider(http.server.BaseHTTPRequestHandler):
-    """Scriptable chat-completions stub; class attrs set per test."""
-
-    status = 200
-    payload: dict = {}
-    raw_body: bytes | None = None
-    requests_seen: list = []
-    delay = 0.0  # seconds to hold the reply; a held request gets none
-    release = threading.Event()
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length)) if length else {}
-        type(self).requests_seen.append(
-            {"path": self.path, "headers": dict(self.headers), "body": body}
-        )
-        if self.delay:
-            self.release.wait(self.delay)
-            return
-        out = self.raw_body if self.raw_body is not None else json.dumps(self.payload).encode()
-        self.send_response(self.status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(out)))
-        self.end_headers()
-        self.wfile.write(out)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def provider():
-    _Provider.status = 200
-    _Provider.payload = {}
-    _Provider.raw_body = None
-    _Provider.requests_seen = []
-    _Provider.delay = 0.0
-    _Provider.release = threading.Event()
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Provider)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", _Provider
-    _Provider.release.set()
-    server.shutdown()
-    server.server_close()
-    thread.join()
 
 
 def _choices(*texts):

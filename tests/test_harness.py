@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import json
 import math
+import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -879,6 +881,79 @@ class TestRunSuite:
         with pytest.raises(KeyboardInterrupt):
             run_suite(config)
         assert 0 in started and len(started) <= 1 + 2 * workers
+
+    def test_interrupt_starts_no_run_after_the_interrupting_one(self, tmp_path, monkeypatch):
+        # each worker that had taken a job used to start its run after the
+        # interrupt, and under the suite's lock they would run one by one
+        class Interrupting:
+            tag = "interrupting"
+
+            def generate(self, request):
+                raise KeyboardInterrupt
+
+        started = []
+        original = harness.run
+
+        def run(config, problem, generator, analysis_generator=None):
+            started.append(config.seed)
+            if config.seed == 0:
+                generator = Interrupting()
+            return original(config, problem, generator, analysis_generator)
+
+        monkeypatch.setattr(harness, "run", run)
+        config = _suite(tmp_path, modes=("llm-sr",), repeats=8)
+        config = dataclasses.replace(config, problems=config.problems[:1], workers=4)
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(config)
+        assert started[-1] == 0
+
+    def test_offline_runs_compute_one_at_a_time(self, tmp_path, monkeypatch):
+        # every worker thread used to compute at once, its fits contending
+        # for the GIL with the others'
+        in_flight, most = [0], [0]
+        original = harness.run
+
+        def run(config, problem, generator, analysis_generator=None):
+            in_flight[0] += 1
+            most[0] = max(most[0], in_flight[0])
+            try:
+                return original(config, problem, generator, analysis_generator)
+            finally:
+                in_flight[0] -= 1
+
+        monkeypatch.setattr(harness, "run", run)
+        config = dataclasses.replace(
+            _suite(tmp_path), generator={"type": "mutation"}, workers=4
+        )
+        # threads switch often, so two runs that may overlap do
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            report = run_suite(config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.failures == 0 and len(report.outcomes) == 8
+        assert most == [1]
+
+    def test_remote_runs_overlap_their_waits(self, tmp_path, provider):
+        # a run lets go of the suite's lock while its remote generator waits
+        url, stub = provider
+        stub.payload = {"choices": [{"message": {"content": GOOD_POWER}}]}
+        stub.reply_delay = 0.5
+        config = _suite(tmp_path, modes=("llm-sr",), repeats=4)
+        config = dataclasses.replace(
+            config,
+            problems=config.problems[:1],
+            search=dataclasses.replace(config.search, iterations=1),
+            generator={"type": "remote", "url": url, "model": "m"},
+            workers=4,
+        )
+        started = time.monotonic()
+        report = run_suite(config)
+        elapsed = time.monotonic() - started
+        assert report.failures == 0 and len(stub.requests_seen) == 4
+        assert stub.most_in_flight > 1
+        assert elapsed < 0.5 * 4 * stub.reply_delay
 
     def test_workers_parallel_matches_serial(self, tmp_path):
         serial = run_suite(_suite(tmp_path, out="serial"))
