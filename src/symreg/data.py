@@ -85,8 +85,9 @@ def load_csv(path: str | Path) -> Dataset:
     """Load a headered CSV.
 
     The target is the column literally named ``target`` if present, else the
-    last column.  All cells must parse as finite floats; errors name the
-    offending column and 1-based data row.
+    last column.  A byte-order mark before the header is not part of it.
+    All cells must parse as finite floats; errors name the offending column
+    and 1-based data row.
 
     numpy's C reader parses the data rows.  Where it refuses the text, finds
     another column count than the header's or reads a non-finite cell, the
@@ -95,7 +96,7 @@ def load_csv(path: str | Path) -> Dataset:
     """
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = _read_header(reader, path)
             table = _loadtxt_rows(fh, len(header))
@@ -148,7 +149,7 @@ def _load_csv_by_rows(path: Path) -> Dataset:
     """``load_csv`` record by record, one ``float()`` call per cell: the
     reference definition of the accepted format and of every error, which
     names the first fault in file order."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = _read_header(reader, path)
         rows: list[list[float]] = []
@@ -344,11 +345,18 @@ def load_problem_data(spec: ProblemSpec) -> Problem:
 # Validation and JSON
 
 
-def is_integer(value) -> bool:
-    """True for an int or numpy integer that is not a bool.  Config counts
-    check this: ``2.5`` and ``True`` compare like numbers, then fail or
-    truncate inside ``range`` and numpy much later."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def check_counts(config, error_class: type[Exception], **least) -> None:
+    """Check each count field of ``config`` named in ``least``, in order: an
+    int or numpy integer that is not a bool, and at least its least value.
+    The first field that is not raises ``error_class`` naming it.  ``2.5``
+    and ``True`` compare like numbers, then fail or truncate inside
+    ``range`` and numpy much later."""
+    for name, minimum in least.items():
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise error_class(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise error_class(f"{name} must be >= {minimum}, got {value!r}")
 
 
 def is_real(value) -> bool:
@@ -358,11 +366,12 @@ def is_real(value) -> bool:
 
 
 def read_text(path: str | Path, error_class: type[Exception]) -> str:
-    """The text of a UTF-8 file.  A file that is not UTF-8 text raises
-    ``error_class`` with a message that names the path."""
+    """The text of a UTF-8 file, without the byte-order mark it may start
+    with.  A file that is not UTF-8 text raises ``error_class`` with a
+    message that names the path."""
     path = Path(path)
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error_class(f"{path}: not UTF-8 text ({exc})") from None
 

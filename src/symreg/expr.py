@@ -119,11 +119,11 @@ Node = Union[Const, Var, Param, Unary, Binary]
 # features are a tuple of contiguous columns, one per variable, which a Var
 # leaf indexes.  The first stage computes every subtree that reads no Param
 # once, over those rows, and returns the evaluator of the rest.  A Param leaf
-# indexes the params, so one evaluator takes a single parameter vector and a
-# (k, m, 1) stack of parameter columns alike.  The evaluator never writes into
-# the params or a hoisted array; a bare Param tree returns a view of the
-# params, and a tree without Param leaves compiles to its values alone, which
-# bind hoists and the evaluator returns.
+# indexes the params, a (k, m, 1) stack of parameter columns for a block of m
+# vectors; bind passes one vector as a block of one.  The evaluator never
+# writes into the params or a hoisted array; a bare Param tree returns a view
+# of the params, and a tree without Param leaves compiles to its values
+# alone, which bind hoists and the evaluator returns.
 #
 # A costly stage that reads a strict subset of the params keeps the arrays it
 # computed for its last distinct parameter values (_memoize).  Two invariants
@@ -206,18 +206,16 @@ _SCALAR_FAST_EXPONENTS = frozenset((-1.0, 0.5, 2.0))
 
 
 def _scalar_power(power):
-    """The pow kernel for an exponent that reads a Param and no feature: a
-    scalar for one parameter vector, an (m, 1) column for a block.  A column
-    never takes np.power's scalar fast path, so the block rows whose exponent
-    has a fast-path value are recomputed with the scalar exponent each row
-    stands for."""
+    """The pow kernel for an exponent that reads a Param and no feature: an
+    (m, 1) column, one row per vector of the block.  A column never takes
+    np.power's scalar fast path, so the rows whose exponent has a fast-path
+    value are recomputed with the scalar exponent each row stands for."""
 
     def kernel(b, e):
         out = power(b, e)
-        if np.ndim(e) == 2:
-            for i, value in enumerate(e[:, 0].tolist()):
-                if value in _SCALAR_FAST_EXPONENTS:
-                    out[i] = power(b[i] if np.ndim(b) == 2 else b, e[i, 0])
+        for i, value in enumerate(e[:, 0].tolist()):
+            if value in _SCALAR_FAST_EXPONENTS:
+                out[i] = power(b[i] if np.ndim(b) == 2 else b, e[i, 0])
         return out
 
     return kernel
@@ -232,9 +230,9 @@ def _memoize(compiled: Compiled, reads: frozenset, renumbered: dict) -> Compiled
     inputs, s = len(reads), so the memo keeps the 2s + 1 newest.  The key is
     the bytes of those params, so -0.0 and 0.0 differ and a nan hits only
     the same nan bits, for which the kernel gives the same bits again.  Only
-    a call with one parameter vector looks it up; a block of several
-    bypasses it.  A stage that reads every Param is returned as it is:
-    `renumbered` holds every Param of the tree by the time a bind runs."""
+    a block of one vector looks it up; a block of several bypasses it.  A
+    stage that reads every Param is returned as it is: `renumbered` holds
+    every Param of the tree by the time a bind runs."""
     indices = np.array(sorted(reads), dtype=np.intp)
     capacity = 2 * len(indices) + 1
 
@@ -245,11 +243,9 @@ def _memoize(compiled: Compiled, reads: frozenset, renumbered: dict) -> Compiled
         memo: dict = {}
 
         def memoized(P):
-            if P.ndim == 3 and P.shape[1] != 1:
+            if P.shape[1] != 1:
                 return inner(P)
-            # one vector flattens to its params in order; a vector and a
-            # one-row block give values of different shapes
-            key = (P.ndim, P.take(indices).tobytes())
+            key = P.take(indices).tobytes()
             values = memo.get(key)
             if values is None:
                 if len(memo) == capacity:
@@ -514,12 +510,14 @@ def bind(skeleton: Skeleton, features) -> Callable[..., np.ndarray]:
     the rest, ``params -> values``.
     ``params`` is one parameter vector, giving ``n`` values, or an ``m x k``
     block of vectors, giving an ``m x n`` array whose row ``i`` is bitwise
-    the evaluation at ``params[i]``.  Pure and deterministic: the evaluator
-    writes into neither the params nor the rows it is bound to, and the
-    values of a row do not depend on which other rows are bound with it.
+    the evaluation at ``params[i]``.  One vector is evaluated as a block of
+    one, and its values are that block's row.  Pure and deterministic: the
+    evaluator writes into neither the params nor the rows it is bound to,
+    and the values of a row do not depend on which other rows are bound
+    with it.
     A ``COSTLY`` stage that reads s of the k > s parameters keeps, in the
     evaluator, its values for the last 2s + 1 distinct bit patterns of
-    those s, looked up when one vector is evaluated: a fit's probes of the
+    those s, looked up for a block of one vector: a fit's probes of the
     other parameters reuse the point's values instead of recomputing them.
     Domain violations (log/sqrt of a negative, division by zero, pow with a
     negative base and fractional exponent, overflow) leave a non-finite
@@ -545,25 +543,25 @@ def bind(skeleton: Skeleton, features) -> Callable[..., np.ndarray]:
 
     def evaluator(params=()) -> np.ndarray:
         p = np.asarray(params, dtype=float)
-        if p.ndim == 2:
-            # Param leaves read (m, 1) columns, which broadcast against the
-            # (n,) feature columns
-            shape = (p.shape[0], rows)
-            width, p = p.shape[1], p.T[:, :, None]
-        else:
-            p = p.ravel()
-            shape = (rows,)
-            width = p.size
-        if width < skeleton.param_count:
+        # one vector is a block of one, whose row is returned
+        vector = p.ndim != 2
+        if vector:
+            p = p.reshape(1, -1)
+        if p.shape[1] < skeleton.param_count:
             raise ExpressionError(
-                f"need {skeleton.param_count} parameters, got {width}"
+                f"need {skeleton.param_count} parameters, got {p.shape[1]}"
             )
-        # a tree without Param leaves compiled to its values, hoisted here
-        out = bound(p) if skeleton.param_count else bound
+        shape = (p.shape[0], rows)
+        # Param leaves read (m, 1) columns, which broadcast against the (n,)
+        # feature columns; a tree without Param leaves compiled to its
+        # values, hoisted here
+        out = bound(p.T[:, :, None]) if skeleton.param_count else bound
         if rows == 1 and out.shape[-1:] == (2,):
             out = out[..., :1]
         # a tree without a Var leaf yields a scalar or an (m, 1) column
-        return out if out.shape == shape else np.full(shape, out)
+        if out.shape != shape:
+            out = np.full(shape, out)
+        return out[0] if vector else out
 
     return evaluator
 

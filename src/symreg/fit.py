@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, SplitView, is_integer
+from .data import Dataset, SplitView, check_counts
 from .expr import Skeleton, bind, evaluate
 
 INF = float("inf")
@@ -98,13 +98,8 @@ class OptimizerConfig:
     max_evaluations: int = 5000
 
     def __post_init__(self) -> None:
-        for name in ("restarts", "max_iterations", "max_evaluations"):
-            if not is_integer(getattr(self, name)):
-                raise FitError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.restarts < 1:
-            raise FitError("need at least one restart (the all-ones start)")
-        if self.max_iterations < 1 or self.max_evaluations < 1:
-            raise FitError("iteration and evaluation budgets must be positive")
+        # restart 1 is the all-ones start
+        check_counts(self, FitError, restarts=1, max_iterations=1, max_evaluations=1)
 
 
 @dataclass(frozen=True)

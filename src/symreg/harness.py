@@ -27,7 +27,7 @@ from statistics import median
 
 from .data import (
     Problem,
-    is_integer,
+    check_counts,
     is_real,
     json_safe,
     load_problem,
@@ -86,13 +86,7 @@ class SuiteConfig:
         if len(set(self.modes)) != len(self.modes):
             # two jobs would share one <problem>/<mode>/<repeat> path
             raise HarnessError(f"duplicate mode in {list(self.modes)}")
-        for name in ("repeats", "workers"):
-            if not is_integer(getattr(self, name)):
-                raise HarnessError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.repeats < 1:
-            raise HarnessError("repeats must be >= 1")
-        if self.workers < 1:
-            raise HarnessError("workers must be >= 1")
+        check_counts(self, HarnessError, repeats=1, workers=1)
 
 
 def _config(cls, raw, path: Path, block: str):

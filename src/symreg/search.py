@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import context as ctx
-from .data import DEFAULT_SPLIT_RATIO, Problem, is_integer, json_safe, split, write_json
+from .data import DEFAULT_SPLIT_RATIO, Problem, check_counts, json_safe, split, write_json
 from .expr import evaluate
 from .fit import Candidate, OptimizerConfig, evaluate_candidate, nmse, DegenerateTargetError
 from .generate import (
@@ -47,11 +47,6 @@ class SearchError(ValueError):
     """Raised for invalid configurations (bad mode, missing generator)."""
 
 
-_INTEGER_FIELDS = (
-    "iterations", "samples_per_prompt", "islands", "island_capacity", "seed", "retry_budget",
-)
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     iterations: int = 150
@@ -66,22 +61,10 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise SearchError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise SearchError(f"{name} must be an integer, got {value!r}")
-        if self.iterations < 1:
-            raise SearchError("iterations must be >= 1")
-        if self.samples_per_prompt < 1:
-            raise SearchError("samples_per_prompt must be >= 1")
-        if self.islands < 1:
-            raise SearchError("islands must be >= 1")
-        if self.island_capacity < K_DEMOS:
-            raise SearchError(f"island_capacity must be >= {K_DEMOS}")
-        if self.seed < 0:
-            raise SearchError(f"seed must be >= 0, got {self.seed!r}")
-        if self.retry_budget < 0:
-            raise SearchError("retry_budget must be >= 0")
+        check_counts(
+            self, SearchError, iterations=1, samples_per_prompt=1, islands=1,
+            island_capacity=K_DEMOS, seed=0, retry_budget=0,
+        )
 
 
 def derive_seed(root: int, *path: int) -> int:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -19,6 +20,9 @@ from symreg.data import (
     load_problem_data,
     split,
 )
+from symreg.fit import FitError, OptimizerConfig
+from symreg.harness import HarnessError, SuiteConfig
+from symreg.search import K_DEMOS, SearchConfig, SearchError
 from tests.conftest import make_dataset, write_csv, write_problem_files
 
 
@@ -206,6 +210,21 @@ class TestLoadCsv:
         assert ds.features[:, 0].tolist() == features
         assert ds.target.tolist() == target
 
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark, which once
+    # became part of the first column's name: a first column named target
+    # was then a feature, and the last column the target
+    @pytest.mark.parametrize(
+        "rows", ["1,2,3\n4,5,6\n", "1,2,3\n,,\n4,5,6\n"], ids=["numpy", "row-pass"]
+    )
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, rows):
+        path = tmp_path / "d.csv"
+        path.write_bytes(("\ufefftarget,x0,x1\n" + rows).encode())
+        ds = load_csv(path)
+        assert ds.target_name == "target"
+        assert ds.feature_names == ("x0", "x1")
+        assert ds.target.tolist() == [1.0, 4.0]
+        assert ds.features.tolist() == [[2.0, 3.0], [5.0, 6.0]]
+
     @pytest.mark.parametrize("text", ["a,y\n", "a,y\n\n\r\n"])
     def test_header_only_raises_without_a_warning(self, tmp_path, text):
         path = tmp_path / "d.csv"
@@ -228,6 +247,49 @@ class TestLoadCsv:
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         path.write_bytes(text.encode())
         assert _outcome(load_csv, path) == _outcome(_load_csv_by_rows, path)
+
+
+def _suite_config(**counts):
+    return SuiteConfig(
+        problems=(Path("p.json"),), modes=("llm-sr",), out_dir=Path("out"),
+        search=SearchConfig(mode="llm-sr"), generator={"type": "mutation"}, **counts,
+    )
+
+
+# (config constructor, its error class, count field, least value)
+COUNT_FIELDS = [
+    (SearchConfig, SearchError, "iterations", 1),
+    (SearchConfig, SearchError, "samples_per_prompt", 1),
+    (SearchConfig, SearchError, "islands", 1),
+    (SearchConfig, SearchError, "island_capacity", K_DEMOS),
+    (SearchConfig, SearchError, "seed", 0),
+    (SearchConfig, SearchError, "retry_budget", 0),
+    (OptimizerConfig, FitError, "restarts", 1),
+    (OptimizerConfig, FitError, "max_iterations", 1),
+    (OptimizerConfig, FitError, "max_evaluations", 1),
+    (_suite_config, HarnessError, "repeats", 1),
+    (_suite_config, HarnessError, "workers", 1),
+]
+
+
+class TestCheckCounts:
+    @pytest.mark.parametrize(
+        "build, error, name, least", COUNT_FIELDS, ids=[row[2] for row in COUNT_FIELDS]
+    )
+    def test_each_count_field_follows_the_one_rule(self, build, error, name, least):
+        assert getattr(build(**{name: least}), name) == least
+        below = re.escape(f"{name} must be >= {least}, got {least - 1}")
+        with pytest.raises(error, match=below):
+            build(**{name: least - 1})
+        for value in (True, 2.0, "2"):
+            not_integer = re.escape(f"{name} must be an integer, got {value!r}")
+            with pytest.raises(error, match=not_integer):
+                build(**{name: value})
+
+    def test_the_first_bad_field_in_field_order_is_named(self):
+        # a type error used to be reported before any range error
+        with pytest.raises(SearchError, match="iterations must be >= 1, got 0"):
+            SearchConfig(iterations=0, islands=2.0)
 
 
 class TestDataset:
@@ -377,6 +439,12 @@ class TestProblems:
         path.write_text("{nope")
         with pytest.raises(DataError, match="invalid JSON"):
             load_problem(path)
+
+    def test_byte_order_mark_before_the_json_loads(self, tmp_path):
+        X = np.arange(6.0).reshape(-1, 1)
+        path = write_problem_files(tmp_path, "bom", X, X[:, 0])
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_problem(path).name == "bom"
 
     def test_text_that_is_not_utf8_is_named(self, tmp_path):
         path = tmp_path / "bad.json"
