@@ -300,8 +300,6 @@ def default_hint_spec(arity: int) -> AnalysisSpec:
     """The fixed statistical-hint analysis: 12 target-sorted samples, full
     summary stats, identity and log-log fits per feature, and log-composed
     sin/cos/exp/sqrt fits per feature."""
-    if arity < 1:
-        raise ValueError("arity must be >= 1")
     lines = ["sample 12 sort=y_asc", "stats all"]
     lines += [f"r2 y ~ x{i}" for i in range(arity)]
     lines += [f"r2 log(y) ~ log(x{i})" for i in range(arity)]

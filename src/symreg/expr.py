@@ -491,8 +491,6 @@ def parse(text: str, arity: int) -> Skeleton:
     than MAX_DEPTH levels), ExpressionError for trees deeper than MAX_DEPTH
     and for a numeric literal that overflows to inf, such as ``1e400``.
     """
-    if arity < 1:
-        raise ExpressionError("arity must be >= 1")
     node = _Parser(_tokenize(text), arity).parse()
     return skeleton_from_node(node, arity)
 

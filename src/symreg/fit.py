@@ -822,10 +822,6 @@ def fit_params(
     """
     if config is None:
         config = OptimizerConfig()
-    if skeleton.arity != tr_tr.arity:
-        raise FitError(
-            f"skeleton arity {skeleton.arity} != dataset arity {tr_tr.arity}"
-        )
     X, y = tr_tr.features, tr_tr.target
     k = skeleton.param_count
     if k == 0:

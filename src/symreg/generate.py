@@ -44,8 +44,6 @@ DEFAULT_TIMEOUT = 120.0
 TEMPERATURE = 0.8
 MAX_OUTPUT_TOKENS = 2048
 
-PURPOSES = ("equation", "analysis")
-
 CAP_SENTENCE = f"Note: DO NOT use more than {MAX_PARAMS} params"
 REPORT_HEADER = (
     "The information of (X, Y) dataset including random sample points "
@@ -67,14 +65,6 @@ class GeneratorRequest:
     prompt: str
     n_samples: int = 2
     purpose: str = "equation"
-
-    def __post_init__(self) -> None:
-        if not self.prompt:
-            raise ValueError("prompt must be non-empty")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.purpose not in PURPOSES:
-            raise ValueError(f"purpose must be one of {PURPOSES}, got {self.purpose!r}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from statistics import median
 
 from .data import (
     Problem,
@@ -276,8 +275,9 @@ def run_to_files(
 ) -> RunTrace:
     """Build a run's equation generator, then its analysis generator unless
     it has no settings of its own, run the search, and write its trace and
-    its summary with the run's settings.  ``lock``, held by the caller, is
-    let go while a remote generator waits."""
+    its summary with the run's settings, as recorded before the generators
+    read their replies.  ``lock``, held by the caller, is let go while a
+    remote generator waits."""
 
     def build(settings: dict) -> Generator:
         built = make_generator(settings, problem.arity, search.seed)
@@ -285,12 +285,11 @@ def run_to_files(
             return built
         return _Unlocked(built, lock)
 
+    settings = run_settings(search, generator, analysis_generator)
     equations = build(generator)
     analyses = None if analysis_generator is None else build(analysis_generator)
     trace = run(search, problem, equations, analyses)
-    write_trace(
-        trace, trace_path, summary_path, run_settings(search, generator, analysis_generator)
-    )
+    write_trace(trace, trace_path, summary_path, settings)
     return trace
 
 
@@ -298,23 +297,19 @@ def run_to_files(
 # Analytics
 
 
-def _quartiles(sorted_values: list[float]) -> tuple[float, float]:
-    """Inclusive convention: odd-length data puts the median in both halves."""
-    n = len(sorted_values)
-    if n == 1:
-        return sorted_values[0], sorted_values[0]
-    half = n // 2
-    if n % 2 == 0:
-        lower, upper = sorted_values[:half], sorted_values[half:]
-    else:
-        lower, upper = sorted_values[: half + 1], sorted_values[half:]
-    return median(lower), median(upper)
+def _median(s: list[float]) -> float:
+    """The median of sorted values: the middle one, or the mean of the two."""
+    h = len(s) // 2
+    return s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2
 
 
 def _spread(sorted_values: list[float]) -> dict:
-    q1, q3 = _quartiles(sorted_values)
+    # inclusive quartiles: odd-length data puts the median in both halves
+    n = len(sorted_values)
+    q1 = _median(sorted_values[: (n + 1) // 2])
+    q3 = _median(sorted_values[n // 2 :])
     return {
-        "median": median(sorted_values),
+        "median": _median(sorted_values),
         "iqr": q3 - q1,
         "q1": q1,
         "q3": q3,
@@ -329,8 +324,6 @@ def variance_stats(values) -> dict:
     Values are clamped at 1e-300 before log10 so exact zeros stay finite.
     """
     s = sorted(float(v) for v in values)
-    if not s:
-        raise HarnessError("variance_stats needs at least one value")
     logs = sorted(math.log10(max(v, LOG10_FLOOR)) for v in s)
     return {**_spread(s), "mean": sum(s) / len(s), "log10": _spread(logs)}
 

@@ -85,8 +85,6 @@ class ExperienceBuffer:
     """
 
     def __init__(self, islands: int, capacity: int):
-        if islands < 1 or capacity < 1:
-            raise SearchError("islands and capacity must be >= 1")
         self.capacity = capacity
         self._islands: list[list[Candidate]] = [[] for _ in range(islands)]
         self._counter = 0

@@ -504,6 +504,21 @@ def test_importing_the_cli_loads_neither_scipy_nor_requests():
     assert out.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_loads_neither_statistics_nor_decimal():
+    # statistics loads decimal and fractions, about 0.5 MB of peak RSS, for
+    # the one median the report takes
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; before = set(sys.modules); import symreg.cli; "
+        "print(sorted({'statistics', 'decimal', 'fractions'} & (set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_an_offline_suite_runs_on_numpy_alone(tmp_path):
     # numpy is the only runtime dependency the offline path may import: each
     # of these is blocked, so importing it anywhere in the suite fails

@@ -270,10 +270,6 @@ class TestDefaultHint:
         chains = [d.x_term.chain for d in tail]
         assert chains == [("log", "sin"), ("log", "cos"), ("log", "exp"), ("log", "sqrt")]
 
-    def test_invalid_arity(self):
-        with pytest.raises(ValueError):
-            default_hint_spec(0)
-
 
 def _uniform_dataset(n=40, arity=1, seed=0, lo=0.5, hi=4.0):
     rng = np.random.default_rng(seed)

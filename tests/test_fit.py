@@ -14,7 +14,7 @@ from scipy.optimize._optimize import _line_search_wolfe12
 
 from symreg import expr, fit
 from symreg.data import split
-from symreg.expr import evaluate, parse
+from symreg.expr import ExpressionError, evaluate, parse
 from symreg.fit import (
     Candidate,
     DegenerateTargetError,
@@ -204,7 +204,7 @@ class TestFitParams:
 
     def test_arity_mismatch(self, linear_dataset):
         sk = parse("p0 * x0 + p1 * x1", 2)
-        with pytest.raises(FitError, match="arity"):
+        with pytest.raises(ExpressionError, match="columns"):
             fit_params(sk, linear_dataset, seed=0)
 
     def test_penalty_handles_domain_errors(self):

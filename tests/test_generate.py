@@ -39,20 +39,6 @@ def problem(kepler_dataset):
     return make_problem(kepler_dataset, name="orbit")
 
 
-class TestRequestValidation:
-    def test_empty_prompt(self):
-        with pytest.raises(ValueError, match="prompt"):
-            GeneratorRequest(prompt="")
-
-    def test_zero_samples(self):
-        with pytest.raises(ValueError, match="n_samples"):
-            GeneratorRequest(prompt="p", n_samples=0)
-
-    def test_bad_purpose(self):
-        with pytest.raises(ValueError, match="purpose"):
-            GeneratorRequest(prompt="p", purpose="poetry")
-
-
 class TestSeedSkeleton:
     def test_linear_form(self):
         sk = default_seed_skeleton(2)

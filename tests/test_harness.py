@@ -78,10 +78,6 @@ class TestVarianceStats:
         assert stats["log10"]["min"] == pytest.approx(-300.0)
         assert math.isfinite(stats["log10"]["median"])
 
-    def test_empty_rejected(self):
-        with pytest.raises(HarnessError):
-            variance_stats([])
-
 
 class TestWinRate:
     def test_complete_win(self):
@@ -786,6 +782,31 @@ class TestRunSuite:
         report = json.loads((config.out_dir / "summary.json").read_text())
         assert report["failures"] == 1 and report["runs"][0]["error"] == outcome.error
 
+    def test_resume_reruns_a_run_whose_replies_file_changed_while_it_ran(
+        self, tmp_path, monkeypatch
+    ):
+        # the recorded replies digest must be of the replies the run read,
+        # not of the file as it is when the run ends
+        replies = tmp_path / "replies.json"
+        replies.write_text(json.dumps(["```expr\np0 * x0\n```"]))
+        config = _suite(tmp_path, modes=("llm-sr",), repeats=1)
+        config = dataclasses.replace(
+            config, problems=config.problems[:1], generator={"type": "scripted", "path": str(replies)}
+        )
+        original = harness.run
+
+        def run(*args):
+            trace = original(*args)
+            replies.write_text(json.dumps([GOOD_POWER]))
+            return trace
+
+        monkeypatch.setattr(harness, "run", run)
+        run_suite(config)
+        monkeypatch.setattr(harness, "run", original)
+        (outcome,) = run_suite(config).outcomes
+        assert not outcome.reused
+        assert json.loads(outcome.summary_path.read_text())["best_expression"] == "(p0 * (x0 ^ p1))"
+
     def test_run_summary_without_generator_settings_is_rerun(self, tmp_path):
         # such a summary does not say which generator wrote the run
         config = _suite(tmp_path)
@@ -972,6 +993,28 @@ class TestRunSuite:
         assert sorted(
             [(key(o), o.trajectory) for o in serial.outcomes]
         ) == sorted([(key(o), o.trajectory) for o in parallel.outcomes])
+
+    def test_threaded_remote_suite_matches_serial(self, tmp_path, provider):
+        # remote runs let go of the suite's lock while they wait, so their
+        # computing interleaves; the outcomes must not depend on it
+        url, stub = provider
+        stub.payload = {"choices": [{"message": {"content": GOOD_POWER}}]}
+        stub.reply_delay = 0.05
+        trajectories = {}
+        for workers in (4, 1):
+            config = _suite(tmp_path, modes=("llm-sr",), repeats=4, out=f"w{workers}")
+            config = dataclasses.replace(
+                config,
+                problems=config.problems[:1],
+                generator={"type": "remote", "url": url, "model": "m"},
+                workers=workers,
+            )
+            report = run_suite(config)
+            assert report.failures == 0 and len(report.outcomes) == 4
+            trajectories[workers] = {
+                (o.problem, o.mode, o.repeat): o.trajectory for o in report.outcomes
+            }
+        assert trajectories[4] == trajectories[1]
 
     def test_threaded_suite_leaves_warning_filters_alone(self, tmp_path):
         # warnings.catch_warnings swaps the process-wide filter list, so fits

@@ -299,12 +299,6 @@ class TestExperienceBuffer:
                 floored += any(i and i[0].fitness - i[-1].fitness > 10.0 for i in buf.islands)
         assert floored
 
-    def test_rejects_bad_shape(self):
-        with pytest.raises(SearchError):
-            ExperienceBuffer(islands=0, capacity=4)
-        with pytest.raises(SearchError):
-            ExperienceBuffer(islands=1, capacity=0)
-
 
 class TestRunLlmSr:
     def test_scripted_run_finds_power_law(self, kepler_dataset):
