@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .data import Dataset, json_safe
+from .data import Dataset
 from .expr import BINARY, UNARY
 
 MAX_DIRECTIVES = 64
@@ -116,19 +116,38 @@ class AnalysisSpec:
 
 
 @dataclass(frozen=True)
-class ReportEntry:
-    """One rendered fact: a scalar keyed for the statistics line, or a
-    sample block (header + lines) when ``lines`` is non-empty."""
+class Statistic:
+    """A summary statistic, keyed for the Statistics line."""
 
     key: str
-    value: float | int | None = None
-    detail: dict | None = None
-    header: str = ""
-    lines: tuple[str, ...] = ()
+    value: float
+
+
+@dataclass(frozen=True)
+class FitScore:
+    """An r2 or corr score and its fit's details, or an ``_na`` row count."""
+
+    key: str
+    value: float | int
+    detail: dict
+
+
+@dataclass(frozen=True)
+class SampleBlock:
+    """A prompt section: a header, then one line per sampled row."""
+
+    header: str
+    lines: tuple[str, ...]
+    key: str = "samples"
+
+
+ReportEntry = Union[Statistic, FitScore, SampleBlock]
 
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """Entries in directive order; ``json_safe`` of it is its trace form."""
+
     entries: tuple[ReportEntry, ...]
     execution_errors: tuple[str, ...] = ()
     source: str = ""
@@ -385,10 +404,10 @@ def _run_stats(directive: DescribeStats, data: Dataset) -> list[ReportEntry]:
     for column in directive.columns:
         values = data.target if column is None else data.features[:, column]
         key = _column_key(column)
-        entries.append(ReportEntry(f"mean_{key}", float(np.mean(values))))
-        entries.append(ReportEntry(f"std_{key}", float(np.std(values))))
-        entries.append(ReportEntry(f"min_{key}", float(np.min(values))))
-        entries.append(ReportEntry(f"max_{key}", float(np.max(values))))
+        entries.append(Statistic(f"mean_{key}", float(np.mean(values))))
+        entries.append(Statistic(f"std_{key}", float(np.std(values))))
+        entries.append(Statistic(f"min_{key}", float(np.min(values))))
+        entries.append(Statistic(f"max_{key}", float(np.max(values))))
     return entries
 
 
@@ -407,7 +426,7 @@ def _run_sample(
     for j, row in enumerate(chosen):
         feats = ", ".join(f"{v:.3f}" for v in data.features[row])
         lines.append(f"X[{j}] = [{feats}], Y[{j}] = {data.target[row]:.3f}")
-    return [ReportEntry(key="samples", header=header, lines=tuple(lines))]
+    return [SampleBlock(header, tuple(lines))]
 
 
 def _run_fit(
@@ -427,7 +446,7 @@ def _run_fit(
     n_valid = int(np.count_nonzero(valid))
     kind = directive.kind
     key = f"{kind}_{Y_TERMS[directive.y_term]}_{term_key(directive.x_term)}"
-    na = [ReportEntry(f"{key}_na", n_valid, detail={"n_valid": n_valid})]
+    na = [FitScore(f"{key}_na", n_valid, {"n_valid": n_valid})]
     if n_valid < MIN_VALID_ROWS:
         return na
     if n_valid < len(valid):
@@ -442,8 +461,8 @@ def _run_fit(
     if kind == "r2":
         slope, intercept, r2 = fit
         detail = {"slope": slope, "intercept": intercept, "n_valid": n_valid}
-        return [ReportEntry(key, r2, detail=detail)]
-    return [ReportEntry(key, fit, detail={"n_valid": n_valid})]
+        return [FitScore(key, r2, detail)]
+    return [FitScore(key, fit, {"n_valid": n_valid})]
 
 
 def execute(
@@ -522,9 +541,9 @@ def render(report: AnalysisReport) -> str:
     blocks: list[str] = []
     scalars: list[tuple[str, str]] = []
     for entry in report.entries:
-        if entry.lines or entry.header:
+        if isinstance(entry, SampleBlock):
             blocks.append("\n".join((entry.header, *entry.lines)))
-        elif entry.value is not None:
+        else:
             scalars.append((entry.key, _render_value(entry.value)))
     if scalars:
         mapping = ", ".join(f"'{k}': {v}" for k, v in scalars)
@@ -532,23 +551,3 @@ def render(report: AnalysisReport) -> str:
     if report.execution_errors:
         blocks.append("Analysis errors: " + "; ".join(report.execution_errors))
     return "\n".join(blocks)
-
-
-def report_to_json(report: AnalysisReport) -> dict:
-    """Trace-friendly form; non-finite scalars map to null."""
-    entries = []
-    for e in report.entries:
-        item: dict = {"key": e.key}
-        if e.value is not None:
-            item["value"] = json_safe(e.value)
-        if e.detail is not None:
-            item["detail"] = json_safe(e.detail)
-        if e.header:
-            item["header"] = e.header
-            item["lines"] = list(e.lines)
-        entries.append(item)
-    return {
-        "entries": entries,
-        "execution_errors": list(report.execution_errors),
-        "source": report.source,
-    }

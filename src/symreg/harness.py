@@ -4,13 +4,13 @@ Runs |problems| x |modes| x repeats searches (seed = base seed + repeat
 index), persists every trace, and reduces the results into win-rate curves
 and median/IQR spread statistics.  Suites are resumable at run granularity:
 a run whose trace and summary files already exist is loaded, not re-run,
-unless they do not parse, the summary's ``settings`` record is not exactly
-the run's (``run_settings``) or its result is not a finite number, or the
-trace holds another number of iterations.  Fresh or loaded, a run's outcome
-is read from those files, which are checked only there, so the report
-depends only on what is on disk.  A suite's worker threads compute one at a
-time: each holds the suite's lock for its whole run, except while a remote
-generator waits on its reply.
+unless they cannot be read or do not parse, the summary's ``settings``
+record is not exactly the run's (``run_settings``) or its result is not a
+finite number, or the trace holds another number of iterations.  Fresh or
+loaded, a run's outcome is read from those files, which are checked only
+there, so the report depends only on what is on disk.  A suite's worker
+threads compute one at a time: each holds the suite's lock for its whole
+run, except while a remote generator waits on its reply.
 """
 
 from __future__ import annotations
@@ -359,11 +359,9 @@ class RunOutcome:
     repeat: int
     seed: int
     trace_path: Path
-    summary_path: Path
     trajectory: tuple[float, ...]
     final_val_nmse: float
     test_nmse: float | None
-    reused: bool
     error: str | None = None
 
     @property
@@ -446,11 +444,9 @@ def _outcome(
         repeat=repeat,
         seed=seed,
         trace_path=trace_path,
-        summary_path=summary_path,
         trajectory=tuple(trajectory),
         final_val_nmse=INF if final_val_nmse is None else float(final_val_nmse),
         test_nmse=summary.get("test_nmse"),
-        reused=settings is not None,
         error=None if error is None else f"{type(error).__name__}: {error}",
     )
 
@@ -469,8 +465,9 @@ def _run_one(
         try:
             return _outcome(config, problem.name, mode, repeat, settings=settings)
         # the summary is written last: one cut short is an unfinished run, and
-        # one that records other settings is another run's
-        except ValueError:
+        # one that records other settings is another run's; a run whose files
+        # cannot be read runs again, and fails if they cannot be written
+        except (ValueError, OSError):
             pass
     try:
         run_to_files(

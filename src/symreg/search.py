@@ -89,13 +89,6 @@ class ExperienceBuffer:
         self._islands: list[list[Candidate]] = [[] for _ in range(islands)]
         self._counter = 0
 
-    @property
-    def islands(self) -> tuple[tuple[Candidate, ...], ...]:
-        return tuple(tuple(island) for island in self._islands)
-
-    def __len__(self) -> int:
-        return sum(len(island) for island in self._islands)
-
     def add(self, candidate: Candidate) -> None:
         if not candidate.is_valid:
             return
@@ -165,7 +158,7 @@ class SampleRecord:
 class AnalysisRecord:
     prompt: str
     spec_text: str | None
-    report: dict | None
+    report: ctx.AnalysisReport | None
     error: str | None
     attempts: int
     cached: bool
@@ -200,9 +193,10 @@ def trace_summary(trace: RunTrace) -> dict:
     """The run's results: its problem, generator tag, best candidate and its
     scores, and timings: wall seconds of ``analysis``, ``generation``
     (equation calls, re-asks and parsing each reply), ``evaluation`` (fits
-    and scores) and ``total``."""
+    and scores) and ``total``.  A non-finite score stays a float here;
+    ``write_json`` writes it as null."""
     best = trace.best
-    summary = dict(
+    return dict(
         problem=trace.problem_name,
         generator=trace.generator_tag,
         best_expression=best.skeleton.text if best is not None else None,
@@ -211,7 +205,6 @@ def trace_summary(trace: RunTrace) -> dict:
         test_nmse=trace.test_nmse,
         timings=trace.timings,
     )
-    return json_safe(summary)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +306,7 @@ def run(
             analysis_record = AnalysisRecord(
                 prompt=analysis_prompt,
                 spec_text=spec_text,
-                report=None if fresh is None else ctx.report_to_json(fresh),
+                report=fresh,
                 error=last_analysis_error,
                 attempts=retries + 1,
                 cached=cached,

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from symreg import harness
 from symreg.data import Dataset, Problem, ProblemSpec
 from symreg.expr import Skeleton, _random_tree, skeleton_from_node
 
@@ -134,6 +135,21 @@ def provider():
     server.shutdown()
     server.server_close()
     thread.join()
+
+
+@pytest.fixture
+def runs_started(monkeypatch):
+    """The ``(problem, mode, seed)`` of each run that ``harness.run``
+    computes, in the order they start: a suite's reused runs add none."""
+    started = []
+    original = harness.run
+
+    def run(config, problem, generator, analysis_generator=None):
+        started.append((problem.name, config.mode, config.seed))
+        return original(config, problem, generator, analysis_generator)
+
+    monkeypatch.setattr(harness, "run", run)
+    return started
 
 
 @pytest.fixture

@@ -19,16 +19,16 @@ from symreg.context import (
     FeatureRef,
     FeatureTerm,
     Fit,
-    ReportEntry,
+    FitScore,
     SampleRows,
     SpecError,
     default_hint_spec,
     execute,
     parse_spec,
     render,
-    report_to_json,
     term_key,
 )
+from symreg.data import json_safe
 from tests.conftest import make_dataset
 
 
@@ -534,7 +534,7 @@ class TestExecuteMemo:
             spec = parse_spec("\n".join(lines), 3)
             shared = execute(spec, ds, seed=5, memo=memo)
             fresh = execute(spec, ds, seed=5)
-            assert report_to_json(shared) == report_to_json(fresh)
+            assert json_safe(shared) == json_safe(fresh)
         assert len(memo) == len({parse_spec(line, 3).directives[0] for line in pool})
 
     def test_sample_lines_never_memoized(self):
@@ -555,7 +555,7 @@ class TestExecuteMemo:
         message = first.execution_errors[0].removeprefix("directive 1: ")
         assert second.execution_errors[0] == f"directive 3: {message}"
         fresh = execute(AnalysisSpec((stats, SampleRows(2), bad), 1), ds)
-        assert report_to_json(second) == report_to_json(fresh)
+        assert json_safe(second) == json_safe(fresh)
 
     @pytest.mark.parametrize(
         "line", ["r2 log(y) ~ log(x0)", "corr log(y) ~ log(sqrt(x0))", "r2 y ~ log(x0)"]
@@ -571,7 +571,7 @@ class TestExecuteMemo:
         targets = np.insert(y, [0, 10, 25, 40], -1.0)  # log(y) undefined too
         masked = execute(parse_spec(line, 1), make_dataset(rows, targets))
         assert masked.entries[0].detail["n_valid"] == 40
-        assert report_to_json(masked) == report_to_json(clean)
+        assert json_safe(masked) == json_safe(clean)
 
 
 # The analysis kernels as they were before they ran in scratch buffers:
@@ -643,14 +643,14 @@ def _reference_pearson(x, y):
     return min(1.0, max(-1.0, sxy / scale))
 
 
-def _reference_fit_entries(directive: Fit, data) -> list[ReportEntry]:
+def _reference_fit_entries(directive: Fit, data) -> list[FitScore]:
     with np.errstate(all="ignore"):
         y = data.target if directive.y_term == "y" else np.log(data.target)
     x = _reference_term_values(directive.x_term, data)
     valid = np.isfinite(x) & np.isfinite(y)
     n_valid = int(np.count_nonzero(valid))
     key = f"{directive.kind}_{Y_TERMS[directive.y_term]}_{term_key(directive.x_term)}"
-    na = [ReportEntry(f"{key}_na", n_valid, detail={"n_valid": n_valid})]
+    na = [FitScore(f"{key}_na", n_valid, {"n_valid": n_valid})]
     if n_valid < MIN_VALID_ROWS:
         return na
     xv, yv = (x, y) if n_valid == len(valid) else (x[valid], y[valid])
@@ -661,8 +661,8 @@ def _reference_fit_entries(directive: Fit, data) -> list[ReportEntry]:
     if directive.kind == "r2":
         slope, intercept, r2 = fit
         detail = {"slope": slope, "intercept": intercept, "n_valid": n_valid}
-        return [ReportEntry(key, r2, detail=detail)]
-    return [ReportEntry(key, fit, detail={"n_valid": n_valid})]
+        return [FitScore(key, r2, detail)]
+    return [FitScore(key, fit, {"n_valid": n_valid})]
 
 
 def _bits(values) -> list:
@@ -843,22 +843,36 @@ class TestRender:
 
 
 class TestReportJson:
+    """``json_safe`` of a report is its trace form."""
+
     def test_round_trippable_types(self):
         import json
 
         x = np.linspace(1, 2, 20)
         ds = make_dataset(x, x**2)
-        payload = report_to_json(execute(default_hint_spec(1), ds, seed=0))
+        payload = json_safe(execute(default_hint_spec(1), ds, seed=0))
         encoded = json.dumps(payload)
         assert json.loads(encoded) == payload
 
     def test_non_finite_becomes_null(self):
-        from symreg.context import AnalysisReport, ReportEntry
+        from symreg.context import AnalysisReport
 
         report = AnalysisReport(
-            (ReportEntry("k", float("inf"), detail={"slope": float("nan")}),), (), ""
+            (FitScore("k", float("inf"), detail={"slope": float("nan")}),), (), ""
         )
-        payload = report_to_json(report)
+        payload = json_safe(report)
         entry = payload["entries"][0]
         assert entry["value"] is None
         assert entry["detail"]["slope"] is None
+
+    def test_each_entry_kind_has_its_trace_keys(self):
+        x = np.concatenate([np.linspace(1, 2, 7), -np.ones(13)])
+        ds = make_dataset(x, np.abs(x))
+        spec = parse_spec("stats y\nr2 y ~ x0\nr2 log(y) ~ log(x0)\nsample 2", 1)
+        payload = json_safe(execute(spec, ds, seed=0))
+        assert set(payload) == {"entries", "execution_errors", "source"}
+        keys = {e["key"]: set(e) for e in payload["entries"]}
+        assert keys["mean_Y"] == {"key", "value"}
+        assert keys["r2_Y_X_0"] == {"key", "value", "detail"}
+        assert keys["r2_log(Y)_log(X_0)_na"] == {"key", "value", "detail"}
+        assert keys["samples"] == {"header", "key", "lines"}

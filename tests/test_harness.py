@@ -514,6 +514,16 @@ def _suite(tmp_path, *, modes=("llm-sr", "statistical-hint"), repeats=2, out="ou
     )
 
 
+def _summary_path(config, outcome) -> Path:
+    return harness.run_paths(config.out_dir, outcome.problem, outcome.mode, outcome.repeat)[1]
+
+
+def _computed(report, started) -> list[int]:
+    """The indices of the report's outcomes whose runs were in ``started``
+    (the ``runs_started`` fixture): computed, not reused."""
+    return [i for i, o in enumerate(report.outcomes) if (o.problem, o.mode, o.seed) in started]
+
+
 class TestRunSuite:
     def test_cardinality_and_layout(self, tmp_path):
         config = _suite(tmp_path)
@@ -522,7 +532,7 @@ class TestRunSuite:
         assert report.failures == 0
         for o in report.outcomes:
             assert o.trace_path.exists()
-            assert o.summary_path.exists()
+            assert _summary_path(config, o).exists()
             assert o.trace_path.parent == config.out_dir / o.problem / o.mode
         assert (config.out_dir / "summary.json").exists()
         assert (config.out_dir / "trajectories.csv").exists()
@@ -554,12 +564,13 @@ class TestRunSuite:
         for f, r in zip(fwd, rev):
             assert f + r == pytest.approx(1.0)
 
-    def test_resume_reuses_completed_runs(self, tmp_path):
+    def test_resume_reuses_completed_runs(self, tmp_path, runs_started):
         config = _suite(tmp_path)
         first = run_suite(config)
-        assert all(not o.reused for o in first.outcomes)
+        assert _computed(first, runs_started) == list(range(8))
+        runs_started.clear()
         second = run_suite(config)
-        assert all(o.reused for o in second.outcomes)
+        assert runs_started == []
         assert [o.trajectory for o in second.outcomes] == [
             o.trajectory for o in first.outcomes
         ]
@@ -567,17 +578,17 @@ class TestRunSuite:
             o.final_val_nmse for o in first.outcomes
         ]
 
-    def test_resumed_summary_byte_identical(self, tmp_path):
+    def test_resumed_summary_byte_identical(self, tmp_path, runs_started):
         config = _suite(tmp_path)
         fresh = run_suite(config)
         before = (config.out_dir / "summary.json").read_bytes()
         before_csv = (config.out_dir / "trajectories.csv").read_bytes()
+        runs_started.clear()
         resumed = run_suite(config)
         assert (config.out_dir / "summary.json").read_bytes() == before
         assert (config.out_dir / "trajectories.csv").read_bytes() == before_csv
-        assert [dataclasses.replace(o, reused=True) for o in fresh.outcomes] == list(
-            resumed.outcomes
-        )
+        assert runs_started == []
+        assert fresh.outcomes == resumed.outcomes
 
     def test_deterministic_across_out_dirs(self, tmp_path):
         a = run_suite(_suite(tmp_path, out="out_a"))
@@ -677,13 +688,14 @@ class TestRunSuite:
             run_suite(config)
         assert not config.out_dir.exists()
 
-    def test_unreadable_run_summary_is_rerun(self, tmp_path):
+    def test_unreadable_run_summary_is_rerun(self, tmp_path, runs_started):
         config = _suite(tmp_path)
         first = run_suite(config)
-        torn = first.outcomes[3].summary_path
+        torn = _summary_path(config, first.outcomes[3])
         torn.write_text(torn.read_text()[:40])
+        runs_started.clear()
         second = run_suite(config)
-        assert [o.reused for o in second.outcomes] == [i != 3 for i in range(8)]
+        assert _computed(second, runs_started) == [3]
         json.loads(torn.read_text())
         fresh = _suite(tmp_path, out="fresh")
         run_suite(fresh)
@@ -691,22 +703,47 @@ class TestRunSuite:
             fresh.out_dir / "summary.json"
         ).read_bytes()
 
+    @pytest.mark.parametrize("damaged", ["trace", "summary"])
+    def test_run_file_that_cannot_be_read_fails_its_run_not_the_suite(
+        self, tmp_path, damaged, runs_started
+    ):
+        # only a ValueError was caught when a run was read back, so an
+        # OSError aborted the resumed suite and its other run went unreported
+        config = _suite(tmp_path, modes=("llm-sr",))
+        config = dataclasses.replace(config, problems=config.problems[:1])
+        first = run_suite(config)
+        trace_path, summary_path = harness.run_paths(config.out_dir, "square", "llm-sr", 0)
+        path = trace_path if damaged == "trace" else summary_path
+        path.unlink()
+        path.mkdir()
+        runs_started.clear()
+        second = run_suite(config)
+        # the run is run again, and fails where its files cannot be written
+        assert _computed(second, runs_started) == [0]
+        assert second.outcomes[0].error.startswith("IsADirectoryError: ")
+        assert second.outcomes[1] == first.outcomes[1]
+        written = json.loads((config.out_dir / "summary.json").read_text())
+        assert written["failures"] == 1
+        assert [run["error"] for run in written["runs"]] == [o.error for o in second.outcomes]
+
     @pytest.mark.parametrize("text", ["null", "[1, 2]", "3"])
-    def test_run_summary_that_is_not_an_object_is_rerun(self, tmp_path, text):
+    def test_run_summary_that_is_not_an_object_is_rerun(self, tmp_path, text, runs_started):
         config = _suite(tmp_path)
         first = run_suite(config)
-        first.outcomes[3].summary_path.write_text(text)
+        _summary_path(config, first.outcomes[3]).write_text(text)
+        runs_started.clear()
         second = run_suite(config)
-        assert [o.reused for o in second.outcomes] == [i != 3 for i in range(8)]
+        assert _computed(second, runs_started) == [3]
         assert second.outcomes[3] == first.outcomes[3]
 
     @pytest.mark.parametrize("line", ["[1]", '{"best_nmse": [1]}', '{"best_nmse": true}'])
-    def test_run_trace_line_that_is_not_a_record_is_rerun(self, tmp_path, line):
+    def test_run_trace_line_that_is_not_a_record_is_rerun(self, tmp_path, line, runs_started):
         config = _suite(tmp_path)
         first = run_suite(config)
         first.outcomes[3].trace_path.write_text(line + "\n")
+        runs_started.clear()
         second = run_suite(config)
-        assert [o.reused for o in second.outcomes] == [i != 3 for i in range(8)]
+        assert _computed(second, runs_started) == [3]
         assert second.outcomes[3] == first.outcomes[3]
 
     def test_replies_that_are_not_json_fail_their_runs_not_the_suite(self, tmp_path):
@@ -723,19 +760,22 @@ class TestRunSuite:
         written = json.loads((config.out_dir / "summary.json").read_text())
         assert [run["error"] for run in written["runs"]] == [o.error for o in report.outcomes]
 
-    def test_resume_reruns_a_run_of_other_search_settings(self, tmp_path):
+    def test_resume_reruns_a_run_of_other_search_settings(self, tmp_path, runs_started):
         # a run recorded at 2 iterations used to be reused at 3
         config = _suite(tmp_path)
         short = dataclasses.replace(config, search=dataclasses.replace(config.search, iterations=2))
         run_suite(short)
+        runs_started.clear()
         longer = run_suite(config)
-        assert not any(o.reused for o in longer.outcomes)
+        assert _computed(longer, runs_started) == list(range(8))
         for o in longer.outcomes:
             assert len(o.trace_path.read_text().splitlines()) == 3
-            assert json.loads(o.summary_path.read_text())["settings"]["iterations"] == 3
-        assert all(o.reused for o in run_suite(config).outcomes)
+            assert json.loads(_summary_path(config, o).read_text())["settings"]["iterations"] == 3
+        runs_started.clear()
+        run_suite(config)
+        assert runs_started == []
 
-    def test_resume_reruns_a_run_of_other_generator_settings(self, tmp_path):
+    def test_resume_reruns_a_run_of_other_generator_settings(self, tmp_path, runs_started):
         # a run whose scripted replies changed used to be reused, and its
         # summary still reported the old replies' best expression
         linear = dataclasses.replace(
@@ -744,18 +784,22 @@ class TestRunSuite:
         )
         power = dataclasses.replace(linear, generator={"type": "scripted", "texts": [GOOD_POWER]})
         run_suite(linear)
+        runs_started.clear()
         report = run_suite(power)
-        assert not any(o.reused for o in report.outcomes)
+        assert _computed(report, runs_started) == [0, 1]
         for o in report.outcomes:
-            summary = json.loads(o.summary_path.read_text())
+            summary = json.loads(_summary_path(power, o).read_text())
             assert summary["best_expression"] == "(p0 * (x0 ^ p1))"
             assert summary["settings"]["generator_settings"] == power.generator
             assert summary["settings"]["analysis_generator_settings"] is None
         analysed = dataclasses.replace(power, analysis_generator={"type": "mutation"})
-        assert not any(o.reused for o in run_suite(analysed).outcomes)
-        assert all(o.reused for o in run_suite(analysed).outcomes)
+        runs_started.clear()
+        assert _computed(run_suite(analysed), runs_started) == [0, 1]
+        runs_started.clear()
+        run_suite(analysed)
+        assert runs_started == []
 
-    def test_resume_reruns_a_run_whose_replies_file_changed(self, tmp_path):
+    def test_resume_reruns_a_run_whose_replies_file_changed(self, tmp_path, runs_started):
         # a scripted generator given by path was recorded by its path only, so
         # a run was reused after its replies file changed
         replies = tmp_path / "replies.json"
@@ -766,13 +810,16 @@ class TestRunSuite:
         )
         run_suite(config)
         replies.write_text(json.dumps([GOOD_POWER]))
+        runs_started.clear()
         (outcome,) = run_suite(config).outcomes
-        assert not outcome.reused
-        summary = json.loads(outcome.summary_path.read_text())
+        assert runs_started == [(outcome.problem, outcome.mode, outcome.seed)]
+        summary = json.loads(_summary_path(config, outcome).read_text())
         assert summary["best_expression"] == "(p0 * (x0 ^ p1))"
         assert len(summary["settings"]["generator_replies_sha256"]) == 64
         assert "analysis_generator_replies_sha256" not in summary["settings"]
-        assert run_suite(config).outcomes[0].reused
+        runs_started.clear()
+        run_suite(config)
+        assert runs_started == []
         # an unreadable file is not a reason to reuse: the run is re-run, and
         # building its generator fails that run, which the report records
         replies.unlink()
@@ -783,7 +830,7 @@ class TestRunSuite:
         assert report["failures"] == 1 and report["runs"][0]["error"] == outcome.error
 
     def test_resume_reruns_a_run_whose_replies_file_changed_while_it_ran(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, runs_started
     ):
         # the recorded replies digest must be of the replies the run read,
         # not of the file as it is when the run ends
@@ -803,20 +850,23 @@ class TestRunSuite:
         monkeypatch.setattr(harness, "run", run)
         run_suite(config)
         monkeypatch.setattr(harness, "run", original)
+        runs_started.clear()
         (outcome,) = run_suite(config).outcomes
-        assert not outcome.reused
-        assert json.loads(outcome.summary_path.read_text())["best_expression"] == "(p0 * (x0 ^ p1))"
+        assert runs_started == [(outcome.problem, outcome.mode, outcome.seed)]
+        summary = json.loads(_summary_path(config, outcome).read_text())
+        assert summary["best_expression"] == "(p0 * (x0 ^ p1))"
 
-    def test_run_summary_without_generator_settings_is_rerun(self, tmp_path):
+    def test_run_summary_without_generator_settings_is_rerun(self, tmp_path, runs_started):
         # such a summary does not say which generator wrote the run
         config = _suite(tmp_path)
         first = run_suite(config)
-        path = first.outcomes[3].summary_path
+        path = _summary_path(config, first.outcomes[3])
         summary = json.loads(path.read_text())
         del summary["settings"]["generator_settings"]
         path.write_text(json.dumps(summary))
+        runs_started.clear()
         second = run_suite(config)
-        assert [o.reused for o in second.outcomes] == [i != 3 for i in range(8)]
+        assert _computed(second, runs_started) == [3]
         assert second.outcomes[3] == first.outcomes[3]
 
     @pytest.mark.parametrize(
@@ -830,33 +880,41 @@ class TestRunSuite:
         ],
         ids=["k_demos", "inject_report", "no_settings_key"],
     )
-    def test_run_summary_whose_settings_record_differs_is_rerun(self, tmp_path, edit):
+    def test_run_summary_whose_settings_record_differs_is_rerun(
+        self, tmp_path, edit, runs_started
+    ):
         # the settings used to be compared as a subset of the summary's keys,
         # so a summary that recorded a setting more was reused
         config = _suite(tmp_path)
         first = run_suite(config)
-        path = first.outcomes[3].summary_path
+        path = _summary_path(config, first.outcomes[3])
         written = path.read_bytes()
         summary = json.loads(written)
         edit(summary)
         path.write_text(json.dumps(summary))
+        runs_started.clear()
         second = run_suite(config)
-        assert [o.reused for o in second.outcomes] == [i != 3 for i in range(8)]
+        assert _computed(second, runs_started) == [3]
         assert second.outcomes[3] == first.outcomes[3]
         assert json.loads(path.read_bytes())["settings"] == json.loads(written)["settings"]
-        assert all(o.reused for o in run_suite(config).outcomes)
+        runs_started.clear()
+        run_suite(config)
+        assert runs_started == []
 
     @pytest.mark.parametrize("repeats", [1, 2])
     @pytest.mark.parametrize(
         "damage", ["best_val_nmse", "nan", "test_nmse", "trace_short", "trace_long"]
     )
-    def test_run_files_the_report_cannot_read_are_rerun(self, tmp_path, repeats, damage):
+    def test_run_files_the_report_cannot_read_are_rerun(
+        self, tmp_path, repeats, damage, runs_started
+    ):
         # a result that is not a number aborted the resumed suite, a NaN one
         # made its aggregates null, and a trace of another length aborted it
         # at 2 repeats and lost the win curves at 1
         config = _suite(tmp_path, repeats=repeats)
         first = run_suite(config)
-        summary_path, trace_path = first.outcomes[1].summary_path, first.outcomes[1].trace_path
+        damaged = first.outcomes[1]
+        trace_path, summary_path = damaged.trace_path, _summary_path(config, damaged)
         summary = json.loads(summary_path.read_text())
         lines = trace_path.read_text().splitlines(keepends=True)
         if damage == "best_val_nmse":
@@ -869,8 +927,9 @@ class TestRunSuite:
             trace_path.write_text("".join(lines[:-1]))
         else:
             trace_path.write_text("".join(lines + lines[-1:]))
+        runs_started.clear()
         second = run_suite(config)
-        assert [o.reused for o in second.outcomes] == [i != 1 for i in range(4 * repeats)]
+        assert _computed(second, runs_started) == [1]
         assert second.outcomes[1] == first.outcomes[1]
         written = json.loads((config.out_dir / "summary.json").read_text())
         assert set(written["win_rate"]) == {

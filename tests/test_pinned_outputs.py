@@ -15,7 +15,12 @@ constants; and when the settings moved under one ``settings`` key and the
 deleted ``inject_report`` flag left them.  Every other byte of each summary
 stayed as it was.  The digests
 depend on the float results of numpy and the platform libm; a deliberate
-numerics change re-pins them and says so.
+numerics change re-pins them and says so.  They hold only on hosts with the
+pinning host's numpy version and SIMD dispatch level (numpy 2.4.6 with its
+AVX-512 kernels, which ``numpy.show_runtime()`` lists as found): with
+``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`` numpy's float64
+``exp``, ``log`` and ``power`` give other last bits, and the suite test and 6
+of the 7 single-fit cases fail.
 
 Those problems are small, so their fits evaluate blocks of many parameter
 vectors per call.  A fit over more than 4,096 rows evaluates one vector per
@@ -110,7 +115,7 @@ def _run_summary_bytes(path: Path) -> bytes:
     return json.dumps(summary, indent=2, sort_keys=True).encode()
 
 
-def test_bundled_suite_outputs_are_pinned(tmp_path):
+def test_bundled_suite_outputs_are_pinned(tmp_path, runs_started):
     broken = tmp_path / "broken.json"
     # its load error names no path, so the suite report is machine-independent
     broken.write_text(
@@ -138,8 +143,9 @@ def test_bundled_suite_outputs_are_pinned(tmp_path):
     assert _digest(suite_files) == SUITE_REPORT_SHA256
 
     # resuming reuses every run and rewrites the report unchanged
-    resumed = run_suite(config)
-    assert all(o.reused for o in resumed.outcomes if not o.failed)
+    runs_started.clear()
+    run_suite(config)
+    assert runs_started == []
     assert _digest(
         [(out / "summary.json").read_bytes(), (out / "trajectories.csv").read_bytes()]
     ) == SUITE_REPORT_SHA256

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from symreg import context as ctx
-from symreg.data import split
+from symreg.data import json_safe, split
 from symreg.expr import parse
 from symreg.fit import Candidate, FitResult, OptimizerConfig
 from symreg.generate import (
@@ -151,47 +151,47 @@ class TestExperienceBuffer:
         buf = ExperienceBuffer(islands=3, capacity=8)
         for i in range(6):
             buf.add(_candidate(f"p0 * x0 + {i}.0", fitness=-float(i)))
-        sizes = [len(island) for island in buf.islands]
+        sizes = [len(island) for island in buf._islands]
         assert sizes == [2, 2, 2]
 
     def test_invalid_candidates_dropped_without_advancing(self):
         buf = ExperienceBuffer(islands=3, capacity=4)
         buf.add(_candidate("p0 * x0", fitness=float("-inf")))
-        assert len(buf) == 0
+        assert buf._islands == [[], [], []]
         buf.add(_candidate("p0 * x0", fitness=-1.0))
         buf.add(_candidate("p0 * x0 + 1.0", fitness=float("-inf")))
         buf.add(_candidate("p0 * x0 + 2.0", fitness=-2.0))
         # invalid candidates take no turn: the valid ones land on islands 0, 1
-        texts = [[c.skeleton.text for c in island] for island in buf.islands]
+        texts = [[c.skeleton.text for c in island] for island in buf._islands]
         assert texts == [["(p0 * x0)"], ["((p0 * x0) + 2.0)"], []]
 
     def test_islands_sorted_best_first(self):
         buf = ExperienceBuffer(islands=1, capacity=8)
         for i, f in enumerate([-3.0, -1.0, -2.0]):
             buf.add(_candidate(f"p0 * x0 + {i}.0", fitness=f))
-        island = buf.islands[0]
+        island = buf._islands[0]
         assert [c.fitness for c in island] == [-1.0, -2.0, -3.0]
 
     def test_dedup_keeps_better_copy(self):
         buf = ExperienceBuffer(islands=1, capacity=8)
         buf.add(_candidate("p0 * x0", fitness=-2.0))
         buf.add(_candidate("p0*x0", fitness=-1.0))  # same canonical text
-        assert len(buf) == 1
-        assert buf.islands[0][0].fitness == -1.0
+        assert len(buf._islands[0]) == 1
+        assert buf._islands[0][0].fitness == -1.0
 
     def test_dedup_rejects_worse_copy(self):
         buf = ExperienceBuffer(islands=1, capacity=8)
         buf.add(_candidate("p0 * x0", fitness=-1.0))
         buf.add(_candidate("p0 * x0", fitness=-2.0))
-        assert len(buf) == 1
-        assert buf.islands[0][0].fitness == -1.0
+        assert len(buf._islands[0]) == 1
+        assert buf._islands[0][0].fitness == -1.0
 
     def test_eviction_of_worst_on_overflow(self):
         buf = ExperienceBuffer(islands=1, capacity=2)
         buf.add(_candidate("p0 * x0 + 1.0", fitness=-3.0))
         buf.add(_candidate("p0 * x0 + 2.0", fitness=-1.0))
         buf.add(_candidate("p0 * x0 + 3.0", fitness=-2.0))
-        fits = [c.fitness for c in buf.islands[0]]
+        fits = [c.fitness for c in buf._islands[0]]
         assert fits == [-1.0, -2.0]
 
     def test_sample_empty_buffer(self):
@@ -272,8 +272,8 @@ class TestExperienceBuffer:
         # the floor
         def reference(buf, k, seed):
             rng = np.random.default_rng(seed)
-            occupied = [i for i, island in enumerate(buf.islands) if island]
-            island = buf.islands[occupied[rng.integers(len(occupied))]]
+            occupied = [i for i, island in enumerate(buf._islands) if island]
+            island = buf._islands[occupied[rng.integers(len(occupied))]]
             fitnesses = np.array([c.fitness for c in island])
             weights = np.exp(np.maximum(fitnesses - fitnesses.max(), -10.0))
             available = list(range(len(island)))
@@ -296,7 +296,7 @@ class TestExperienceBuffer:
                 seed = int(rng.integers(2**32))
                 got = buf.sample_demonstrations(k, seed)
                 assert got == reference(buf, k, seed)
-                floored += any(i and i[0].fitness - i[-1].fitness > 10.0 for i in buf.islands)
+                floored += any(i and i[0].fitness - i[-1].fitness > 10.0 for i in buf._islands)
         assert floored
 
 
@@ -484,7 +484,7 @@ class TestRunProaug:
         )
         assert first.cached is False
         assert second.cached is False
-        assert second.report == ctx.report_to_json(standalone)
+        assert json_safe(second.report) == json_safe(standalone)
         assert repeat.cached is True
         assert repeat.report == first.report
 
