@@ -9,12 +9,22 @@ fresh directive program every iteration and executes it on tr-tr.
 Everything is deterministic given the generators: per-phase seeds are derived
 from the run seed with SeedSequence, and run traces serialize without
 wall-clock fields so equal runs produce byte-identical trace files.
+
+An iteration's samples are fitted in worker processes, forked once per
+process at its first fit, at most one per usable CPU.  The parent collects
+the fits of iteration t only after the analysis of iteration t+1, just
+before it draws that iteration's demonstrations, so the two overlap; buffer
+adds and trace records keep their order.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
+import signal
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,8 +32,16 @@ from pathlib import Path
 import numpy as np
 
 from . import context as ctx
-from .data import DEFAULT_SPLIT_RATIO, Problem, check_counts, json_safe, split, write_json
-from .expr import evaluate
+from .data import (
+    DEFAULT_SPLIT_RATIO,
+    Problem,
+    SplitView,
+    check_counts,
+    json_safe,
+    split,
+    write_json,
+)
+from .expr import Skeleton, evaluate, parse
 from .fit import Candidate, OptimizerConfig, evaluate_candidate, nmse, DegenerateTargetError
 from .generate import (
     ExtractionError,
@@ -191,9 +209,10 @@ def trace_lines(trace: RunTrace) -> list[str]:
 
 def trace_summary(trace: RunTrace) -> dict:
     """The run's results: its problem, generator tag, best candidate and its
-    scores, and timings: wall seconds of ``analysis``, ``generation``
-    (equation calls, re-asks and parsing each reply), ``evaluation`` (fits
-    and scores) and ``total``.  A non-finite score stays a float here;
+    scores, and timings: wall seconds of ``analysis``, which may overlap the
+    previous iteration's fits, ``generation`` (equation calls, re-asks and
+    parsing each reply), ``evaluation`` (handing fits to the fit workers and
+    waiting for them) and ``total``.  A non-finite score stays a float here;
     ``write_json`` writes it as null."""
     best = trace.best
     return dict(
@@ -205,6 +224,174 @@ def trace_summary(trace: RunTrace) -> dict:
         test_nmse=trace.test_nmse,
         timings=trace.timings,
     )
+
+
+# ---------------------------------------------------------------------------
+# Fit workers
+
+
+def _serve(conn, views: dict[int, SplitView]) -> None:
+    """A fit worker: keep each run's split under its token, starting from
+    ``views``, fit each job's skeleton on it and send back ``(job,
+    (FitResult, fitness))``, or the exception the fit raised.  It ignores
+    SIGINT and returns when the parent dies or the pipe closes."""
+    import multiprocessing
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    parent = multiprocessing.parent_process().sentinel
+    try:
+        while parent not in multiprocessing.connection.wait([conn, parent]):
+            kind, token, body = conn.recv()
+            if kind == "data":
+                views[token] = body
+            elif kind == "drop":
+                del views[token]
+            else:
+                job, text, arity, optimizer, seed = body
+                try:
+                    skeleton = parse(text, arity)
+                    candidate = evaluate_candidate(skeleton, views[token], optimizer, seed)
+                    reply = (candidate.fit, candidate.fitness)
+                except Exception as exc:
+                    reply = exc
+                conn.send((job, reply))
+    except (EOFError, OSError):
+        pass
+
+
+class _Worker:
+    """A forked fit worker and the parent's end of its pipe.  It inherits the
+    split of the run that forks it."""
+
+    def __init__(self, token: int, view: SplitView):
+        # imported here, so a process that fits nothing does not load them
+        import multiprocessing
+        import multiprocessing.connection
+
+        # fork, not Python 3.14's forkserver default, whose cold start every
+        # first fit would wait on
+        context = multiprocessing.get_context("fork")
+        ours, theirs = context.Pipe()
+        self.process = context.Process(target=_serve, args=(theirs, {token: view}), daemon=True)
+        # SIGINT stays blocked until the worker ignores it: Ctrl-C is the parent's
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            self.process.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        theirs.close()
+        self.conn = ours
+        self.tokens = {token}  # the runs whose split it holds
+        self.pending = 0  # jobs sent whose reply is not read yet
+        self.replies: dict[int, object] = {}  # replies read for another run's job
+        self.reading = threading.Lock()
+
+
+_workers: list[_Worker] = []
+_workers_lock = threading.Lock()
+_serial = itertools.count()  # run tokens and job ids
+
+
+def _retire(worker: _Worker) -> RuntimeError:
+    """Take ``worker`` out of service and reap it; return the error that
+    fails the runs whose jobs it held.  The caller holds ``_workers_lock``."""
+    if worker in _workers:
+        _workers.remove(worker)
+        worker.process.terminate()
+        worker.process.join()
+    return RuntimeError(f"fit worker {worker.process.pid} died ({worker.process.exitcode})")
+
+
+class _Fits:
+    """One run's fits on the process's fit workers.
+
+    A job goes to an idle worker; a new worker is forked only when every
+    worker is busy and fewer run than the process has usable CPUs, else the
+    job queues on the least busy one.  A worker receives the run's split
+    before its first job of the run, and drops it when the run ends.  Runs
+    on several threads share the workers: a reply read by one thread for
+    another's job waits in ``replies``.  A worker that dies fails the runs
+    whose jobs it held.
+    """
+
+    def __init__(self, view: SplitView):
+        self.view = view
+        self.token = next(_serial)
+        self.unread: set[tuple[_Worker, int]] = set()
+
+    def submit(self, skeleton: Skeleton, optimizer: OptimizerConfig, seed: int):
+        with _workers_lock:
+            for worker in [w for w in _workers if not w.pending and not w.process.is_alive()]:
+                _retire(worker)
+            idle = [w for w in _workers if not w.pending]
+            if idle:
+                worker = idle[0]
+            elif len(_workers) < len(os.sched_getaffinity(0)):
+                worker = _Worker(self.token, self.view)
+                _workers.append(worker)
+            else:
+                worker = min(_workers, key=lambda w: w.pending)
+            job = next(_serial)
+            try:
+                if self.token not in worker.tokens:
+                    worker.conn.send(("data", self.token, self.view))
+                    worker.tokens.add(self.token)
+                body = (job, skeleton.text, skeleton.arity, optimizer, seed)
+                worker.conn.send(("fit", self.token, body))
+            except OSError:
+                raise _retire(worker) from None
+            worker.pending += 1
+        self.unread.add((worker, job))
+        return worker, job
+
+    def result(self, ticket):
+        """The ``(FitResult, fitness)`` of a submitted job."""
+        worker, job = ticket
+        self.unread.discard(ticket)
+        with worker.reading:
+            while job not in worker.replies:
+                try:
+                    got, reply = worker.conn.recv()
+                except (EOFError, OSError):
+                    with _workers_lock:
+                        error = _retire(worker)
+                    raise error from None
+                except BaseException:
+                    # cut short mid-message, the pipe is out of step
+                    with _workers_lock:
+                        _retire(worker)
+                    raise
+                worker.replies[got] = reply
+                with _workers_lock:
+                    worker.pending -= 1
+            reply = worker.replies.pop(job)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    def __enter__(self) -> _Fits:
+        return self
+
+    def __exit__(self, kind, value, tb) -> None:
+        # after an error, wait for the run's fits; after an interrupt, stop
+        # the workers that hold them
+        for ticket in list(self.unread):
+            if kind is None or issubclass(kind, Exception):
+                try:
+                    self.result(ticket)
+                except Exception:
+                    pass
+            else:
+                with _workers_lock:
+                    _retire(ticket[0])
+        with _workers_lock:
+            for worker in [w for w in _workers if self.token in w.tokens]:
+                worker.tokens.remove(self.token)
+                try:
+                    worker.conn.send(("drop", self.token, None))
+                except OSError:
+                    _retire(worker)
 
 
 # ---------------------------------------------------------------------------
@@ -276,76 +463,15 @@ def run(
     best: Candidate | None = None
     best_nmse = float("inf")
 
-    for t in range(config.iterations):
-        analysis_record: AnalysisRecord | None = None
-        if config.mode == "proaug":
-            t0 = time.monotonic()
-            analysis_prompt = build_analysis_prompt(problem, last_analysis_error)
-            request = GeneratorRequest(
-                prompt=analysis_prompt,
-                n_samples=1,
-                purpose="analysis",
-            )
-            first = analysis_generator.generate(request)
-            spec, _, last_analysis_error, retries = _ask(
-                analysis_generator,
-                request,
-                (first.raw_texts[0], first.errors[0]),
-                lambda text: extract_spec(text, problem.arity),
-                config.retry_budget,
-                lambda error: build_analysis_prompt(problem, error),
-            )
-            spec_text, fresh, cached = None, None, False
-            if spec is not None:
-                spec_text = spec.text
-                cached = spec_text in seen_programs
-                seen_programs.add(spec_text)
-                fresh = report = ctx.execute(
-                    spec, view.tr_tr, seed=config.seed, source="proaug", memo=analysis_memo
-                )
-            analysis_record = AnalysisRecord(
-                prompt=analysis_prompt,
-                spec_text=spec_text,
-                report=fresh,
-                error=last_analysis_error,
-                attempts=retries + 1,
-                cached=cached,
-            )
-            timings["analysis"] += time.monotonic() - t0
-
-        demos = buffer.sample_demonstrations(K_DEMOS, derive_seed(config.seed, _DEMO, t))
-        prompt = build_equation_prompt(problem, demos, report)
-
-        t0 = time.monotonic()
-        request = GeneratorRequest(
-            prompt=prompt,
-            n_samples=config.samples_per_prompt,
-            purpose="equation",
-        )
-        response = generator.generate(request)
-        timings["generation"] += time.monotonic() - t0
-
+    def finish(t, analysis_record, prompt, asked) -> None:
+        """Collect iteration t's fits and record the iteration."""
+        nonlocal best, best_nmse
         samples: list[SampleRecord] = []
-        for j in range(config.samples_per_prompt):
-            t0 = time.monotonic()
-            skeleton, raw, error, retries = _ask(
-                generator,
-                request,
-                (response.raw_texts[j], response.errors[j]),
-                lambda text: extract_expression(text, problem.arity),
-                config.retry_budget,
-                lambda _: prompt,
-            )
-            timings["generation"] += time.monotonic() - t0
+        for skeleton, raw, error, retries, ticket in asked:
             candidate = None
             if skeleton is not None:
                 t0 = time.monotonic()
-                candidate = evaluate_candidate(
-                    skeleton,
-                    view,
-                    config.optimizer,
-                    seed=derive_seed(config.seed, _EVAL, t, j),
-                )
+                candidate = Candidate(skeleton, *fits.result(ticket))
                 timings["evaluation"] += time.monotonic() - t0
                 buffer.add(candidate)
                 if candidate.is_valid and -candidate.fitness < best_nmse:
@@ -362,7 +488,6 @@ def run(
                     params=() if candidate is None else candidate.fit.params,
                 )
             )
-
         records.append(
             IterationRecord(
                 iteration=t,
@@ -372,6 +497,82 @@ def run(
                 best_nmse=best_nmse,
             )
         )
+
+    with _Fits(view) as fits:
+        # the previous iteration, whose fits the workers may still be running
+        unfinished = None
+        for t in range(config.iterations):
+            analysis_record: AnalysisRecord | None = None
+            if config.mode == "proaug":
+                t0 = time.monotonic()
+                analysis_prompt = build_analysis_prompt(problem, last_analysis_error)
+                request = GeneratorRequest(
+                    prompt=analysis_prompt,
+                    n_samples=1,
+                    purpose="analysis",
+                )
+                first = analysis_generator.generate(request)
+                spec, _, last_analysis_error, retries = _ask(
+                    analysis_generator,
+                    request,
+                    (first.raw_texts[0], first.errors[0]),
+                    lambda text: extract_spec(text, problem.arity),
+                    config.retry_budget,
+                    lambda error: build_analysis_prompt(problem, error),
+                )
+                spec_text, fresh, cached = None, None, False
+                if spec is not None:
+                    spec_text = spec.text
+                    cached = spec_text in seen_programs
+                    seen_programs.add(spec_text)
+                    fresh = report = ctx.execute(
+                        spec, view.tr_tr, seed=config.seed, source="proaug", memo=analysis_memo
+                    )
+                analysis_record = AnalysisRecord(
+                    prompt=analysis_prompt,
+                    spec_text=spec_text,
+                    report=fresh,
+                    error=last_analysis_error,
+                    attempts=retries + 1,
+                    cached=cached,
+                )
+                timings["analysis"] += time.monotonic() - t0
+
+            if unfinished is not None:
+                finish(*unfinished)
+            demos = buffer.sample_demonstrations(K_DEMOS, derive_seed(config.seed, _DEMO, t))
+            prompt = build_equation_prompt(problem, demos, report)
+
+            t0 = time.monotonic()
+            request = GeneratorRequest(
+                prompt=prompt,
+                n_samples=config.samples_per_prompt,
+                purpose="equation",
+            )
+            response = generator.generate(request)
+            timings["generation"] += time.monotonic() - t0
+
+            asked = []
+            for j in range(config.samples_per_prompt):
+                t0 = time.monotonic()
+                skeleton, raw, error, retries = _ask(
+                    generator,
+                    request,
+                    (response.raw_texts[j], response.errors[j]),
+                    lambda text: extract_expression(text, problem.arity),
+                    config.retry_budget,
+                    lambda _: prompt,
+                )
+                timings["generation"] += time.monotonic() - t0
+                ticket = None
+                if skeleton is not None:
+                    t0 = time.monotonic()
+                    seed = derive_seed(config.seed, _EVAL, t, j)
+                    ticket = fits.submit(skeleton, config.optimizer, seed)
+                    timings["evaluation"] += time.monotonic() - t0
+                asked.append((skeleton, raw, error, retries, ticket))
+            unfinished = (t, analysis_record, prompt, asked)
+        finish(*unfinished)
 
     test_nmse: float | None = None
     if problem.test is not None and best is not None:

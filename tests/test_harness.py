@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symreg import harness
+from symreg import harness, search
 from symreg.fit import OptimizerConfig
 from symreg.generate import MutationGenerator, RemoteChatGenerator, ScriptedGenerator
 from symreg.harness import (
@@ -1074,6 +1074,47 @@ class TestRunSuite:
                 (o.problem, o.mode, o.repeat): o.trajectory for o in report.outcomes
             }
         assert trajectories[4] == trajectories[1]
+
+    def test_remote_and_offline_runs_share_the_fit_workers(self, tmp_path, provider, monkeypatch):
+        # proaug runs ask a remote analysis generator and the others ask none,
+        # so one run's fits are still out while another run computes
+        url, stub = provider
+        stub.payload = {"choices": [{"message": {"content": "```analysis\nstats all\n```"}}]}
+        stub.reply_delay = 0.05
+        out_of_turn = []
+        unread: dict[int, int] = {}
+        submit, result = search._Fits.submit, search._Fits.result
+
+        def counted_submit(fits, *args):
+            out_of_turn.append(any(n for token, n in unread.items() if token != fits.token))
+            unread[fits.token] = unread.get(fits.token, 0) + 1
+            return submit(fits, *args)
+
+        def counted_result(fits, ticket):
+            unread[fits.token] -= 1
+            return result(fits, ticket)
+
+        monkeypatch.setattr(search._Fits, "submit", counted_submit)
+        monkeypatch.setattr(search._Fits, "result", counted_result)
+        traces = {}
+        for workers in (2, 1):
+            modes = ("proaug", "llm-sr", "statistical-hint")
+            config = _suite(tmp_path, modes=modes, out=f"w{workers}")
+            config = dataclasses.replace(
+                config,
+                problems=config.problems[:1],
+                search=dataclasses.replace(config.search, samples_per_prompt=2),
+                analysis_generator={"type": "remote", "url": url, "model": "m"},
+                workers=workers,
+            )
+            report = run_suite(config)
+            assert report.failures == 0 and len(report.outcomes) == 6
+            traces[workers] = {
+                path.relative_to(config.out_dir): path.read_bytes()
+                for path in config.out_dir.rglob("*.trace.jsonl")
+            }
+        assert len(traces[2]) == 6 and traces[2] == traces[1]
+        assert any(out_of_turn)
 
     def test_threaded_suite_leaves_warning_filters_alone(self, tmp_path):
         # warnings.catch_warnings swaps the process-wide filter list, so fits

@@ -1,10 +1,20 @@
+import hashlib
 import json
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from symreg import context as ctx
+from symreg import search
 from symreg.data import json_safe, split
 from symreg.expr import parse
 from symreg.fit import Candidate, FitResult, OptimizerConfig
@@ -542,6 +552,45 @@ class TestRunProaug:
         assert trace.records[0].analysis.spec_text == "stats all"
         assert trace.records[0].samples[0].expression is not None
 
+    def test_one_generator_sees_the_calls_of_a_serial_loop(self, kepler_dataset):
+        # the fits of iteration t run while iteration t+1 analyses; the calls,
+        # and the demonstrations in each prompt, must be those of a loop that
+        # fits each sample before it goes on
+        class Calls:
+            tag = "calls"
+
+            def __init__(self, texts):
+                self._inner = ScriptedGenerator(texts)
+                self.calls = []
+
+            def generate(self, request):
+                digest = hashlib.sha256(request.prompt.encode()).hexdigest()
+                self.calls.append((request.purpose, request.n_samples, digest))
+                return self._inner.generate(request)
+
+        problem = make_problem(kepler_dataset, name="orbit")
+        # per iteration: a malformed analysis and its re-ask, then an equation
+        # call whose second reply is malformed, and that sample's re-ask
+        gen = Calls(["no block", GOOD_ANALYSIS, GOOD_POWER, "no block either", GOOD_LINEAR])
+        cfg = _quick_config(mode="proaug", samples_per_prompt=2, retry_budget=1)
+        trace = run(cfg, problem, gen)
+        analysis = [
+            "878a3c6bdbe46bcdd76e593dee8de3fd3f16bea20478a118299976dc1f1688c3",
+            "ea0cf7f2269439dc14fff0694253ae1b98d816810d02864a03135083bada3623",
+        ]
+        equation = [
+            "c9f526f22006d6d32f58100ed7bf2462ded819bb38d6917ab58f034ffde0881a",
+            "f96b375fdc6cc03a07ccc4954afdf324b47ae1d7e788fa2fc55363cf8c12a374",
+            "6923e48b6c5b3cb8486bf382a7b37dafb5ab85b2d70798474b168fca58192664",
+        ]
+        expected = []
+        for digest in equation:
+            expected += [("analysis", 1, analysis[0]), ("analysis", 1, analysis[1])]
+            expected += [("equation", 2, digest), ("equation", 1, digest)]
+        assert gen.calls == expected
+        assert [r.analysis.attempts for r in trace.records] == [2, 2, 2]
+        assert [s.retries for r in trace.records for s in r.samples] == [0, 1] * 3
+
 
 class TestTraceSerialization:
     def _trace(self, kepler_dataset, test=None, **overrides):
@@ -620,3 +669,179 @@ class TestTraceSerialization:
             write_trace(trace, tp, sp)
             paths.append(tp)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _stop_fit_workers():
+    for child in multiprocessing.active_children():
+        child.kill()
+        child.join(timeout=10)
+        assert not child.is_alive()
+
+
+@pytest.fixture
+def fresh_fit_workers():
+    """Stops this process's fit workers before and after the test, so the
+    test's runs fork their own, which see the test's patches, and later
+    tests' runs do not."""
+    _stop_fit_workers()
+    yield
+    _stop_fit_workers()
+
+
+def _python(code: str, *args: str) -> str:
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+def _parent_pid(pid: int) -> int | None:
+    """The parent id in ``/proc/<pid>/stat``; None if the process is gone
+    or a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+    return None if state == "Z" else int(ppid)
+
+
+KEPLER = Path(__file__).resolve().parents[1] / "problems" / "kepler.json"
+RUN_ITERATIONS = (
+    "import multiprocessing, os, sys\n"
+    "from symreg.data import load_problem, load_problem_data, split\n"
+    "from symreg.generate import MutationGenerator\n"
+    "from symreg.search import SearchConfig, run\n"
+    "if len(sys.argv) > 2:\n"
+    "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    "problem = load_problem_data(load_problem(sys.argv[1]))\n"
+    "split(problem.train, 0)\n"
+    "counts = [len(multiprocessing.active_children())]\n"
+    "for samples in (1, 3):\n"
+    "    config = SearchConfig(iterations=3, samples_per_prompt=samples, mode='llm-sr')\n"
+    "    run(config, problem, MutationGenerator(problem.arity, seed=0))\n"
+    "    counts.append(len(multiprocessing.active_children()))\n"
+    "print(*counts)\n"
+)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+class TestFitWorkers:
+    def test_a_worker_starts_at_the_first_fit_and_only_when_all_are_busy(self):
+        # one fit in flight at a time needs one worker; three at once, three
+        counts = _python(RUN_ITERATIONS, str(KEPLER))
+        assert counts == f"0 1 {min(3, len(os.sched_getaffinity(0)))}"
+
+    def test_workers_never_outnumber_the_usable_cpus(self):
+        assert _python(RUN_ITERATIONS, str(KEPLER), "one-cpu") == "0 1 1"
+
+    def test_threads_that_share_the_workers_each_get_their_own_fits(self, kepler_dataset):
+        # replies come back in each worker's order, so a thread may read
+        # another's; each must still get its own, and leave no job behind
+        skeletons = [parse(text, 1) for text in ("p0 * x0 ^ p1", "p0 * x0 + p1", "p0 * exp(x0)")]
+        optimizer = OptimizerConfig(restarts=2, max_evaluations=200)
+
+        def fits_of(seed):
+            view = split(kepler_dataset, seed)
+            with search._Fits(view) as fits:
+                tickets = [fits.submit(sk, optimizer, seed) for sk in skeletons]
+                return [fits.result(ticket) for ticket in reversed(tickets)][::-1]
+
+        def expected(seed):
+            view = split(kepler_dataset, seed)
+            return [search.evaluate_candidate(sk, view, optimizer, seed) for sk in skeletons]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = [f.result(timeout=60) for f in [pool.submit(fits_of, s) for s in range(16)]]
+        finally:
+            sys.setswitchinterval(interval)
+        for seed, replies in enumerate(got):
+            assert replies == [(c.fit, c.fitness) for c in expected(seed)]
+        assert [(w.pending, w.tokens, w.replies) for w in search._workers] == [
+            (0, set(), {}) for _ in search._workers
+        ]
+        assert 1 <= len(search._workers) <= len(os.sched_getaffinity(0))
+
+    def test_a_dead_worker_fails_its_run_and_the_next_run_forks_another(
+        self, tmp_path, monkeypatch, fresh_fit_workers
+    ):
+        from symreg.harness import SuiteConfig, run_suite
+        from tests.conftest import write_problem_files
+
+        # a worker forked after this patch dies at run seed 0's first fit
+        doomed = derive_seed(0, search._EVAL, 0, 0)
+        original = search.evaluate_candidate
+
+        def evaluate_candidate(skeleton, view, optimizer, seed):
+            if seed == doomed:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(skeleton, view, optimizer, seed)
+
+        monkeypatch.setattr(search, "evaluate_candidate", evaluate_candidate)
+        X = np.random.default_rng(8).uniform(1, 5, size=(30, 1))
+        problem = write_problem_files(tmp_path, "square", X, X[:, 0] ** 2)
+        config = SuiteConfig(
+            problems=(problem,),
+            modes=("llm-sr",),
+            out_dir=tmp_path / "out",
+            search=_quick_config(),
+            generator={"type": "scripted", "texts": [GOOD_POWER]},
+            repeats=2,
+        )
+        first, second = run_suite(config).outcomes
+        assert first.error.startswith("RuntimeError: fit worker ")
+        assert first.error.endswith(" died (-9)")
+        dead = int(first.error.split()[3])
+        assert second.error is None and len(second.trajectory) == 3
+        alive = [child.pid for child in multiprocessing.active_children()]
+        assert alive and dead not in alive
+        assert sorted(worker.process.pid for worker in search._workers) == sorted(alive)
+
+    def test_workers_ignore_an_interrupt(self, kepler_dataset):
+        # Ctrl-C signals the whole process group; only the parent may stop
+        problem = make_problem(kepler_dataset, name="orbit")
+        cfg = _quick_config(samples_per_prompt=2)
+        first = trace_lines(run(cfg, problem, ScriptedGenerator([GOOD_POWER, GOOD_LINEAR])))
+        workers = multiprocessing.active_children()
+        for worker in workers:
+            os.kill(worker.pid, signal.SIGINT)
+        time.sleep(0.2)
+        assert workers and all(worker.is_alive() for worker in workers)
+        again = trace_lines(run(cfg, problem, ScriptedGenerator([GOOD_POWER, GOOD_LINEAR])))
+        assert again == first
+
+    def test_a_killed_suite_leaves_no_worker(self, tmp_path):
+        config = tmp_path / "suite.json"
+        config.write_text(json.dumps({
+            "problems": [str(KEPLER)], "modes": ["llm-sr"], "out_dir": "out", "repeats": 1,
+            "search": {"iterations": 100000}, "generator": {"type": "mutation"},
+        }))
+        env = {**os.environ, "PYTHONPATH": str(KEPLER.parents[1] / "src")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "symreg.cli", "suite", "--config", str(config)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        def children():
+            pids = [int(p) for p in os.listdir("/proc") if p.isdigit()]
+            return [pid for pid in pids if _parent_pid(pid) == proc.pid]
+
+        try:
+            deadline = time.monotonic() + 60
+            while not children() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            # each iteration's second sample forks the second worker
+            time.sleep(0.5)
+            workers = children()
+            assert workers, "the suite started no fit worker"
+        finally:
+            proc.kill()
+            proc.wait()
+        deadline = time.monotonic() + 10
+        while any(_parent_pid(pid) is not None for pid in workers):
+            assert time.monotonic() < deadline, "a fit worker outlived its suite"
+            time.sleep(0.05)
