@@ -230,11 +230,12 @@ def trace_summary(trace: RunTrace) -> dict:
 # Fit workers
 
 
-def _serve(conn, views: dict[int, SplitView]) -> None:
-    """A fit worker: keep each run's split under its token, starting from
-    ``views``, fit each job's skeleton on it and send back ``(job,
-    (FitResult, fitness))``, or the exception the fit raised.  It ignores
-    SIGINT and returns when the parent dies or the pipe closes."""
+def _serve(conn, view: SplitView) -> None:
+    """A fit worker: fit each job's skeleton on the one split it holds and
+    send back ``(job, (FitResult, fitness))``, or the exception the fit
+    raised.  It holds the split of the run that forked it until a job brings
+    another.  It ignores SIGINT and returns when the parent dies or the pipe
+    closes."""
     import multiprocessing
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -242,27 +243,22 @@ def _serve(conn, views: dict[int, SplitView]) -> None:
     parent = multiprocessing.parent_process().sentinel
     try:
         while parent not in multiprocessing.connection.wait([conn, parent]):
-            kind, token, body = conn.recv()
-            if kind == "data":
-                views[token] = body
-            elif kind == "drop":
-                del views[token]
-            else:
-                job, text, arity, optimizer, seed = body
-                try:
-                    skeleton = parse(text, arity)
-                    candidate = evaluate_candidate(skeleton, views[token], optimizer, seed)
-                    reply = (candidate.fit, candidate.fitness)
-                except Exception as exc:
-                    reply = exc
-                conn.send((job, reply))
+            job, data, text, arity, optimizer, seed = conn.recv()
+            view = view if data is None else data
+            try:
+                candidate = evaluate_candidate(parse(text, arity), view, optimizer, seed)
+                reply = (candidate.fit, candidate.fitness)
+            except Exception as exc:
+                reply = exc
+            conn.send((job, reply))
     except (EOFError, OSError):
         pass
 
 
 class _Worker:
     """A forked fit worker and the parent's end of its pipe.  It inherits the
-    split of the run that forks it."""
+    split of the run that forks it and holds one run's split at a time.  Its
+    pipe and counts, like the pool, are used only under ``_workers_lock``."""
 
     def __init__(self, token: int, view: SplitView):
         # imported here, so a process that fits nothing does not load them
@@ -273,7 +269,7 @@ class _Worker:
         # first fit would wait on
         context = multiprocessing.get_context("fork")
         ours, theirs = context.Pipe()
-        self.process = context.Process(target=_serve, args=(theirs, {token: view}), daemon=True)
+        self.process = context.Process(target=_serve, args=(theirs, view), daemon=True)
         # SIGINT stays blocked until the worker ignores it: Ctrl-C is the parent's
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
@@ -282,10 +278,9 @@ class _Worker:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         theirs.close()
         self.conn = ours
-        self.tokens = {token}  # the runs whose split it holds
+        self.token = token  # the run whose split it holds after the jobs sent
         self.pending = 0  # jobs sent whose reply is not read yet
         self.replies: dict[int, object] = {}  # replies read for another run's job
-        self.reading = threading.Lock()
 
 
 _workers: list[_Worker] = []
@@ -308,11 +303,12 @@ class _Fits:
 
     A job goes to an idle worker; a new worker is forked only when every
     worker is busy and fewer run than the process has usable CPUs, else the
-    job queues on the least busy one.  A worker receives the run's split
-    before its first job of the run, and drops it when the run ends.  Runs
-    on several threads share the workers: a reply read by one thread for
-    another's job waits in ``replies``.  A worker that dies fails the runs
-    whose jobs it held.
+    job queues on the least busy one.  A job carries the run's split only
+    when the worker's last job was another run's; a pipe keeps its order, so
+    a job queued before still runs on its own split.  Runs on several
+    threads share the workers under one lock, ``_workers_lock``, held also
+    while reading a pipe: a reply read for another thread's job waits in
+    ``replies``.  A worker that dies fails the runs whose jobs it held.
     """
 
     def __init__(self, view: SplitView):
@@ -321,26 +317,28 @@ class _Fits:
         self.unread: set[tuple[_Worker, int]] = set()
 
     def submit(self, skeleton: Skeleton, optimizer: OptimizerConfig, seed: int):
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
         with _workers_lock:
             for worker in [w for w in _workers if not w.pending and not w.process.is_alive()]:
                 _retire(worker)
             idle = [w for w in _workers if not w.pending]
             if idle:
                 worker = idle[0]
-            elif len(_workers) < len(os.sched_getaffinity(0)):
+            elif len(_workers) < cpus:
                 worker = _Worker(self.token, self.view)
                 _workers.append(worker)
             else:
                 worker = min(_workers, key=lambda w: w.pending)
             job = next(_serial)
+            data = None if worker.token == self.token else self.view
             try:
-                if self.token not in worker.tokens:
-                    worker.conn.send(("data", self.token, self.view))
-                    worker.tokens.add(self.token)
-                body = (job, skeleton.text, skeleton.arity, optimizer, seed)
-                worker.conn.send(("fit", self.token, body))
+                worker.conn.send((job, data, skeleton.text, skeleton.arity, optimizer, seed))
             except OSError:
                 raise _retire(worker) from None
+            worker.token = self.token
             worker.pending += 1
         self.unread.add((worker, job))
         return worker, job
@@ -349,22 +347,18 @@ class _Fits:
         """The ``(FitResult, fitness)`` of a submitted job."""
         worker, job = ticket
         self.unread.discard(ticket)
-        with worker.reading:
+        with _workers_lock:
             while job not in worker.replies:
                 try:
                     got, reply = worker.conn.recv()
                 except (EOFError, OSError):
-                    with _workers_lock:
-                        error = _retire(worker)
-                    raise error from None
+                    raise _retire(worker) from None
                 except BaseException:
                     # cut short mid-message, the pipe is out of step
-                    with _workers_lock:
-                        _retire(worker)
+                    _retire(worker)
                     raise
                 worker.replies[got] = reply
-                with _workers_lock:
-                    worker.pending -= 1
+                worker.pending -= 1
             reply = worker.replies.pop(job)
         if isinstance(reply, Exception):
             raise reply
@@ -385,13 +379,6 @@ class _Fits:
             else:
                 with _workers_lock:
                     _retire(ticket[0])
-        with _workers_lock:
-            for worker in [w for w in _workers if self.token in w.tokens]:
-                worker.tokens.remove(self.token)
-                try:
-                    worker.conn.send(("drop", self.token, None))
-                except OSError:
-                    _retire(worker)
 
 
 # ---------------------------------------------------------------------------

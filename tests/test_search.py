@@ -762,8 +762,8 @@ class TestFitWorkers:
             sys.setswitchinterval(interval)
         for seed, replies in enumerate(got):
             assert replies == [(c.fit, c.fitness) for c in expected(seed)]
-        assert [(w.pending, w.tokens, w.replies) for w in search._workers] == [
-            (0, set(), {}) for _ in search._workers
+        assert [(w.pending, w.replies) for w in search._workers] == [
+            (0, {}) for _ in search._workers
         ]
         assert 1 <= len(search._workers) <= len(os.sched_getaffinity(0))
 
@@ -845,3 +845,104 @@ class TestFitWorkers:
         while any(_parent_pid(pid) is not None for pid in workers):
             assert time.monotonic() < deadline, "a fit worker outlived its suite"
             time.sleep(0.05)
+
+    def test_a_run_without_cpu_affinity_counts_the_cpus(self):
+        # os.sched_getaffinity is Linux's; elsewhere the cap is os.cpu_count()
+        code = (
+            "import multiprocessing, os, sys\n"
+            "del os.sched_getaffinity\n"
+            "from symreg.data import load_problem, load_problem_data\n"
+            "from symreg.generate import MutationGenerator\n"
+            "from symreg.search import SearchConfig, run\n"
+            "problem = load_problem_data(load_problem(sys.argv[1]))\n"
+            "config = SearchConfig(iterations=2, samples_per_prompt=3, mode='llm-sr')\n"
+            "trace = run(config, problem, MutationGenerator(problem.arity, seed=0))\n"
+            "print(len(trace.records), len(multiprocessing.active_children()))\n"
+        )
+        iterations, workers = map(int, _python(code, str(KEPLER)).split())
+        assert iterations == 2 and 1 <= workers <= os.cpu_count()
+
+    def test_a_failed_fit_leaves_its_workers_serving_the_next_run(
+        self, tmp_path, monkeypatch, fresh_fit_workers
+    ):
+        from symreg import harness
+        from symreg.harness import SuiteConfig, run_suite
+        from tests.conftest import write_problem_files
+
+        # run seed 0's first fit of iteration 1 raises in its worker
+        failing = derive_seed(0, search._EVAL, 1, 0)
+        original = search.evaluate_candidate
+
+        def evaluate_candidate(skeleton, view, optimizer, seed):
+            if seed == failing:
+                raise ValueError("no fit")
+            return original(skeleton, view, optimizer, seed)
+
+        pools = []
+        original_run = harness.run
+
+        def recorded_run(*args):
+            pools.append(sorted(w.process.pid for w in search._workers))
+            try:
+                return original_run(*args)
+            finally:
+                pools.append(sorted(w.process.pid for w in search._workers))
+
+        monkeypatch.setattr(search, "evaluate_candidate", evaluate_candidate)
+        monkeypatch.setattr(harness, "run", recorded_run)
+        X = np.random.default_rng(8).uniform(1, 5, size=(30, 1))
+        problem = write_problem_files(tmp_path, "square", X, X[:, 0] ** 2)
+        config = SuiteConfig(
+            problems=(problem,),
+            modes=("llm-sr",),
+            out_dir=tmp_path / "out",
+            search=_quick_config(samples_per_prompt=2),
+            generator={"type": "scripted", "texts": [GOOD_POWER]},
+            repeats=2,
+        )
+        first, second = run_suite(config).outcomes
+        assert first.error == "ValueError: no fit"
+        assert second.error is None and len(second.trajectory) == 3
+        # the failed run waited for its other fit and stopped no worker
+        assert pools[2] and pools[2] == pools[3]
+        assert [(w.pending, w.replies) for w in search._workers] == [
+            (0, {}) for _ in search._workers
+        ]
+
+    def test_a_run_sends_its_split_to_each_worker_at_most_once(
+        self, tmp_path, monkeypatch, fresh_fit_workers
+    ):
+        from multiprocessing.connection import Connection
+
+        from symreg.harness import SuiteConfig, run_suite
+
+        # a worker holds one split: a run's jobs carry it only to a worker
+        # whose last job was another run's
+        sent = []
+        original = Connection.send
+
+        def send(conn, message):
+            if isinstance(message, tuple) and len(message) == 6 and message[1] is not None:
+                sent.append((conn, message[1]))
+            return original(conn, message)
+
+        monkeypatch.setattr(Connection, "send", send)
+        config = SuiteConfig(
+            problems=(KEPLER,),
+            modes=("llm-sr",),
+            out_dir=tmp_path / "out",
+            search=_quick_config(samples_per_prompt=2),
+            generator={"type": "mutation"},
+            repeats=3,
+        )
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, sorted(cpus)[:2])
+        try:
+            report = run_suite(config)
+        finally:
+            os.sched_setaffinity(0, cpus)
+        assert report.failures == 0
+        # the first run's workers inherit its split
+        assert 0 < len(sent) <= 2 * len(search._workers)
+        pairs = [(id(conn), id(split)) for conn, split in sent]
+        assert len(set(pairs)) == len(pairs)
